@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,11 @@ import numpy as np
 from .errors import BasisMismatch, DimensionCap
 from .state import StateVector
 
-DEFAULT_DIMENSION_CAP = 200_000
+BYTES_PER_AMPLITUDE = 16
+
+# Dense bytes (dim^2 x 16) of the largest matrix any build may allocate;
+# larger problems raise DimensionCap before allocating.
+DENSE_BYTES_CAP = 1 << 30
 
 Vector3 = tuple[float, float, float]
 
@@ -102,15 +107,12 @@ class CompositeBasis:
     """Full product basis: one site per atom, then one site per photon mode.
 
     Index order is lexicographic over the occupation tuple with the last
-    site varying fastest, so indices are stable across runs.
+    site varying fastest, so indices are stable across runs. Building a
+    basis whose dense complex matrices would exceed DENSE_BYTES_CAP raises
+    DimensionCap before anything of that size is allocated.
     """
 
-    def __init__(
-        self,
-        nodes: tuple[NodeSpec, ...],
-        fock: FockFactor | None = None,
-        cap: int = DEFAULT_DIMENSION_CAP,
-    ):
+    def __init__(self, nodes: tuple[NodeSpec, ...], fock: FockFactor | None = None):
         self.nodes = tuple(nodes)
         self.fock = fock
         shape: list[int] = []
@@ -125,15 +127,20 @@ class CompositeBasis:
                 labels.append(f"mode{a}")
         self.shape = tuple(shape)
         self.site_labels = tuple(labels)
-        dim = 1
-        for d in self.shape:
-            dim *= d
-            if dim > cap:
-                raise DimensionCap(
-                    f"product dimension exceeds cap {cap} (shape {self.shape})"
-                )
-        self.dim = dim
-        self._occ_cache: dict[int, np.ndarray] = {}
+        self.dim = self._count_states()
+        dense_bytes = BYTES_PER_AMPLITUDE * self.dim**2
+        if dense_bytes > DENSE_BYTES_CAP:
+            raise DimensionCap(
+                f"{self!r}: a dense matrix would take {dense_bytes:.3e} bytes, "
+                f"above the cap of {DENSE_BYTES_CAP:.3e}"
+            )
+        self._occupations: np.ndarray | None = None
+
+    def _count_states(self) -> int:
+        return math.prod(self.shape)
+
+    def _enumerate(self) -> np.ndarray:
+        return np.indices(self.shape).reshape(len(self.shape), -1).T
 
     # -- identity ---------------------------------------------------------
 
@@ -141,13 +148,13 @@ class CompositeBasis:
         return (self.nodes, self.fock, self.shape)
 
     def __eq__(self, other):
-        return isinstance(other, CompositeBasis) and self._key() == other._key()
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
 
     def __repr__(self):
-        return f"CompositeBasis(dim={self.dim}, sites={len(self.shape)})"
+        return f"{type(self).__name__}(dim={self.dim}, sites={len(self.shape)})"
 
     # -- site layout ------------------------------------------------------
 
@@ -170,26 +177,32 @@ class CompositeBasis:
 
     # -- indexing ---------------------------------------------------------
 
-    def stride(self, site: int) -> int:
-        s = 1
-        for d in self.shape[site + 1 :]:
-            s *= d
-        return s
+    @property
+    def occupations(self) -> np.ndarray:
+        """(dim, sites) integer array: row i is the occupation tuple of index i."""
+        if self._occupations is None:
+            self._occupations = self._enumerate()
+        return self._occupations
+
+    def rows(self, occupations: np.ndarray) -> np.ndarray:
+        """Basis index of each row of an occupation array."""
+        return np.ravel_multi_index(np.asarray(occupations).T, self.shape)
+
+    def holds(self, occupations: tuple[int, ...]) -> bool:
+        """Whether the product state with these occupations is a basis state."""
+        return True
 
     def index(self, occupations: tuple[int, ...]) -> int:
         if len(occupations) != len(self.shape):
             raise ValueError("occupation tuple length mismatch")
-        return int(np.ravel_multi_index(occupations, self.shape))
+        return int(self.rows(np.array([occupations]))[0])
 
     def occupation(self, index: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.unravel_index(index, self.shape))
+        return tuple(int(x) for x in self.occupations[index])
 
     def site_occupations(self, site: int) -> np.ndarray:
-        """Occupation of one site for every basis index (cached)."""
-        if site not in self._occ_cache:
-            idx = np.arange(self.dim)
-            self._occ_cache[site] = (idx // self.stride(site)) % self.shape[site]
-        return self._occ_cache[site]
+        """Occupation of one site for every basis index."""
+        return self.occupations[:, site]
 
     def basis_state(self, occupations: tuple[int, ...]) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
@@ -198,28 +211,102 @@ class CompositeBasis:
 
     # -- photon sector helpers ---------------------------------------------
 
-    def atomic_subbasis(self) -> "CompositeBasis":
-        return CompositeBasis(self.nodes, fock=None)
-
     def fock_block_indices(self, mode_occupations: tuple[int, ...]) -> np.ndarray:
         """Basis indices whose photon occupations equal the given tuple."""
         if self.fock is None:
             raise BasisMismatch("basis carries no photon modes")
-        fock_shape = self.shape[self.n_atomic_sites :]
-        offset = int(np.ravel_multi_index(mode_occupations, fock_shape))
-        block = 1
-        for d in fock_shape:
-            block *= d
-        return np.arange(self.dim // block) * block + offset
+        photons = self.occupations[:, self.n_atomic_sites :]
+        return np.flatnonzero((photons == np.asarray(mode_occupations)).all(axis=1))
 
 
-def build_microscopic_basis(
-    nodes,
-    fock: FockFactor | None = None,
-    cap: int = DEFAULT_DIMENSION_CAP,
-) -> CompositeBasis:
+def _row_codes(occupations: np.ndarray) -> np.ndarray:
+    """Each occupation row as one opaque code; codes sort like the tuples.
+
+    The row is written as big-endian 16-bit digits and compared bytewise,
+    so no product-space size can overflow the code.
+    """
+    rows = np.ascontiguousarray(occupations, dtype=">u2")
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+class SectorBasis(CompositeBasis):
+    """The product states of one conserved excitation sector.
+
+    Keeps the site layout of the full CompositeBasis over the same nodes and
+    modes but only the occupation tuples with sum_k weights[k] occ[k] equal
+    to ``quanta``, in the same lexicographic order. The weights are the
+    per-site quanta of the model's excitation counter
+    (hamiltonian.excitation_weights). The sector size is counted before
+    any state is enumerated, so the dense-size cap applies to it up front.
+    """
+
+    def __init__(
+        self,
+        nodes: tuple[NodeSpec, ...],
+        fock: FockFactor | None,
+        weights: tuple[int, ...],
+        quanta: int,
+    ):
+        self.weights = tuple(int(w) for w in weights)
+        self.quanta = int(quanta)
+        if self.quanta < 0 or any(w < 0 for w in self.weights):
+            raise ValueError("quanta and site weights must be non-negative")
+        super().__init__(nodes, fock)
+        if self.dim == 0:
+            raise BasisMismatch(f"no product state carries {self.quanta} quanta")
+        self._codes: np.ndarray | None = None
+
+    def _count_states(self) -> int:
+        if len(self.weights) != len(self.shape):
+            raise ValueError("one weight per site required")
+        # ways[q]: tuples over the sites seen so far that carry q quanta
+        ways = [1] + [0] * self.quanta
+        for d, w in zip(self.shape, self.weights):
+            ways = [
+                sum(ways[q - w * n] for n in range(d) if q - w * n >= 0)
+                for q in range(self.quanta + 1)
+            ]
+        return ways[self.quanta]
+
+    def _enumerate(self) -> np.ndarray:
+        # grow prefixes site by site, keeping those that can still total
+        # exactly ``quanta``; np.nonzero keeps them in lexicographic order
+        room = [(d - 1) * w for d, w in zip(self.shape, self.weights)]
+        later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
+        prefixes = np.zeros((1, 0), dtype=np.int64)
+        used = np.zeros(1, dtype=np.int64)
+        for (d, w), rest in zip(zip(self.shape, self.weights), later):
+            total = used[:, None] + w * np.arange(d)
+            keep = (total <= self.quanta) & (total + rest >= self.quanta)
+            prefix, level = np.nonzero(keep)
+            prefixes = np.column_stack([prefixes[prefix], level])
+            used = total[prefix, level]
+        return prefixes
+
+    def _key(self):
+        return super()._key() + (self.weights, self.quanta)
+
+    def rows(self, occupations: np.ndarray) -> np.ndarray:
+        if self._codes is None:
+            self._codes = _row_codes(self.occupations)
+        codes = _row_codes(occupations)
+        found = np.searchsorted(self._codes, codes)
+        inside = found < self.dim
+        inside[inside] = self._codes[found[inside]] == codes[inside]
+        if not inside.all():
+            outside = tuple(int(x) for x in np.asarray(occupations)[~inside][0])
+            raise BasisMismatch(
+                f"occupation {outside} lies outside the {self.quanta}-quanta sector"
+            )
+        return found
+
+    def holds(self, occupations: tuple[int, ...]) -> bool:
+        return sum(w * n for w, n in zip(self.weights, occupations)) == self.quanta
+
+
+def build_microscopic_basis(nodes, fock: FockFactor | None = None) -> CompositeBasis:
     """Full product basis over every atom and every photon mode."""
-    return CompositeBasis(tuple(nodes), fock, cap)
+    return CompositeBasis(tuple(nodes), fock)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +385,54 @@ def _phases(node: NodeSpec, wave_vector) -> np.ndarray:
     return np.exp(1j * (node.atom_positions() @ k))
 
 
+def _product_pattern(basis: CompositeBasis, excitations, wave_vector):
+    """Occupation tuples and amplitudes of a product of collective excitations.
+
+    ``excitations`` lists (node_index, excited_level) pairs on distinct
+    nodes; each factor is N^(-1/2) sum_j e^(i k.r_j) |level at atom j>.
+    An empty list gives the all-ground state.
+    """
+    if len({m for m, _ in excitations}) != len(excitations):
+        raise BasisMismatch("product excitations need distinct nodes")
+    occs, amps = [[0] * len(basis.shape)], [1.0]
+    for node_index, level in excitations:
+        node = basis.nodes[node_index]
+        if level >= node.level_count:
+            raise BasisMismatch("node does not have the requested level")
+        factor = _phases(node, wave_vector) / np.sqrt(node.atom_count)
+        grown_occs, grown_amps = [], []
+        for occ, amp in zip(occs, amps):
+            for j, site in enumerate(basis.node_sites(node_index)):
+                grown = list(occ)
+                grown[site] = level
+                grown_occs.append(grown)
+                grown_amps.append(amp * factor[j])
+        occs, amps = grown_occs, grown_amps
+    return occs, amps
+
+
+def _double_pattern(basis: CompositeBasis, node_index: int, wave_vector):
+    node = basis.nodes[node_index]
+    if node.atom_count < 2:
+        raise BasisMismatch("double excitation needs at least two atoms")
+    phases = _phases(node, wave_vector)
+    norm = np.sqrt(node.atom_count * (node.atom_count - 1) / 2.0)
+    occs, amps = [], []
+    for j, f in itertools.combinations(range(node.atom_count), 2):
+        occ = [0] * len(basis.shape)
+        occ[basis.atom_site(node_index, j)] = 1
+        occ[basis.atom_site(node_index, f)] = 1
+        occs.append(occ)
+        amps.append(phases[j] * phases[f] / norm)
+    return occs, amps
+
+
+def _vector(basis: CompositeBasis, occs, amps) -> np.ndarray:
+    vec = np.zeros(basis.dim, dtype=complex)
+    vec[basis.rows(np.array(occs))] = amps
+    return vec
+
+
 def collective_excitation_state(
     basis: CompositeBasis,
     node_index: int,
@@ -309,17 +444,19 @@ def collective_excitation_state(
     N^(-1/2) sum_j e^(i k.r_j) |0 ... excited_level at atom j ... 0>, taken
     over the atoms of the chosen node; every other site stays at level 0.
     """
-    node = basis.nodes[node_index]
-    if excited_level >= node.level_count:
-        raise BasisMismatch("node does not have the requested level")
-    phases = _phases(node, wave_vector)
-    occ = [0] * len(basis.shape)
-    vec = np.zeros(basis.dim, dtype=complex)
-    for j in range(node.atom_count):
-        occ_j = list(occ)
-        occ_j[basis.atom_site(node_index, j)] = excited_level
-        vec[basis.index(tuple(occ_j))] = phases[j]
-    return vec / np.sqrt(node.atom_count)
+    return product_excitation_state(basis, [(node_index, excited_level)], wave_vector)
+
+
+def product_excitation_state(
+    basis: CompositeBasis, excitations, wave_vector=None
+) -> np.ndarray:
+    """Product of single collective excitations on distinct nodes.
+
+    ``excitations`` lists (node_index, excited_level) pairs; every site not
+    named stays at 0. Raises BasisMismatch when the state lies outside a
+    sector basis.
+    """
+    return _vector(basis, *_product_pattern(basis, excitations, wave_vector))
 
 
 def double_excitation_state(
@@ -330,19 +467,7 @@ def double_excitation_state(
     sqrt(2/(N(N-1))) sum_{j>f} e^(i k.(r_j+r_f)) |... e_j ... e_f ...>;
     requires at least two atoms in the node.
     """
-    node = basis.nodes[node_index]
-    if node.atom_count < 2:
-        raise BasisMismatch("double excitation needs at least two atoms")
-    phases = _phases(node, wave_vector)
-    occ = [0] * len(basis.shape)
-    vec = np.zeros(basis.dim, dtype=complex)
-    for j, f in itertools.combinations(range(node.atom_count), 2):
-        occ_jf = list(occ)
-        occ_jf[basis.atom_site(node_index, j)] = 1
-        occ_jf[basis.atom_site(node_index, f)] = 1
-        vec[basis.index(tuple(occ_jf))] = phases[j] * phases[f]
-    norm = np.sqrt(node.atom_count * (node.atom_count - 1) / 2.0)
-    return vec / norm
+    return _vector(basis, *_double_pattern(basis, node_index, wave_vector))
 
 
 def ground_state(basis: CompositeBasis) -> np.ndarray:
@@ -352,38 +477,29 @@ def ground_state(basis: CompositeBasis) -> np.ndarray:
 def pair_isometry(basis: CompositeBasis, wave_vector=None) -> np.ndarray:
     """(6, dim) matrix whose rows are the collective pair states.
 
-    Rows follow PAIR_LABELS. States requiring more atoms than a node has
-    (doubly-excited one-node states for single-atom nodes) come out as zero
-    rows; projections onto them simply vanish.
+    Rows follow PAIR_LABELS, every photon mode (if any) in its vacuum.
+    States the basis cannot hold come out as zero rows, so projections onto
+    them simply vanish: doubly-excited one-node states of single-atom
+    nodes, and on a SectorBasis every state of another excitation count.
     """
     if len(basis.nodes) != 2 or any(n.level_count != 2 for n in basis.nodes):
         raise BasisMismatch("pair isometry requires exactly two two-level nodes")
-    if basis.fock is not None:
-        raise BasisMismatch("pair isometry acts on the atomic factor only")
 
-    one = [collective_excitation_state(basis, m, 1, wave_vector) for m in (0, 1)]
+    def row(pattern):
+        occs, amps = pattern
+        if not basis.holds(occs[0]):
+            return np.zeros(basis.dim, dtype=complex)
+        return _vector(basis, occs, amps)
 
-    def _two(m):
+    def two(m):
         if basis.nodes[m].atom_count < 2:
             return np.zeros(basis.dim, dtype=complex)
-        return double_excitation_state(basis, m, wave_vector)
-
-    # |11>: the two single-node excitation patterns act on disjoint atom
-    # sets, so the product state is assembled by merging occupation tuples
-    both = np.zeros(basis.dim, dtype=complex)
-    for i in np.nonzero(one[0])[0]:
-        occ_i = basis.occupation(i)
-        for j in np.nonzero(one[1])[0]:
-            occ_j = basis.occupation(j)
-            merged = tuple(a + b for a, b in zip(occ_i, occ_j))
-            both[basis.index(merged)] = one[0][i] * one[1][j]
+        return row(_double_pattern(basis, m, wave_vector))
 
     rows = np.zeros((6, basis.dim), dtype=complex)
-    rows[0] = ground_state(basis)
-    rows[1] = one[0]
-    rows[2] = one[1]
-    rows[3] = both
-    two1, two2 = _two(0), _two(1)
+    for r, excitations in enumerate(([], [(0, 1)], [(1, 1)], [(0, 1), (1, 1)])):
+        rows[r] = row(_product_pattern(basis, excitations, wave_vector))
+    two1, two2 = two(0), two(1)
     rows[4] = (two1 + two2) / np.sqrt(2.0)
     rows[5] = (two1 - two2) / np.sqrt(2.0)
     return rows
@@ -400,6 +516,8 @@ def symmetrize(
     basis = state.basis
     if not isinstance(basis, CompositeBasis):
         raise BasisMismatch("symmetrize expects a microscopic product basis")
+    if basis.fock is not None:
+        raise BasisMismatch("symmetrize acts on the atomic factor only")
     rows = pair_isometry(basis, wave_vector)
     amps = rows.conj() @ state.amplitudes
     leakage = float(max(0.0, 1.0 - np.linalg.norm(amps) ** 2))

@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonian import CouplingSet, DetuningSet, EffectiveRates, transistor_rate
-from .state import fidelity
+from .state import StateVector, fidelity
 
 SCENARIO_KINDS = (
     "pair-evolution",
@@ -234,10 +234,12 @@ def _run_pair_evolution(p: dict):
     times = np.linspace(0.0, t_max, p["points"])
     psi0 = dynamics.analytic_pair_evolution(a1, b1, a2, b2, rate, n, 0.0, basis=h.basis)
 
+    grid = dynamics.evolve_on_grid(h, psi0, times)
+
     rows = []
     worst = 1.0
-    for t in times:
-        numeric = dynamics.propagate(h, psi0, float(t))
+    for t, amplitudes in zip(times, grid):
+        numeric = StateVector(amplitudes, h.basis)
         closed = dynamics.analytic_pair_evolution(
             a1, b1, a2, b2, rate, n, float(t), basis=h.basis
         )

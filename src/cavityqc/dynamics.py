@@ -15,12 +15,11 @@ import numpy as np
 
 from .basis import (
     CollectiveBasis,
-    CompositeBasis,
     FockFactor,
     Mode,
-    build_microscopic_basis,
     collective_excitation_state,
     pair_isometry,
+    product_excitation_state,
 )
 from .errors import BasisMismatch
 from .hamiltonian import (
@@ -287,22 +286,6 @@ def transistor_evolution(
     return StateVector(amps, basis if basis is not None else TransistorBasis(n_atoms))
 
 
-def _merge_excitations(basis: CompositeBasis, *vecs: np.ndarray) -> np.ndarray:
-    """Product of excitation patterns living on disjoint node sets."""
-    out = vecs[0]
-    for v in vecs[1:]:
-        merged = np.zeros(basis.dim, dtype=complex)
-        for i in np.nonzero(out)[0]:
-            occ_i = basis.occupation(i)
-            for j in np.nonzero(v)[0]:
-                occ_j = basis.occupation(j)
-                merged[basis.index(tuple(a + b for a, b in zip(occ_i, occ_j)))] = (
-                    out[i] * v[j]
-                )
-        out = merged
-    return out
-
-
 def transistor_oracle(
     control,
     targets,
@@ -318,25 +301,24 @@ def transistor_oracle(
     projector rows are the four reachable collective states in
     TransistorBasis order; projecting a propagated microscopic state onto
     them yields amplitudes directly comparable to transistor_evolution.
+    All three live on the two-quanta sector that holds the initial state.
     """
+    # ctrl1|01 and ctrl1|10: one control and one target excitation, which
+    # fixes the excitation sector everything below is built on
+    initial = [((0, 1), (2, 1)), ((0, 1), (1, 1))]
+    quanta = sum(level for _, level in initial[0])
     h = transistor_hamiltonian(
         control,
         targets,
         couplings,
         detunings,
         include_target_upper_swap=include_target_upper_swap,
+        quanta=quanta,
     )
     mb = h.basis
-    ctrl_exc = collective_excitation_state(mb, 0, 1)
-    low = [collective_excitation_state(mb, m, 1) for m in (1, 2)]
-    up = [collective_excitation_state(mb, m, 2) for m in (1, 2)]
     states = np.array(
-        [
-            _merge_excitations(mb, ctrl_exc, low[1]),
-            _merge_excitations(mb, ctrl_exc, low[0]),
-            up[1],
-            up[0],
-        ]
+        [product_excitation_state(mb, excitations) for excitations in initial]
+        + [collective_excitation_state(mb, m, 2) for m in (2, 1)]
     )
     psi0 = StateVector(alpha * states[0] + beta * states[1], mb)
     return h, psi0, states
@@ -382,8 +364,9 @@ def effective_model_error(
     """Compare microscopic and effective swap dynamics over a detuning sweep.
 
     For each detuning the same initial state (one collective excitation on
-    node 1, photon vacuum) is propagated under (a) the full microscopic
-    Hamiltonian with one cavity mode at frequency gap - delta and (b) the
+    node 1, photon vacuum) is propagated under (a) the microscopic
+    Hamiltonian with one cavity mode at frequency gap - delta, built on the
+    one-quantum sector that holds the initial state, and (b) the
     collective swap Hamiltonian with rate |g|^2/delta, over ``swap_periods``
     full swap periods pi / (sqrt(N1 N2) rate). The report carries, per
     delta, the maximum projected infidelity and the maximum leakage out of
@@ -401,9 +384,11 @@ def effective_model_error(
         raise ValueError("error study assumes equal couplings")
 
     n1, n2 = (node.atom_count for node in nodes)
-    atomic = build_microscopic_basis(nodes, fock=None)
-    isometry = pair_isometry(atomic)
     collective = CollectiveBasis(nodes)
+    # one collective excitation on node 1, photon vacuum: its sector is
+    # the only part of the microscopic space the dynamics can reach
+    start = collective.index("10")
+    quanta = collective.sector(start)
 
     max_inf, max_leak = [], []
     for delta in deltas:
@@ -415,19 +400,17 @@ def effective_model_error(
         times = np.linspace(0.0, swap_periods * period, grid_points)
 
         fock = FockFactor((Mode(frequency=gap - delta),), (n_max,))
-        micro_basis = build_microscopic_basis(nodes, fock)
-        h_full = microscopic_hamiltonian(nodes, couplings, fock)
+        h_full = microscopic_hamiltonian(nodes, couplings, fock, quanta=quanta)
         h_eff = two_level_swap_hamiltonian(nodes, swap_rate)
 
-        vac = micro_basis.fock_block_indices((0,))
-        psi_full0 = np.zeros(micro_basis.dim, dtype=complex)
-        psi_full0[vac] = collective_excitation_state(atomic, 0)
-        psi_eff0 = StateVector(isometry.conj() @ psi_full0[vac], collective)
+        isometry = pair_isometry(h_full.basis)
+        psi_full0 = StateVector(isometry[start], h_full.basis)
+        psi_eff0 = StateVector(isometry.conj() @ psi_full0.amplitudes, collective)
 
-        full = evolve_on_grid(h_full, StateVector(psi_full0, micro_basis), times)
+        full = evolve_on_grid(h_full, psi_full0, times)
         eff = evolve_on_grid(h_eff, psi_eff0, times)
 
-        projected = full[:, vac] @ isometry.conj().T
+        projected = full @ isometry.conj().T
         proj_norm_sq = np.sum(np.abs(projected) ** 2, axis=1)
         overlap = np.abs(np.sum(np.conj(eff) * projected, axis=1)) ** 2
         with np.errstate(invalid="ignore", divide="ignore"):

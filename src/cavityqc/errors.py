@@ -6,7 +6,7 @@ class SimulationError(Exception):
 
 
 class DimensionCap(SimulationError):
-    """A requested product basis exceeds the configured dimension cap."""
+    """A build would allocate a dense matrix above basis.DENSE_BYTES_CAP bytes."""
 
 
 class BasisMismatch(SimulationError):

@@ -36,6 +36,7 @@ from .basis import (
     FockFactor,
     NodeSpec,
     PAIR_OCCUPATIONS,
+    SectorBasis,
     build_microscopic_basis,
 )
 from .errors import (
@@ -222,6 +223,10 @@ class HamiltonianMatrix:
 # Term assembly over product bases
 # ---------------------------------------------------------------------------
 
+# Local operators are lists of (to, from, amplitude) triples with at most one
+# triple per ``from`` level; a term is (coeff, factors) with factors
+# (site, local operator) on distinct sites, standing for coeff * prod O_site.
+
 
 def _transition(upper: int, lower: int):
     return [(upper, lower, 1.0)]
@@ -229,6 +234,10 @@ def _transition(upper: int, lower: int):
 
 def _projector(level: int):
     return [(level, level, 1.0)]
+
+
+def _levels(values):
+    return [(n, n, v) for n, v in enumerate(values)]
 
 
 def _annihilate(n_levels: int):
@@ -243,34 +252,35 @@ def _number(n_levels: int):
     return [(n, n, float(n)) for n in range(n_levels)]
 
 
-def _add_term(h: np.ndarray, basis: CompositeBasis, coeff: complex, *factors):
-    """Add coeff * prod_k O_k to ``h``; factors are (site, entries) pairs.
+def _assemble(basis: CompositeBasis, terms) -> np.ndarray:
+    """Dense matrix of a sum of terms over a full or sector product basis.
 
-    Sites must be distinct; entries list (to, from, amplitude) triples of
-    each local operator. Same-site operator products must be multiplied out
-    before calling.
+    Each term acts on the basis occupation array at once: a state's
+    amplitude is coeff times its local amplitudes, its image the state with
+    every factor's site moved to ``to``, located by ``basis.rows``. Since
+    each local operator maps distinct levels to distinct levels, the images
+    of one term are distinct and a plain scatter-add is exact.
     """
-    if coeff == 0:
-        return
-    idx = np.arange(basis.dim)
-    tables = [entries for _, entries in factors]
-    for combo in itertools.product(*tables):
-        mask = np.ones(basis.dim, dtype=bool)
-        shift = 0
-        amp = coeff
-        for (site, _), (to, fr, a) in zip(factors, combo):
-            mask &= basis.site_occupations(site) == fr
-            shift += (to - fr) * basis.stride(site)
-            amp *= a
-        if not mask.any():
+    occ = basis.occupations
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for coeff, factors in terms:
+        if coeff == 0:
             continue
-        src = idx[mask]
-        h[src + shift, src] += amp
-
-
-def _add_diag(h: np.ndarray, basis: CompositeBasis, site: int, values):
-    occ = basis.site_occupations(site)
-    h[np.arange(basis.dim), np.arange(basis.dim)] += np.asarray(values)[occ]
+        amp = np.full(basis.dim, complex(coeff))
+        moves = []
+        for site, entries in factors:
+            to = np.arange(basis.shape[site])
+            local = np.zeros(basis.shape[site])
+            for t, f, a in entries:
+                to[f], local[f] = t, a
+            amp *= local[occ[:, site]]
+            moves.append((site, to))
+        src = np.flatnonzero(amp)
+        image = occ[src]
+        for site, to in moves:
+            image[:, site] = to[image[:, site]]
+        h[basis.rows(image), src] += amp[src]
+    return h
 
 
 def _mode_slots(couplings: CouplingSet, fock: FockFactor | None) -> dict[int, int]:
@@ -311,66 +321,154 @@ def _check_detuning(delta: float, nodes, context: str, floor_scale: float):
         )
 
 
+def excitation_weights(
+    nodes, couplings: CouplingSet, fock: FockFactor | None = None
+) -> tuple[int, ...]:
+    """Quanta per unit occupation of each site of the product basis.
+
+    Atoms count their level index (the top level carries two quanta);
+    photons count 1 quantum per photon on transitions 0 and 1 and 2 quanta
+    on the direct 2<->0 transition, matching the photon cost of the level
+    they create.
+    """
+    weights = [1] * sum(node.atom_count for node in nodes)
+    if fock is not None:
+        slot_of = _mode_slots(couplings, fock)
+        for t in sorted(slot_of, key=slot_of.get):
+            upper, lower = TRANSITIONS[t]
+            weights.append(upper - lower)
+    return tuple(weights)
+
+
+def _product_basis(nodes, couplings, fock, quanta) -> CompositeBasis:
+    """Full product basis, or with ``quanta`` its sector of that many quanta."""
+    if quanta is None:
+        return build_microscopic_basis(nodes, fock)
+    return SectorBasis(nodes, fock, excitation_weights(nodes, couplings, fock), quanta)
+
+
+def _bare_terms(basis: CompositeBasis):
+    """Level energies of every atom and photon energies of every mode."""
+    for m, node in enumerate(basis.nodes):
+        for site in basis.node_sites(m):
+            yield 1.0, ((site, _levels(node.level_energies)),)
+    if basis.fock is not None:
+        for a, mode in enumerate(basis.fock.modes):
+            site = basis.mode_site(a)
+            energies = [mode.frequency * n for n in range(basis.shape[site])]
+            yield 1.0, ((site, _levels(energies)),)
+
+
+def _exchange(i: int, j: int, coeff: complex, raise_i, lower_j):
+    """coeff S(raise_i)_i S(lower_j)_j with S(a, b) = |a><b| on one site.
+
+    On a single site (i == j, the transition and its reverse) the product
+    is the projector on the upper level.
+    """
+    if i == j:
+        return coeff, ((i, _projector(raise_i[0])),)
+    return coeff, ((i, _transition(*raise_i)), (j, _transition(*lower_j)))
+
+
+def _photon_exchange_terms(basis, couplings: CouplingSet, fock: FockFactor, alpha=None):
+    """Rotating-wave couplings g S(upper<-lower) a + h.c., one per atom.
+
+    With generator coefficients ``alpha`` (node x transition) each term is
+    scaled by alpha and its conjugate enters with a minus sign, giving the
+    anti-Hermitian Schrieffer-Wolff generator instead.
+    """
+    sign = 1.0 if alpha is None else -1.0
+    for t, slot in _mode_slots(couplings, fock).items():
+        upper, lower = TRANSITIONS[t]
+        mode_site = basis.mode_site(slot)
+        n_levels = fock.n_max[slot] + 1
+        phases = _atom_phases(basis, fock.modes[slot].wave_vector)
+        for m, node in enumerate(basis.nodes):
+            if node.level_count <= upper:
+                continue
+            g = couplings.coupling(t, m)
+            if alpha is not None:
+                g = alpha[m, t] * g
+            for site in basis.node_sites(m):
+                coeff = g * phases[site]
+                yield coeff, (
+                    (site, _transition(upper, lower)),
+                    (mode_site, _annihilate(n_levels)),
+                )
+                yield sign * np.conj(coeff), (
+                    (site, _transition(lower, upper)),
+                    (mode_site, _create(n_levels)),
+                )
+
+
+def _transition_exchange_terms(basis, t, couplings, deltas, phases):
+    """Second-order exchange of transition ``t`` among the atoms of some nodes.
+
+    ``deltas`` maps each participating node to its detuning. Intra-node
+    double sums (self terms included) run at rate |g_m|^2/Delta_m, and
+    inter-node exchange at (1/Delta_1 + 1/Delta_2)/2 g_1 conj(g_2), plus
+    its Hermitian conjugate.
+    """
+    upper, lower = TRANSITIONS[t]
+    up, down = (upper, lower), (lower, upper)
+    for m, delta in deltas.items():
+        rate = abs(couplings.coupling(t, m)) ** 2 / delta
+        for i in basis.node_sites(m):
+            for j in basis.node_sites(m):
+                yield _exchange(i, j, rate * phases[i] * np.conj(phases[j]), up, down)
+    for m1, m2 in itertools.combinations(deltas, 2):
+        g1 = couplings.coupling(t, m1)
+        g2 = couplings.coupling(t, m2)
+        pref = 0.5 * (1.0 / deltas[m1] + 1.0 / deltas[m2])
+        for i in basis.node_sites(m1):
+            for j in basis.node_sites(m2):
+                coeff = pref * g1 * np.conj(g2) * phases[i] * np.conj(phases[j])
+                yield _exchange(i, j, coeff, up, down)
+                yield _exchange(j, i, np.conj(coeff), up, down)
+
+
+def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale):
+    """Intra- and inter-node exchange of every enabled transition."""
+    nodes = basis.nodes
+    for t in couplings.enabled():
+        upper, _ = TRANSITIONS[t]
+        deltas = {
+            m: deltas_of(t, m) for m, node in enumerate(nodes) if node.level_count > upper
+        }
+        for m, delta in deltas.items():
+            _check_detuning(delta, nodes, f"transition {t}, node {m}", floor_scale)
+        phases = _atom_phases(basis, slot_wave_vectors.get(t))
+        yield from _transition_exchange_terms(basis, t, couplings, deltas, phases)
+
+
 # ---------------------------------------------------------------------------
 # Microscopic Hamiltonian and excitation counter
 # ---------------------------------------------------------------------------
 
 
-def microscopic_parts(nodes, couplings: CouplingSet, fock: FockFactor, cap=None):
+def microscopic_parts(nodes, couplings: CouplingSet, fock: FockFactor, quanta=None):
     """(basis, static part, interaction part) of the microscopic model.
 
     The static part carries atomic level energies and photon energies; the
-    interaction part carries the rotating-wave atom-photon couplings.
+    interaction part carries the rotating-wave atom-photon couplings. With
+    ``quanta`` everything is built on that excitation sector only.
     """
-    kwargs = {} if cap is None else {"cap": cap}
-    basis = build_microscopic_basis(nodes, fock, **kwargs)
-    slot_of = _mode_slots(couplings, fock)
-
-    h0 = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for m, node in enumerate(basis.nodes):
-        for j in range(node.atom_count):
-            _add_diag(h0, basis, basis.atom_site(m, j), node.level_energies)
-    for a, (mode, nmax) in enumerate(zip(fock.modes, fock.n_max)):
-        _add_diag(
-            h0, basis, basis.mode_site(a), [mode.frequency * n for n in range(nmax + 1)]
-        )
-
-    h1 = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for t, slot in slot_of.items():
-        upper, lower = TRANSITIONS[t]
-        mode = fock.modes[slot]
-        mode_site = basis.mode_site(slot)
-        n_levels = fock.n_max[slot] + 1
-        phases = _atom_phases(basis, mode.wave_vector)
-        for m, node in enumerate(basis.nodes):
-            if node.level_count <= upper:
-                continue
-            g = couplings.coupling(t, m)
-            for j in range(node.atom_count):
-                site = basis.atom_site(m, j)
-                coeff = g * phases[site]
-                _add_term(
-                    h1,
-                    basis,
-                    coeff,
-                    (site, _transition(upper, lower)),
-                    (mode_site, _annihilate(n_levels)),
-                )
-                _add_term(
-                    h1,
-                    basis,
-                    np.conj(coeff),
-                    (site, _transition(lower, upper)),
-                    (mode_site, _create(n_levels)),
-                )
+    basis = _product_basis(nodes, couplings, fock, quanta)
+    h0 = _assemble(basis, _bare_terms(basis))
+    h1 = _assemble(basis, _photon_exchange_terms(basis, couplings, fock))
     return basis, h0, h1
 
 
 def microscopic_hamiltonian(
-    nodes, couplings: CouplingSet, fock: FockFactor, cap=None
+    nodes, couplings: CouplingSet, fock: FockFactor, quanta=None
 ) -> HamiltonianMatrix:
-    """Full microscopic Hamiltonian: atoms + photons + rotating-wave coupling."""
-    basis, h0, h1 = microscopic_parts(nodes, couplings, fock, cap)
+    """Full microscopic Hamiltonian: atoms + photons + rotating-wave coupling.
+
+    ``quanta`` restricts it to the excitation sector of that many quanta
+    (see excitation_weights); the model conserves it, so the sector matrix
+    is exactly the corresponding block of the full one.
+    """
+    basis, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
     return HamiltonianMatrix(h0 + h1, basis, label="microscopic")
 
 
@@ -379,19 +477,10 @@ def total_excitation_operator(
 ) -> np.ndarray:
     """Diagonal quanta counter that commutes with the microscopic model.
 
-    Atoms count their level index (the top level carries two quanta);
-    photons count 1 quantum per photon on transitions 0 and 1 and 2 quanta
-    on the direct 2<->0 transition, matching the photon cost of the level
-    they create.
+    Weights per site are those of excitation_weights.
     """
-    slot_of = _mode_slots(couplings, basis.fock)
-    diag = np.zeros(basis.dim)
-    for site in range(basis.n_atomic_sites):
-        diag += basis.site_occupations(site)
-    for t, slot in slot_of.items():
-        upper, lower = TRANSITIONS[t]
-        diag += (upper - lower) * basis.site_occupations(basis.mode_site(slot))
-    return np.diag(diag.astype(complex))
+    weights = excitation_weights(basis.nodes, couplings, basis.fock)
+    return np.diag((basis.occupations @ np.asarray(weights)).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -435,55 +524,34 @@ def sw_coefficients(
 
 
 def sw_generator(
-    nodes, couplings: CouplingSet, fock: FockFactor, floor_scale: float = 1e-9
+    nodes,
+    couplings: CouplingSet,
+    fock: FockFactor,
+    floor_scale: float = 1e-9,
+    quanta=None,
 ) -> np.ndarray:
     """Anti-Hermitian generator s eliminating the first-order coupling."""
     nodes = tuple(nodes)
     coeffs = sw_coefficients(nodes, couplings, fock, floor_scale)
-    basis = build_microscopic_basis(nodes, fock)
-    slot_of = _mode_slots(couplings, fock)
-    s = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for t, slot in slot_of.items():
-        upper, lower = TRANSITIONS[t]
-        mode = fock.modes[slot]
-        mode_site = basis.mode_site(slot)
-        n_levels = fock.n_max[slot] + 1
-        phases = _atom_phases(basis, mode.wave_vector)
-        for m, node in enumerate(nodes):
-            if node.level_count <= upper:
-                continue
-            g = couplings.coupling(t, m)
-            a = coeffs.alpha[m, t]
-            for j in range(node.atom_count):
-                site = basis.atom_site(m, j)
-                coeff = a * g * phases[site]
-                _add_term(
-                    s,
-                    basis,
-                    coeff,
-                    (site, _transition(upper, lower)),
-                    (mode_site, _annihilate(n_levels)),
-                )
-                _add_term(
-                    s,
-                    basis,
-                    -np.conj(coeff),
-                    (site, _transition(lower, upper)),
-                    (mode_site, _create(n_levels)),
-                )
-    return s
+    basis = _product_basis(nodes, couplings, fock, quanta)
+    return _assemble(basis, _photon_exchange_terms(basis, couplings, fock, coeffs.alpha))
 
 
 def schrieffer_wolff_hamiltonian(
-    nodes, couplings: CouplingSet, fock: FockFactor, floor_scale: float = 1e-9
+    nodes,
+    couplings: CouplingSet,
+    fock: FockFactor,
+    floor_scale: float = 1e-9,
+    quanta=None,
 ) -> HamiltonianMatrix:
     """Numeric second-order Hamiltonian H_0 + [H_1, s]/2.
 
     Built entirely from matrix products; serves as the independent oracle
-    for the analytic effective builders.
+    for the analytic effective builders. H_1 and s conserve the quanta, so
+    with ``quanta`` the products close on that sector.
     """
-    basis, h0, h1 = microscopic_parts(nodes, couplings, fock)
-    s = sw_generator(nodes, couplings, fock, floor_scale)
+    basis, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
+    s = sw_generator(nodes, couplings, fock, floor_scale, quanta)
     h = h0 + 0.5 * (h1 @ s - s @ h1)
     return HamiltonianMatrix(h, basis, label="schrieffer-wolff")
 
@@ -493,102 +561,26 @@ def schrieffer_wolff_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-def _add_swap_terms(
-    h, basis, nodes, couplings, deltas_of, slot_wave_vectors, floor_scale
-):
-    """Intra- and inter-node exchange terms shared by the effective forms."""
-    for t in couplings.enabled():
-        upper, lower = TRANSITIONS[t]
-        phases = _atom_phases(basis, slot_wave_vectors.get(t))
-        supported = [
-            m for m, node in enumerate(nodes) if node.level_count > upper
-        ]
-        deltas = {}
-        for m in supported:
-            deltas[m] = deltas_of(t, m)
-            _check_detuning(
-                deltas[m], nodes, f"transition {t}, node {m}", floor_scale
-            )
-        # intra-node double sums, self terms included
-        for m in supported:
-            g = couplings.coupling(t, m)
-            rate = abs(g) ** 2 / deltas[m]
-            for i in basis.node_sites(m):
-                for j in basis.node_sites(m):
-                    coeff = rate * phases[i] * np.conj(phases[j])
-                    if i == j:
-                        _add_term(h, basis, coeff, (i, _projector(upper)))
-                    else:
-                        _add_term(
-                            h,
-                            basis,
-                            coeff,
-                            (i, _transition(upper, lower)),
-                            (j, _transition(lower, upper)),
-                        )
-        # inter-node exchange
-        if len(supported) >= 2:
-            for m1, m2 in itertools.combinations(supported, 2):
-                g1 = couplings.coupling(t, m1)
-                g2 = couplings.coupling(t, m2)
-                pref = 0.5 * (1.0 / deltas[m1] + 1.0 / deltas[m2])
-                for i in basis.node_sites(m1):
-                    for j in basis.node_sites(m2):
-                        coeff = pref * g1 * np.conj(g2) * phases[i] * np.conj(phases[j])
-                        _add_term(
-                            h,
-                            basis,
-                            coeff,
-                            (i, _transition(upper, lower)),
-                            (j, _transition(lower, upper)),
-                        )
-                        _add_term(
-                            h,
-                            basis,
-                            np.conj(coeff),
-                            (i, _transition(lower, upper)),
-                            (j, _transition(upper, lower)),
-                        )
-
-
-def effective_hamiltonian_microscopic(
-    nodes, couplings: CouplingSet, fock: FockFactor, floor_scale: float = 1e-9
-) -> HamiltonianMatrix:
-    """Analytic second-order Hamiltonian with explicit photon operators.
-
-    Contains, per enabled transition: the intra-node and inter-node
-    exchange terms, the photon-number level shifts
-    (P_upper - P_lower) n_mode, and, when several transitions are enabled,
-    the Hermitian-symmetrized two-photon and Raman cross terms. Agrees with
-    the numeric Schrieffer-Wolff oracle away from the Fock truncation edge.
-    """
-    nodes = tuple(nodes)
-    basis, h0, _ = microscopic_parts(nodes, couplings, fock)
-    detunings = DetuningSet.from_system(nodes, couplings, fock)
+def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vectors):
+    """Photon-number level shifts and the two-photon / Raman cross terms."""
+    nodes = basis.nodes
     slot_of = _mode_slots(couplings, fock)
-    wave_vectors = {t: fock.modes[slot].wave_vector for t, slot in slot_of.items()}
 
-    h = h0.copy()
-    _add_swap_terms(
-        h, basis, nodes, couplings, detunings.value, wave_vectors, floor_scale
-    )
+    def _mode(t):
+        slot = slot_of[t]
+        return basis.mode_site(slot), fock.n_max[slot] + 1
 
-    # photon-number level shifts
-    for t, slot in slot_of.items():
+    # photon-number level shifts (P_upper - P_lower) n_mode
+    for t in slot_of:
         upper, lower = TRANSITIONS[t]
-        mode_site = basis.mode_site(slot)
-        n_levels = fock.n_max[slot] + 1
+        mode_site, n_levels = _mode(t)
         for m, node in enumerate(nodes):
             if node.level_count <= upper:
                 continue
             rate = abs(couplings.coupling(t, m)) ** 2 / detunings.value(t, m)
             for j in basis.node_sites(m):
-                _add_term(
-                    h, basis, rate, (j, _projector(upper)), (mode_site, _number(n_levels))
-                )
-                _add_term(
-                    h, basis, -rate, (j, _projector(lower)), (mode_site, _number(n_levels))
-                )
+                yield rate, ((j, _projector(upper)), (mode_site, _number(n_levels)))
+                yield -rate, ((j, _projector(lower)), (mode_site, _number(n_levels)))
 
     # cross terms between transition pairs, one atom at a time
     enabled = set(slot_of)
@@ -596,11 +588,6 @@ def effective_hamiltonian_microscopic(
         t: np.asarray(wave_vectors[t] or (0.0, 0.0, 0.0), dtype=float)
         for t in enabled
     }
-
-    def _mode(t):
-        slot = slot_of[t]
-        return basis.mode_site(slot), fock.n_max[slot] + 1
-
     for m, node in enumerate(nodes):
         if node.level_count < 3:
             continue
@@ -621,12 +608,10 @@ def effective_hamiltonian_microscopic(
                 )
                 m0, l0 = _mode(0)
                 m1, l1 = _mode(1)
-                _add_term(
-                    h, basis, coeff,
+                yield coeff, (
                     (site, _transition(2, 0)), (m0, _annihilate(l0)), (m1, _annihilate(l1)),
                 )
-                _add_term(
-                    h, basis, np.conj(coeff),
+                yield np.conj(coeff), (
                     (site, _transition(0, 2)), (m0, _create(l0)), (m1, _create(l1)),
                 )
             if {0, 2} <= enabled:
@@ -642,12 +627,10 @@ def effective_hamiltonian_microscopic(
                 )
                 m0, l0 = _mode(0)
                 m2, l2 = _mode(2)
-                _add_term(
-                    h, basis, coeff,
+                yield coeff, (
                     (site, _transition(2, 1)), (m2, _annihilate(l2)), (m0, _create(l0)),
                 )
-                _add_term(
-                    h, basis, np.conj(coeff),
+                yield np.conj(coeff), (
                     (site, _transition(1, 2)), (m2, _create(l2)), (m0, _annihilate(l0)),
                 )
             if {1, 2} <= enabled:
@@ -663,15 +646,45 @@ def effective_hamiltonian_microscopic(
                 )
                 m1, l1 = _mode(1)
                 m2, l2 = _mode(2)
-                _add_term(
-                    h, basis, coeff,
+                yield coeff, (
                     (site, _transition(1, 0)), (m2, _annihilate(l2)), (m1, _create(l1)),
                 )
-                _add_term(
-                    h, basis, np.conj(coeff),
+                yield np.conj(coeff), (
                     (site, _transition(0, 1)), (m2, _create(l2)), (m1, _annihilate(l1)),
                 )
 
+
+def effective_hamiltonian_microscopic(
+    nodes,
+    couplings: CouplingSet,
+    fock: FockFactor,
+    floor_scale: float = 1e-9,
+    quanta=None,
+) -> HamiltonianMatrix:
+    """Analytic second-order Hamiltonian with explicit photon operators.
+
+    Contains, per enabled transition: the intra-node and inter-node
+    exchange terms, the photon-number level shifts
+    (P_upper - P_lower) n_mode, and, when several transitions are enabled,
+    the Hermitian-symmetrized two-photon and Raman cross terms. Agrees with
+    the numeric Schrieffer-Wolff oracle away from the Fock truncation edge.
+    ``quanta`` restricts the build to that excitation sector.
+    """
+    nodes = tuple(nodes)
+    basis = _product_basis(nodes, couplings, fock, quanta)
+    detunings = DetuningSet.from_system(nodes, couplings, fock)
+    slot_of = _mode_slots(couplings, fock)
+    wave_vectors = {t: fock.modes[slot].wave_vector for t, slot in slot_of.items()}
+    h = _assemble(
+        basis,
+        itertools.chain(
+            _bare_terms(basis),
+            _swap_terms(basis, couplings, detunings.value, wave_vectors, floor_scale),
+            _photon_shift_and_cross_terms(
+                basis, couplings, fock, detunings, wave_vectors
+            ),
+        ),
+    )
     return HamiltonianMatrix(h, basis, label="effective-microscopic")
 
 
@@ -682,23 +695,21 @@ def photon_free_effective_hamiltonian(
     wave_vectors: dict[int, tuple] | None = None,
     rotating_frame: bool = False,
     floor_scale: float = 1e-9,
+    quanta=None,
 ) -> HamiltonianMatrix:
     """Effective exchange Hamiltonian with no real photons, atomic basis only.
 
     Bare level energies plus the intra- and inter-node exchange terms of
     every enabled transition; equals the zero-photon block of the general
-    photon-dressed form.
+    photon-dressed form. ``quanta`` restricts it to that excitation sector.
     """
     nodes = tuple(nodes)
-    basis = build_microscopic_basis(nodes, fock=None)
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    if not rotating_frame:
-        for m, node in enumerate(nodes):
-            for j in range(node.atom_count):
-                _add_diag(h, basis, basis.atom_site(m, j), node.level_energies)
-    _add_swap_terms(
-        h, basis, nodes, couplings, detunings.value, wave_vectors or {}, floor_scale
+    basis = _product_basis(nodes, couplings, None, quanta)
+    bare = () if rotating_frame else _bare_terms(basis)
+    swap = _swap_terms(
+        basis, couplings, detunings.value, wave_vectors or {}, floor_scale
     )
+    h = _assemble(basis, itertools.chain(bare, swap))
     return HamiltonianMatrix(h, basis, label="photon-free-effective")
 
 
@@ -707,6 +718,7 @@ def swap_hamiltonian_microscopic(
     swap_rate: float,
     wave_vector=None,
     rotating_frame: bool = False,
+    quanta=None,
 ) -> HamiltonianMatrix:
     """Two-level swap Hamiltonian over the full product basis.
 
@@ -714,28 +726,21 @@ def swap_hamiltonian_microscopic(
     phase-threaded collective raising operator over all atoms of both
     nodes; the double sum includes the self terms. Equal couplings and
     detunings are assumed (the equal-rate special case of the photon-free
-    form).
+    form). ``quanta`` restricts it to that excitation sector.
     """
     nodes = tuple(nodes)
     if any(node.level_count != 2 for node in nodes):
         raise BasisMismatch("swap Hamiltonian requires two-level nodes")
-    basis = build_microscopic_basis(nodes, fock=None)
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    if not rotating_frame:
-        for m, node in enumerate(nodes):
-            for j in range(node.atom_count):
-                _add_diag(h, basis, basis.atom_site(m, j), node.level_energies)
+    basis = _product_basis(nodes, None, None, quanta)
     phases = _atom_phases(basis, wave_vector)
-    n_sites = basis.n_atomic_sites
-    for i in range(n_sites):
-        for j in range(n_sites):
-            coeff = swap_rate * phases[i] * np.conj(phases[j])
-            if i == j:
-                _add_term(h, basis, coeff, (i, _projector(1)))
-            else:
-                _add_term(
-                    h, basis, coeff, (i, _transition(1, 0)), (j, _transition(0, 1))
-                )
+    sites = range(basis.n_atomic_sites)
+    exchange = (
+        _exchange(i, j, swap_rate * phases[i] * np.conj(phases[j]), (1, 0), (0, 1))
+        for i in sites
+        for j in sites
+    )
+    bare = () if rotating_frame else _bare_terms(basis)
+    h = _assemble(basis, itertools.chain(bare, exchange))
     return HamiltonianMatrix(h, basis, label="swap-microscopic")
 
 
@@ -922,6 +927,7 @@ def transistor_hamiltonian(
     include_target_upper_swap: bool = False,
     rotating_frame: bool = True,
     floor_scale: float = 1e-9,
+    quanta=None,
 ) -> HamiltonianMatrix:
     """Cross-transition exchange between a control node and two target nodes.
 
@@ -937,26 +943,23 @@ def transistor_hamiltonian(
     negligible when the cross rate dominates); it is off by default so the
     default matrix is the pure cross-transition form. The interaction frame
     is used by default; set rotating_frame=False to add bare energies.
+    ``quanta`` restricts the build to the sector with that many atomic
+    excitation quanta (level indices summed over all atoms).
     """
     nodes = (control,) + tuple(targets)
     if len(nodes) != 3:
         raise BasisMismatch("transistor coupling needs one control and two targets")
     if any(node.level_count != 3 for node in nodes[1:]):
         raise BasisMismatch("target nodes must be three-level")
-    basis = build_microscopic_basis(nodes, fock=None)
+    basis = _product_basis(nodes, couplings, None, quanta)
     k_lower, k_upper = wave_vectors if wave_vectors is not None else (None, None)
     phases_lower = _atom_phases(basis, k_lower)
     phases_upper = _atom_phases(basis, k_upper)
 
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    if not rotating_frame:
-        for m, node in enumerate(nodes):
-            for j in range(node.atom_count):
-                _add_diag(h, basis, basis.atom_site(m, j), node.level_energies)
-
     g21c = couplings.coupling(0, 0)
     delta_c = detunings.value(0, 0)
     _check_detuning(delta_c, nodes, "control lower transition", floor_scale)
+    cross = []
     for m in (1, 2):
         g32m = couplings.coupling(1, m)
         delta_m = detunings.value(1, m)
@@ -971,48 +974,17 @@ def transistor_hamiltonian(
                     * phases_lower[jc]
                     * np.conj(phases_upper[jm])
                 )
-                _add_term(
-                    h, basis, coeff, (jc, _transition(1, 0)), (jm, _transition(1, 2))
-                )
-                _add_term(
-                    h,
-                    basis,
-                    np.conj(coeff),
-                    (jc, _transition(0, 1)),
-                    (jm, _transition(2, 1)),
-                )
+                cross.append(_exchange(jc, jm, coeff, (1, 0), (1, 2)))
+                cross.append(_exchange(jm, jc, np.conj(coeff), (2, 1), (0, 1)))
 
+    upper_swap = ()
     if include_target_upper_swap:
         deltas = {m: detunings.value(1, m) for m in (1, 2)}
-        for m in (1, 2):
-            g = couplings.coupling(1, m)
-            rate = abs(g) ** 2 / deltas[m]
-            for i in basis.node_sites(m):
-                for j in basis.node_sites(m):
-                    coeff = rate * phases_upper[i] * np.conj(phases_upper[j])
-                    if i == j:
-                        _add_term(h, basis, coeff, (i, _projector(2)))
-                    else:
-                        _add_term(
-                            h, basis, coeff, (i, _transition(2, 1)), (j, _transition(1, 2))
-                        )
-        pref = 0.5 * (1.0 / deltas[1] + 1.0 / deltas[2])
-        g1 = couplings.coupling(1, 1)
-        g2 = couplings.coupling(1, 2)
-        for i in basis.node_sites(1):
-            for j in basis.node_sites(2):
-                coeff = pref * g1 * np.conj(g2) * phases_upper[i] * np.conj(phases_upper[j])
-                _add_term(
-                    h, basis, coeff, (i, _transition(2, 1)), (j, _transition(1, 2))
-                )
-                _add_term(
-                    h,
-                    basis,
-                    np.conj(coeff),
-                    (i, _transition(1, 2)),
-                    (j, _transition(2, 1)),
-                )
-
+        upper_swap = _transition_exchange_terms(
+            basis, 1, couplings, deltas, phases_upper
+        )
+    bare = () if rotating_frame else _bare_terms(basis)
+    h = _assemble(basis, itertools.chain(bare, cross, upper_swap))
     return HamiltonianMatrix(h, basis, label="transistor")
 
 

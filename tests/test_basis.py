@@ -12,12 +12,14 @@ from cavityqc import (
     FockFactor,
     Mode,
     NodeSpec,
+    SectorBasis,
     StateVector,
     build_microscopic_basis,
     build_two_node_collective_basis,
     collective_excitation_state,
     double_excitation_state,
     pair_isometry,
+    product_excitation_state,
     swap_hamiltonian_microscopic,
     symmetrize,
 )
@@ -143,6 +145,67 @@ def test_index_round_trip_bijective(n1, n2, n_max):
         assert basis.index(occ) == index
         seen.add(occ)
     assert len(seen) == basis.dim
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2),
+    st.integers(min_value=1, max_value=2),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
+    st.integers(min_value=0, max_value=5),
+)
+def test_sector_is_the_sorted_slice_of_the_full_basis(atoms, n_max, mode_weights, quanta):
+    nodes = tuple(NodeSpec(n, 3, (0.0, 1.0, 2.0)) for n in atoms)
+    fock = FockFactor((Mode(1.0), Mode(2.0)), (n_max + 1, n_max))
+    full = build_microscopic_basis(nodes, fock)
+    weights = (1,) * full.n_atomic_sites + tuple(mode_weights)
+    carried = full.occupations @ np.asarray(weights)
+    expected = full.occupations[carried == quanta]
+    if len(expected) == 0:
+        with pytest.raises(BasisMismatch):
+            SectorBasis(nodes, fock, weights, quanta)
+        return
+    sector = SectorBasis(nodes, fock, weights, quanta)
+    assert sector.dim == len(expected)
+    assert np.array_equal(sector.occupations, expected)
+    for i in range(sector.dim):
+        assert sector.index(sector.occupation(i)) == i
+    assert np.array_equal(sector.rows(expected[::-1]), np.arange(sector.dim)[::-1])
+    outside = full.occupations[carried != quanta]
+    if len(outside):
+        with pytest.raises(BasisMismatch):
+            sector.index(tuple(outside[0]))
+
+
+def test_sector_basis_is_a_distinct_basis():
+    nodes = (NodeSpec(2), NodeSpec(2))
+    fock = FockFactor((Mode(1.0),), (2,))
+    one = SectorBasis(nodes, fock, (1,) * 5, 1)
+    assert one == SectorBasis(nodes, fock, (1,) * 5, 1)
+    assert one != SectorBasis(nodes, fock, (1,) * 5, 2)
+    assert one != build_microscopic_basis(nodes, fock)
+    assert one.dim == 2 * 2 + 1
+
+
+def test_collective_states_on_a_sector_equal_the_full_ones():
+    nodes = (NodeSpec(2), NodeSpec(3))
+    fock = FockFactor((Mode(1.0),), (2,))
+    full = build_microscopic_basis(nodes, fock)
+    full_rows = pair_isometry(full)
+    # each pair state lies in exactly one sector (|00>: 0, |10>/|01>: 1, the
+    # rest: 2), so the sector isometries add up to the full one
+    embedded = np.zeros((6, full.dim), dtype=complex)
+    for quanta in (0, 1, 2):
+        sector = SectorBasis(nodes, fock, (1,) * 6, quanta)
+        rows = pair_isometry(sector)
+        held = [r for r in range(6) if np.abs(rows[r]).max() > 0]
+        assert held == [r for r in range(6) if (0, 1, 1, 2, 2, 2)[r] == quanta]
+        embedded[:, full.rows(sector.occupations)] = rows
+    assert np.array_equal(embedded, full_rows)
+    both = product_excitation_state(full, [(0, 1), (1, 1)])
+    assert np.array_equal(both, full_rows[3])
+    with pytest.raises(BasisMismatch):
+        collective_excitation_state(SectorBasis(nodes, fock, (1,) * 6, 2), 0)
 
 
 def test_index_order_is_lexicographic_and_stable():

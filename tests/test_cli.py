@@ -1,6 +1,7 @@
 """Scenario runner: parsing, validation, reports, determinism, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +191,29 @@ def test_propagated_module_error_gives_exit_code_5(tmp_path):
         },
     )
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 5
+
+
+def test_oversized_transistor_exits_5_before_allocating(tmp_path, capsys):
+    # 200 atoms per node: the two-quanta sector alone has 180300 states
+    scenario = _write(
+        tmp_path,
+        "huge.json",
+        {
+            "kind": "transistor",
+            "n_atoms": 200,
+            "g21": 0.02,
+            "g32": 0.03,
+            "delta_control": 0.5,
+            "delta_target": 0.7,
+            "alpha": [1.0, 0.0],
+            "beta": [0.0, 0.0],
+        },
+    )
+    start = time.perf_counter()
+    assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 5
+    assert time.perf_counter() - start < 1.0
+    message = capsys.readouterr().err
+    assert "180300" in message and "cap" in message
 
 
 def test_failed_assertion_gives_exit_code_4(tmp_path):

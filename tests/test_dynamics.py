@@ -1,13 +1,19 @@
 """Propagation, closed forms, blockade amplitudes, transistor, error sweep."""
 
+import time
+
 import numpy as np
 import pytest
 
 from cavityqc import (
+    CollectiveBasis,
     CouplingSet,
     DetuningSet,
     EffectiveRates,
+    FockFactor,
+    Mode,
     NodeSpec,
+    build_microscopic_basis,
     StateVector,
     analytic_pair_evolution,
     blockade_solution,
@@ -16,8 +22,12 @@ from cavityqc import (
     fidelity,
     first_maximum_time,
     lamb_shift_hamiltonian,
+    microscopic_hamiltonian,
+    pair_isometry,
+    product_excitation_state,
     propagate,
     transistor_evolution,
+    transistor_hamiltonian,
     transistor_rate,
     two_level_swap_hamiltonian,
 )
@@ -339,15 +349,14 @@ def test_transistor_transfer_time_scales_inverse_sqrt_n():
 
 def test_transistor_control_in_ground_state_is_inert():
     # conditionality of the mechanism: with all control atoms in the ground
-    # state the cross-transition exchange annihilates the target state
-    node, couplings, detunings = _transistor_setup(2)
-    h, _, projector = transistor_oracle(
-        node, (node, node), couplings, detunings, 1.0, 0.0
-    )
-    mb = h.basis
-    from cavityqc import collective_excitation_state
+    # state the cross-transition exchange annihilates the target state; that
+    # state has one quantum, outside the oracle's sector, so the check runs
+    # on the full product space
+    from cavityqc import collective_excitation_state, transistor_hamiltonian
 
-    target_low = collective_excitation_state(mb, 1, 1)
+    node, couplings, detunings = _transistor_setup(2)
+    h = transistor_hamiltonian(node, (node, node), couplings, detunings)
+    target_low = collective_excitation_state(h.basis, 1, 1)
     assert np.abs(h.matrix @ target_low).max() < 1e-14
 
 
@@ -368,8 +377,7 @@ def test_transistor_upper_swap_channel_degrades_closed_form():
 def test_position_phases_do_not_change_transfer_probabilities():
     # the swap algebra is position independent once the collective states
     # absorb their plane-wave phases
-    from cavityqc import build_microscopic_basis, collective_excitation_state
-    from cavityqc.basis import pair_isometry
+    from cavityqc import collective_excitation_state
     from cavityqc.hamiltonian import swap_hamiltonian_microscopic
 
     n_atoms = 2
@@ -425,3 +433,114 @@ def test_error_report_values_lie_in_unit_interval():
     report = effective_model_error(nodes, CouplingSet(g21=g), deltas, grid_points=80)
     for value in report.max_infidelity + report.max_leakage:
         assert 0.0 <= value <= 1.0
+
+
+# --- sector engine against the full product space ------------------------------------
+
+
+def full_space_model_error(nodes, couplings, deltas, grid_points=200, n_max=2):
+    """The error sweep run on the whole product space (atoms x photons)."""
+    g = couplings.coupling(0, 0)
+    gap = nodes[0].transition_freq
+    n1, n2 = (node.atom_count for node in nodes)
+    max_inf, max_leak = [], []
+    for delta in deltas:
+        rate = abs(g) ** 2 / delta
+        times = np.linspace(0.0, np.pi / (np.sqrt(n1 * n2) * rate), grid_points)
+        h_full = microscopic_hamiltonian(
+            nodes, couplings, FockFactor((Mode(gap - delta),), (n_max,))
+        )
+        vac = h_full.basis.fock_block_indices((0,))
+        isometry = pair_isometry(build_microscopic_basis(nodes))
+        psi0 = np.zeros(h_full.dim, dtype=complex)
+        psi0[vac] = isometry[1]
+        full = evolve_on_grid(h_full, StateVector(psi0, h_full.basis), times)
+        h_eff = two_level_swap_hamiltonian(nodes, rate)
+        eff0 = StateVector(isometry.conj() @ psi0[vac], CollectiveBasis(nodes))
+        eff = evolve_on_grid(h_eff, eff0, times)
+        projected = full[:, vac] @ isometry.conj().T
+        norm_sq = np.sum(np.abs(projected) ** 2, axis=1)
+        overlap = np.abs(np.sum(np.conj(eff) * projected, axis=1)) ** 2
+        max_inf.append(float(np.clip(1.0 - overlap / norm_sq, 0.0, 1.0).max()))
+        max_leak.append(float(np.clip(1.0 - norm_sq, 0.0, 1.0).max()))
+    return max_inf, max_leak
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_error_sweep_sector_matches_full_space(n_atoms):
+    g = 0.01
+    nodes = (NodeSpec(n_atoms), NodeSpec(n_atoms))
+    deltas = [f * np.sqrt(n_atoms) * g for f in (10, 30, 100, 300)]
+    report = effective_model_error(nodes, CouplingSet(g21=g), deltas)
+    infidelity, leakage = full_space_model_error(nodes, CouplingSet(g21=g), deltas)
+    assert np.abs(np.subtract(report.max_infidelity, infidelity)).max() <= 1e-12
+    assert np.abs(np.subtract(report.max_leakage, leakage)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+@pytest.mark.parametrize("upper_swap", [False, True])
+def test_transistor_oracle_sector_matches_full_space(n_atoms, upper_swap):
+    node, couplings, detunings = _transistor_setup(n_atoms)
+    alpha, beta = 0.6, 0.8j
+    h, psi0, projector = transistor_oracle(
+        node, (node, node), couplings, detunings, alpha, beta,
+        include_target_upper_swap=upper_swap,
+    )
+    h_full = transistor_hamiltonian(
+        node, (node, node), couplings, detunings, include_target_upper_swap=upper_swap
+    )
+    full = h_full.basis
+    rows = np.array(
+        [
+            product_excitation_state(full, [(0, 1), (2, 1)]),
+            product_excitation_state(full, [(0, 1), (1, 1)]),
+            product_excitation_state(full, [(2, 2)]),
+            product_excitation_state(full, [(1, 2)]),
+        ]
+    )
+    psi_full = StateVector(alpha * rows[0] + beta * rows[1], full)
+    rate = transistor_rate(couplings, detunings)
+    times = np.linspace(0.0, 2 * np.pi / (np.sqrt(n_atoms) * rate), 40)
+    sector_amps = evolve_on_grid(h, psi0, times) @ projector.conj().T
+    full_amps = evolve_on_grid(h_full, psi_full, times) @ rows.conj().T
+    assert np.abs(sector_amps - full_amps).max() <= 1e-12
+
+
+def test_error_sweep_reaches_eight_atoms_per_node():
+    # full space: 2^16 atomic states x 3 photon levels; the sector has 17
+    start = time.perf_counter()
+    g = 0.01
+    nodes = (NodeSpec(8), NodeSpec(8))
+    deltas = [f * np.sqrt(8) * g for f in (10, 30, 100, 300)]
+    report = effective_model_error(nodes, CouplingSet(g21=g), deltas)
+    values = report.max_infidelity
+    assert values[1] < 1e-3  # the 30x point
+    assert all(b <= 1.1 * a for a, b in zip(values, values[1:]))
+    assert time.perf_counter() - start < 10.0
+
+
+def test_transistor_reaches_three_atoms_per_node():
+    # full space: 3^9 states, a 6.2 GB dense matrix; the sector has 45
+    start = time.perf_counter()
+    n_atoms = 3
+    node, couplings, detunings = _transistor_setup(n_atoms)
+    rate = transistor_rate(couplings, detunings)
+    alpha, beta = 0.6, 0.8j
+    h, psi0, projector = transistor_oracle(
+        node, (node, node), couplings, detunings, alpha, beta
+    )
+    assert h.dim == 45
+    times = np.linspace(0.0, 2 * np.pi / (np.sqrt(n_atoms) * rate), 100)
+    for t, amplitudes in zip(times, evolve_on_grid(h, psi0, times)):
+        projected = projector.conj() @ amplitudes
+        closed = transistor_evolution(alpha, beta, n_atoms, rate, t)
+        assert abs(np.vdot(closed.amplitudes, projected)) ** 2 >= 1.0 - 1e-9
+
+    def transferred(t):
+        proj = projector.conj() @ propagate(h, psi0, t).amplitudes
+        return abs(proj[2]) ** 2 + abs(proj[3]) ** 2
+
+    t_star = first_maximum_time(transferred, 0.0, np.pi / (np.sqrt(n_atoms) * rate))
+    expected = np.pi / (2 * np.sqrt(n_atoms) * rate)
+    assert abs(t_star - expected) / expected <= 1e-6
+    assert time.perf_counter() - start < 10.0

@@ -1,10 +1,11 @@
 """Hamiltonian builders against brute-force and perturbation-theory oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavityqc import (
@@ -28,7 +29,12 @@ from cavityqc import (
     transistor_rate,
     two_level_swap_hamiltonian,
 )
-from cavityqc.errors import BasisMismatch, MissingCoupling, ResonanceSingularity
+from cavityqc.errors import (
+    BasisMismatch,
+    DimensionCap,
+    MissingCoupling,
+    ResonanceSingularity,
+)
 from cavityqc.hamiltonian import microscopic_parts
 
 THREE_LEVELS = (0.0, 1.0, 2.1)
@@ -72,7 +78,85 @@ def brute_pair_state(n1, n2, exc1, exc2):
     return np.kron(brute_dicke(n1, exc1), brute_dicke(n2, exc2))
 
 
+# (upper, lower) level of transitions 0, 1, 2, written out independently
+LEVEL_PAIRS = ((1, 0), (2, 1), (2, 0))
+
+
+def kron_microscopic(nodes, couplings, fock):
+    """Microscopic Hamiltonian from explicit Kronecker products over sites.
+
+    Sites are the atoms node by node, then the modes; mode slot k serves the
+    k-th enabled transition. Each atom carries its level energies, each
+    mode omega a^dag a, and each atom-mode pair g e^(i k.r) sigma a + h.c.
+    """
+    atoms = [(m, j) for m, node in enumerate(nodes) for j in range(node.atom_count)]
+    dims = [nodes[m].level_count for m, _ in atoms] + [n + 1 for n in fock.n_max]
+
+    def embed(site, local):
+        return kron_chain(
+            [local if k == site else np.eye(d) for k, d in enumerate(dims)]
+        )
+
+    h = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for site, (m, _) in enumerate(atoms):
+        h += embed(site, np.diag(nodes[m].level_energies).astype(complex))
+    for slot, t in enumerate(couplings.enabled()):
+        mode_site = len(atoms) + slot
+        mode = fock.modes[slot]
+        n_levels = fock.n_max[slot] + 1
+        h += embed(mode_site, mode.frequency * np.diag(np.arange(n_levels)))
+        annihilate = embed(mode_site, np.diag(np.sqrt(np.arange(1, n_levels)), k=1))
+        upper, lower = LEVEL_PAIRS[t]
+        for site, (m, j) in enumerate(atoms):
+            node = nodes[m]
+            if node.level_count <= upper:
+                continue
+            sigma = np.zeros((node.level_count,) * 2)
+            sigma[upper, lower] = 1.0
+            phase = np.exp(1j * node.atom_positions()[j] @ np.asarray(mode.wave_vector))
+            term = couplings.coupling(t, m) * phase * embed(site, sigma) @ annihilate
+            h += term + term.conj().T
+    return h
+
+
 # --- microscopic model --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "nodes, couplings, fock",
+    [
+        (
+            (NodeSpec(1), NodeSpec(2, 2, (0.0, 1.1))),
+            CouplingSet(g21_by_node=(0.02, 0.03 - 0.01j)),
+            FockFactor((Mode(0.9),), (2,)),
+        ),
+        (
+            (
+                NodeSpec(2, 3, THREE_LEVELS, positions=((0, 0, 0), (0.3, -0.2, 0.5))),
+                NodeSpec(1, 3, (0.0, 1.05, 2.2), positions=((1.0, 0.4, 0.0),)),
+            ),
+            CouplingSet(g21=0.02 + 0.003j, g32=0.015, g31=0.01 - 0.002j),
+            FockFactor(
+                (
+                    Mode(0.9, wave_vector=(1.2, 0.0, -0.5)),
+                    Mode(1.0, wave_vector=(0.0, 2.0, 0.3)),
+                    Mode(1.9, wave_vector=(0.7, 0.7, 0.0)),
+                ),
+                (1, 2, 1),
+            ),
+        ),
+        (
+            (NodeSpec(2, 3, THREE_LEVELS), NodeSpec(2, 2, (0.0, 1.0))),
+            CouplingSet(g21=0.02, g32=0.04),
+            FockFactor((Mode(0.95), Mode(1.05)), (2, 1)),
+        ),
+    ],
+)
+def test_microscopic_matches_kronecker_construction(nodes, couplings, fock):
+    h = microscopic_hamiltonian(nodes, couplings, fock)
+    assert np.abs(h.matrix - kron_microscopic(nodes, couplings, fock)).max() < 1e-15
+
+
 
 
 def test_single_atom_coupling_element():
@@ -458,6 +542,19 @@ def test_transistor_upper_swap_channel_changes_matrix():
     assert np.abs(bare.matrix - with_channel.matrix).max() > 1e-6
 
 
+def test_full_space_transistor_refused_before_allocating():
+    # three atoms per node: dimension 3^9 = 19683, a 6.2 GB dense matrix
+    node, couplings, detunings = _transistor_setup(3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCap, match="cap"):
+            transistor_hamiltonian(node, (node, node), couplings, detunings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 # --- blanket hermiticity -----------------------------------------------------------
 
 
@@ -478,3 +575,158 @@ def test_every_builder_returns_hermitian_matrices():
         dev = np.abs(h.matrix - h.matrix.conj().T).max()
         scale = max(1.0, np.abs(h.matrix).max())
         assert dev <= 1e-12 * scale
+
+
+# --- properties of every microscopic builder over random small systems -------------
+
+
+def _sector_blocks_match(full, build_sector, couplings):
+    """Every excitation sector block of ``full`` equals its sector build."""
+    counter = np.diag(total_excitation_operator(full.basis, couplings)).real
+    for quanta in np.unique(counter).astype(int):
+        sector = build_sector(quanta)
+        index = full.basis.rows(sector.basis.occupations)
+        assert np.array_equal(np.sort(index), np.flatnonzero(counter == quanta))
+        block = full.matrix[np.ix_(index, index)]
+        assert np.abs(block - sector.matrix).max() <= 1e-14
+
+
+def _check_builder(full, build_sector, couplings, hermitian=True):
+    matrix = full.matrix if hermitian else 1j * full.matrix
+    assert np.abs(matrix - matrix.conj().T).max() <= 1e-12 * max(
+        1.0, np.abs(matrix).max()
+    )
+    counter = total_excitation_operator(full.basis, couplings)
+    assert np.abs(full.matrix @ counter - counter @ full.matrix).max() < 1e-12
+    _sector_blocks_match(full, build_sector, couplings)
+
+
+class _Generator:
+    """sw_generator output dressed with its basis for the shared checks."""
+
+    def __init__(self, matrix, basis):
+        self.matrix, self.basis = matrix, basis
+
+
+def _vectors(draw, count):
+    coordinate = st.floats(min_value=-1.0, max_value=1.0)
+    return tuple(
+        (draw(coordinate), draw(coordinate), draw(coordinate)) for _ in range(count)
+    )
+
+
+@st.composite
+def small_systems(draw):
+    nodes = []
+    for _ in range(2):
+        levels = draw(st.sampled_from([2, 3]))
+        atoms = draw(st.integers(min_value=1, max_value=2))
+        # gaps within 3% keep every node at least 0.07 from resonance
+        gap = draw(st.floats(min_value=0.97, max_value=1.03))
+        energies = (0.0, gap) if levels == 2 else (0.0, gap, 2.1 * gap)
+        positions = _vectors(draw, atoms) if draw(st.booleans()) else None
+        nodes.append(NodeSpec(atoms, levels, energies, positions))
+    top = max(node.level_count for node in nodes)
+    enabled = [0] if top == 2 else draw(
+        st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3, unique=True)
+    )
+    coupling = st.complex_numbers(min_magnitude=0.005, max_magnitude=0.05)
+    values = {}
+    for t in sorted(enabled):
+        name = ("g21", "g32", "g31")[t]
+        if draw(st.booleans()):
+            values[name] = draw(coupling)
+        else:
+            values[f"{name}_by_node"] = (draw(coupling), draw(coupling))
+    couplings = CouplingSet(**values)
+    modes, n_max = [], []
+    for t in couplings.enabled():
+        upper, lower = LEVEL_PAIRS[t]
+        detuning = draw(st.floats(min_value=0.2, max_value=0.4)) * draw(
+            st.sampled_from([-1.0, 1.0])
+        )
+        driven = next(node for node in nodes if node.level_count > upper)
+        modes.append(Mode(driven.energy_gap(upper, lower) - detuning, _vectors(draw, 1)[0]))
+        n_max.append(draw(st.integers(min_value=1, max_value=2)))
+    fock = FockFactor(tuple(modes), tuple(n_max))
+    dim = np.prod(
+        [n.level_count ** n.atom_count for n in nodes] + [n + 1 for n in n_max]
+    )
+    assume(dim <= 400)
+    return tuple(nodes), couplings, fock
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_systems())
+def test_microscopic_builders_hermitian_conserving_and_sector_exact(system):
+    nodes, couplings, fock = system
+    photonic = {
+        "microscopic": lambda q=None: microscopic_hamiltonian(
+            nodes, couplings, fock, quanta=q
+        ),
+        "schrieffer-wolff": lambda q=None: schrieffer_wolff_hamiltonian(
+            nodes, couplings, fock, quanta=q
+        ),
+        "effective": lambda q=None: effective_hamiltonian_microscopic(
+            nodes, couplings, fock, quanta=q
+        ),
+    }
+    for build in photonic.values():
+        _check_builder(build(), build, couplings)
+
+    full_basis = photonic["microscopic"]().basis
+
+    def generator(q=None):
+        basis = full_basis if q is None else photonic["microscopic"](q).basis
+        return _Generator(sw_generator(nodes, couplings, fock, quanta=q), basis)
+
+    _check_builder(generator(), generator, couplings, hermitian=False)
+
+    detunings = DetuningSet.from_system(nodes, couplings, fock)
+    wave_vectors = {
+        t: fock.modes[slot].wave_vector for slot, t in enumerate(couplings.enabled())
+    }
+
+    def photon_free(q=None):
+        return photon_free_effective_hamiltonian(
+            nodes, couplings, detunings, wave_vectors, quanta=q
+        )
+
+    _check_builder(photon_free(), photon_free, couplings)
+
+    if all(node.level_count == 2 for node in nodes):
+        k = fock.modes[0].wave_vector
+
+        def swap(q=None):
+            return swap_hamiltonian_microscopic(nodes, 0.3, wave_vector=k, quanta=q)
+
+        _check_builder(swap(), swap, couplings)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.floats(min_value=0.005, max_value=0.05),
+    st.floats(min_value=0.005, max_value=0.05),
+    st.floats(min_value=0.2, max_value=1.0),
+    st.floats(min_value=0.2, max_value=1.0),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_transistor_hermitian_conserving_and_sector_exact(
+    n_atoms, g21, g32, delta_c, delta_t, upper_swap, rotating, data
+):
+    positions = _vectors(data.draw, n_atoms)
+    node = NodeSpec(n_atoms, 3, THREE_LEVELS, positions)
+    couplings = CouplingSet(g21=g21, g32=g32)
+    detunings = DetuningSet(lower=(delta_c,) * 3, upper=(None, delta_t, -delta_t))
+    wave_vectors = _vectors(data.draw, 2)
+
+    def build(q=None):
+        return transistor_hamiltonian(
+            node, (node, node), couplings, detunings, wave_vectors,
+            include_target_upper_swap=upper_swap, rotating_frame=rotating, quanta=q,
+        )
+
+    _check_builder(build(), build, couplings)
