@@ -56,6 +56,7 @@ class Field:
     required: bool = False
     default: object = None
     help: str = ""
+    minimum: int | None = None  # lower bound of an int field
 
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
@@ -67,7 +68,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha2", "complex", True, help="node-2 ground amplitude [re, im]"),
         Field("beta2", "complex", True, help="node-2 excited amplitude [re, im]"),
         Field("t_max", "float", False, None, "time window; default two swap periods"),
-        Field("points", "int", False, 100, "time grid size"),
+        Field("points", "int", False, 100, "time grid size", minimum=2),
         Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
     ),
     "blockade": (
@@ -87,7 +88,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "resonance freq_2 - freq_1 + N2 shift_2 - N1 shift_1 = 0",
         ),
         Field("t_max", "float", False, None, "time window; default two transfer periods"),
-        Field("points", "int", False, 200, "time grid size"),
+        Field("points", "int", False, 200, "time grid size", minimum=2),
         Field("max_c3_sq_below", "float", False, None, "optional blocking bound"),
     ),
     "transistor": (
@@ -99,7 +100,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha", "complex", True, help="target |01> amplitude [re, im]"),
         Field("beta", "complex", True, help="target |10> amplitude [re, im]"),
         Field("periods", "float", False, 1.0, "transfer periods to cover"),
-        Field("points", "int", False, 100, "time grid size"),
+        Field("points", "int", False, 100, "time grid size", minimum=2),
         Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
     ),
     "effective-error-sweep": (
@@ -112,7 +113,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             help="detunings in units of sqrt(n_atoms) * coupling",
         ),
         Field("periods", "float", False, 1.0, "swap periods per point"),
-        Field("points", "int", False, 200, "time grid size"),
+        Field("points", "int", False, 200, "time grid size", minimum=2),
         Field("assert_factor", "float", False, 30.0, "factor carrying the error bound"),
         Field("assert_below", "float", False, 1e-3, "infidelity bound at that factor"),
         Field("check_monotone", "bool", False, True, "assert envelope decrease"),
@@ -159,25 +160,37 @@ def load_scenario(path) -> tuple[str, dict]:
     return kind, validate_params(kind, raw)
 
 
+def _finite(field: Field, value) -> float:
+    # json.loads accepts Infinity and NaN, which no scenario value may be
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValidationError(f"field {field.name!r} must be finite, got {value!r}")
+    return number
+
+
 def _coerce(field: Field, value):
     try:
         if field.kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError
+            if field.minimum is not None and value < field.minimum:
+                raise ValidationError(
+                    f"field {field.name!r} must be >= {field.minimum}, got {value}"
+                )
             return int(value)
         if field.kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
-            return float(value)
+            return _finite(field, value)
         if field.kind == "bool":
             if not isinstance(value, bool):
                 raise TypeError
             return value
         if field.kind == "complex":
             re_part, im_part = value
-            return complex(float(re_part), float(im_part))
+            return complex(_finite(field, re_part), _finite(field, im_part))
         if field.kind == "list[float]":
-            return [float(v) for v in value]
+            return [_finite(field, v) for v in value]
         if field.kind == "list[int]":
             return [int(v) for v in value]
     except (TypeError, ValueError) as exc:
@@ -237,14 +250,14 @@ def _run_pair_evolution(p: dict):
     grid = dynamics.evolve_on_grid(h, psi0, times)
 
     rows = []
-    worst = 1.0
+    fidelities = []
     for t, amplitudes in zip(times, grid):
         numeric = StateVector(amplitudes, h.basis)
         closed = dynamics.analytic_pair_evolution(
             a1, b1, a2, b2, rate, n, float(t), basis=h.basis
         )
         f = fidelity(numeric, closed)
-        worst = min(worst, f)
+        fidelities.append(f)
         probs = np.abs(numeric.amplitudes) ** 2
         rows.append(
             {
@@ -257,6 +270,8 @@ def _run_pair_evolution(p: dict):
                 "closed_form_fidelity": float(f),
             }
         )
+    # np.min, unlike a running min(), lets a NaN fidelity fail the check
+    worst = float(np.min(fidelities))
     assertions = [
         {
             "name": "closed-form-agreement",
@@ -343,11 +358,11 @@ def _run_transistor(p: dict):
     projected = grid @ projector.conj().T
 
     rows = []
-    worst = 1.0
+    fidelities = []
     for t, proj in zip(times, projected):
         closed = dynamics.transistor_evolution(p["alpha"], p["beta"], n, rate, float(t))
         f = float(abs(np.vdot(closed.amplitudes, proj)) ** 2)
-        worst = min(worst, f)
+        fidelities.append(f)
         rows.append(
             {
                 "t": float(t),
@@ -356,13 +371,9 @@ def _run_transistor(p: dict):
                 "closed_form_fidelity": f,
             }
         )
+    worst = float(np.min(fidelities))
 
-    def transferred(t):
-        amps = dynamics.propagate(h, psi0, float(t)).amplitudes
-        proj = projector.conj() @ amps
-        return abs(proj[2]) ** 2 + abs(proj[3]) ** 2
-
-    t_star = dynamics.first_maximum_time(transferred, 0.0, period)
+    t_star = dynamics.population_peak_time(h, psi0, projector.conj()[2:], 0.0, period)
     expected = np.pi / (2.0 * np.sqrt(n) * rate)
     t_err = abs(t_star - expected) / expected
     assertions = [

@@ -258,3 +258,75 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert cli.main(["run", str(scenario), "-o", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "cases.csv").read_bytes() == (out2 / "cases.csv").read_bytes()
+
+
+_VALID = {
+    "pair-evolution": {
+        "kind": "pair-evolution",
+        "n_atoms": 2,
+        "swap_rate": 0.7,
+        "alpha1": [0.6, 0.0],
+        "beta1": [0.0, 0.8],
+        "alpha2": [1.0, 0.0],
+        "beta2": [0.0, 0.0],
+        "points": 20,
+    },
+    "transistor": {
+        "kind": "transistor",
+        "n_atoms": 1,
+        "g21": 0.02,
+        "g32": 0.03,
+        "delta_control": 0.5,
+        "delta_target": 0.7,
+        "alpha": [0.6, 0.0],
+        "beta": [0.8, 0.0],
+        "points": 20,
+    },
+    "effective-error-sweep": {
+        "kind": "effective-error-sweep",
+        "n_atoms": 1,
+        "coupling": 0.01,
+        "delta_factors": [10, 30],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("pair-evolution", "t_max", float("inf")),
+        ("pair-evolution", "t_max", float("nan")),
+        ("transistor", "periods", float("inf")),
+        ("transistor", "alpha", [float("nan"), 0.0]),
+        ("effective-error-sweep", "delta_factors", [30.0, float("-inf")]),
+        ("pair-evolution", "points", 0),
+        ("transistor", "points", 1),
+        ("effective-error-sweep", "points", 0),
+    ],
+)
+def test_non_finite_values_and_too_few_points_exit_3(
+    tmp_path, capsys, kind, field, value
+):
+    # json.dumps writes Infinity/NaN, which json.loads reads back as floats
+    scenario = _write(tmp_path, "bad.json", {**_VALID[kind], field: value})
+    outdir = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "-o", str(outdir)]) == 3
+    assert field in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
+# Finite windows whose phases overflow: numpy only warns (outside the
+# tests, where warnings are not errors), so the run sees NaN amplitudes.
+# Each must fail: a NaN fidelity fails its assertion (exit 4), and an
+# overflowed time grid is refused by the propagator (exit 5).
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, fields, code",
+    [
+        ("pair-evolution", {"t_max": 1e308, "points": 2}, 4),
+        ("transistor", {"periods": 1e305}, 5),
+    ],
+)
+def test_overflowing_time_window_does_not_pass(tmp_path, kind, fields, code):
+    scenario = _write(tmp_path, "overflow.json", {**_VALID[kind], **fields})
+    assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == code
