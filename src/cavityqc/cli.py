@@ -56,12 +56,12 @@ class Field:
     required: bool = False
     default: object = None
     help: str = ""
-    minimum: int | None = None  # lower bound of an int field
+    minimum: int | None = None  # lower bound of an int field or list[int] item
 
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
     "pair-evolution": (
-        Field("n_atoms", "int", True, help="atoms per node (equal nodes)"),
+        Field("n_atoms", "int", True, help="atoms per node (equal nodes)", minimum=1),
         Field("swap_rate", "float", True, help="inter-node exchange rate [rad/time]"),
         Field("alpha1", "complex", True, help="node-1 ground amplitude [re, im]"),
         Field("beta1", "complex", True, help="node-1 excited amplitude [re, im]"),
@@ -72,9 +72,9 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
     ),
     "blockade": (
-        Field("n_1", "int", True, help="atoms in node 1"),
-        Field("n_2", "int", True, help="atoms in node 2"),
-        Field("n_photons", "int", True, help="real cavity photons"),
+        Field("n_1", "int", True, help="atoms in node 1", minimum=1),
+        Field("n_2", "int", True, help="atoms in node 2", minimum=1),
+        Field("n_photons", "int", True, help="real cavity photons", minimum=0),
         Field("shift_rate_1", "float", True, help="|g1|^2/Delta1 [rad/time]"),
         Field("shift_rate_2", "float", True, help="|g2|^2/Delta2 [rad/time]"),
         Field("swap_rate", "float", True, help="inter-node exchange rate [rad/time]"),
@@ -92,7 +92,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("max_c3_sq_below", "float", False, None, "optional blocking bound"),
     ),
     "transistor": (
-        Field("n_atoms", "int", True, help="atoms per node"),
+        Field("n_atoms", "int", True, help="atoms per node", minimum=1),
         Field("g21", "float", True, help="lower-transition coupling"),
         Field("g32", "float", True, help="upper-transition coupling"),
         Field("delta_control", "float", True, help="control lower-transition detuning"),
@@ -104,13 +104,14 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
     ),
     "effective-error-sweep": (
-        Field("n_atoms", "int", True, help="atoms per node (equal nodes)"),
+        Field("n_atoms", "int", True, help="atoms per node (equal nodes)", minimum=1),
         Field("coupling", "float", True, help="atom-mode coupling g"),
         Field(
             "delta_factors",
             "list[float]",
             True,
-            help="detunings in units of sqrt(n_atoms) * coupling",
+            help="detunings in units of sqrt(n_atoms) * coupling; must hold "
+            "assert_factor",
         ),
         Field("periods", "float", False, 1.0, "swap periods per point"),
         Field("points", "int", False, 200, "time grid size", minimum=2),
@@ -119,14 +120,30 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("check_monotone", "bool", False, True, "assert envelope decrease"),
     ),
     "verify-gates": (
-        Field("seed", "int", True, help="random seed (mandatory)"),
-        Field("samples", "int", False, 10, "random unitaries for synthesis checks"),
+        Field("seed", "int", True, help="random seed (mandatory)", minimum=0),
+        Field(
+            "samples",
+            "int",
+            False,
+            10,
+            "random unitaries for synthesis checks",
+            minimum=1,
+        ),
         Field("tolerance", "float", False, 1e-10, "deviation bound"),
     ),
     "verify-circuits": (
-        Field("seed", "int", True, help="random seed (mandatory)"),
-        Field("t_values", "list[int]", False, [2, 3, 4], "control counts to verify"),
-        Field("samples", "int", False, 10, "random unitaries per control count"),
+        Field("seed", "int", True, help="random seed (mandatory)", minimum=0),
+        Field(
+            "t_values",
+            "list[int]",
+            False,
+            [2, 3, 4],
+            "control counts to verify",
+            minimum=2,
+        ),
+        Field(
+            "samples", "int", False, 10, "random unitaries per control count", minimum=1
+        ),
         Field("tolerance", "float", False, 1e-9, "equivalence bound"),
     ),
 }
@@ -168,16 +185,20 @@ def _finite(field: Field, value) -> float:
     return number
 
 
+def _integer(field: Field, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError
+    if field.minimum is not None and value < field.minimum:
+        raise ValidationError(
+            f"field {field.name!r} must be >= {field.minimum}, got {value}"
+        )
+    return value
+
+
 def _coerce(field: Field, value):
     try:
         if field.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError
-            if field.minimum is not None and value < field.minimum:
-                raise ValidationError(
-                    f"field {field.name!r} must be >= {field.minimum}, got {value}"
-                )
-            return int(value)
+            return _integer(field, value)
         if field.kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
@@ -192,7 +213,7 @@ def _coerce(field: Field, value):
         if field.kind == "list[float]":
             return [_finite(field, v) for v in value]
         if field.kind == "list[int]":
-            return [int(v) for v in value]
+            return [_integer(field, v) for v in value]
     except (TypeError, ValueError) as exc:
         raise ValidationError(
             f"field {field.name!r} expects {field.kind}, got {value!r}"
@@ -214,6 +235,13 @@ def validate_params(kind: str, raw: dict) -> dict:
             raise ValidationError(f"missing required field {f.name!r}")
         else:
             params[f.name] = f.default
+    # the sweep's headline bound must not drop out of the report
+    if kind == "effective-error-sweep":
+        if params["assert_factor"] not in params["delta_factors"]:
+            raise ValidationError(
+                "field 'delta_factors' must hold the asserted factor "
+                f"(assert_factor {params['assert_factor']:g})"
+            )
     return params
 
 
@@ -233,6 +261,19 @@ def _default_window(rate_scale: float, periods: float = 2.0) -> float:
     return periods * np.pi / rate_scale
 
 
+def _time_grid(window: float, points: int, field: str) -> np.ndarray:
+    """``points`` times spanning [0, window], the window set by ``field``.
+
+    Finite inputs can still give an infinite window (a huge period count,
+    a vanishing rate); that is refused before any grid is built.
+    """
+    if not np.isfinite(window):
+        raise ValidationError(
+            f"field {field!r} gives a time window of {window}, which must be finite"
+        )
+    return np.linspace(0.0, window, points)
+
+
 def _run_pair_evolution(p: dict):
     n = p["n_atoms"]
     rate = p["swap_rate"]
@@ -244,21 +285,18 @@ def _run_pair_evolution(p: dict):
     t_max = p["t_max"]
     if t_max is None:
         t_max = _default_window(abs(rate) * n)
-    times = np.linspace(0.0, t_max, p["points"])
+    times = _time_grid(t_max, p["points"], "t_max")
     psi0 = dynamics.analytic_pair_evolution(a1, b1, a2, b2, rate, n, 0.0, basis=h.basis)
 
     grid = dynamics.evolve_on_grid(h, psi0, times)
+    closed = dynamics.analytic_pair_amplitudes(a1, b1, a2, b2, rate, n, times)
+    probabilities = np.abs(grid) ** 2
 
     rows = []
     fidelities = []
-    for t, amplitudes in zip(times, grid):
-        numeric = StateVector(amplitudes, h.basis)
-        closed = dynamics.analytic_pair_evolution(
-            a1, b1, a2, b2, rate, n, float(t), basis=h.basis
-        )
-        f = fidelity(numeric, closed)
+    for t, numeric, exact, probs in zip(times, grid, closed, probabilities):
+        f = fidelity(StateVector(numeric, h.basis), StateVector(exact, h.basis))
         fidelities.append(f)
-        probs = np.abs(numeric.amplitudes) ** 2
         rows.append(
             {
                 "t": float(t),
@@ -267,7 +305,7 @@ def _run_pair_evolution(p: dict):
                 "p_01": float(probs[2]),
                 "p_11": float(probs[3]),
                 "p_2plus": float(probs[4]),
-                "closed_form_fidelity": float(f),
+                "closed_form_fidelity": f,
             }
         )
     # np.min, unlike a running min(), lets a NaN fidelity fail the check
@@ -300,7 +338,7 @@ def _run_blockade(p: dict):
     t_max = p["t_max"]
     if t_max is None:
         t_max = _default_window(exchange)
-    times = np.linspace(0.0, t_max, p["points"])
+    times = _time_grid(t_max, p["points"], "t_max")
     c2 = sol.c2(times)
     c3 = sol.c3(times)
     rows = [
@@ -349,19 +387,24 @@ def _run_transistor(p: dict):
         upper=(None, p["delta_target"], p["delta_target"]),
     )
     rate = transistor_rate(couplings, detunings)
+    if rate == 0.0:
+        raise ValidationError("fields 'g21' and 'g32' give a transfer rate of 0")
+    # a Python float, so that an overflowing window is inf without a warning
+    period = float(np.pi / (np.sqrt(n) * rate))
+    times = _time_grid(p["periods"] * period, p["points"], "periods")
     h, psi0, projector = dynamics.transistor_oracle(
         node, (node, node), couplings, detunings, p["alpha"], p["beta"]
     )
-    period = np.pi / (np.sqrt(n) * rate)
-    times = np.linspace(0.0, p["periods"] * period, p["points"])
     grid = dynamics.evolve_on_grid(h, psi0, times)
     projected = grid @ projector.conj().T
+    closed = dynamics.transistor_amplitudes(p["alpha"], p["beta"], n, rate, times)
 
     rows = []
     fidelities = []
-    for t, proj in zip(times, projected):
-        closed = dynamics.transistor_evolution(p["alpha"], p["beta"], n, rate, float(t))
-        f = float(abs(np.vdot(closed.amplitudes, proj)) ** 2)
+    # scalar abs and square per point: the array forms differ from them in
+    # the last bit
+    for t, proj, exact in zip(times, projected, closed):
+        f = float(abs(np.vdot(exact, proj)) ** 2)
         fidelities.append(f)
         rows.append(
             {
@@ -416,18 +459,16 @@ def _run_effective_error_sweep(p: dict):
             p["delta_factors"], report.deltas, report.max_infidelity, report.max_leakage
         )
     ]
-    assertions = []
+    # validation guarantees the asserted factor is in the sweep
     factor = p["assert_factor"]
-    if factor is not None and factor in p["delta_factors"]:
-        k = p["delta_factors"].index(factor)
-        value = report.max_infidelity[k]
-        assertions.append(
-            {
-                "name": f"infidelity-at-{factor:g}x",
-                "passed": bool(value < p["assert_below"]),
-                "detail": f"max infidelity {value:.3e}, bound {p['assert_below']:.1e}",
-            }
-        )
+    value = report.max_infidelity[p["delta_factors"].index(factor)]
+    assertions = [
+        {
+            "name": f"infidelity-at-{factor:g}x",
+            "passed": bool(value < p["assert_below"]),
+            "detail": f"max infidelity {value:.3e}, bound {p['assert_below']:.1e}",
+        }
+    ]
     if p["check_monotone"] and len(rows) >= 2:
         ordered = sorted(rows, key=lambda r: r["delta_factor"])
         ok = all(

@@ -27,7 +27,7 @@ from .hamiltonian import (
     DetuningSet,
     EffectiveRates,
     HamiltonianMatrix,
-    microscopic_hamiltonian,
+    microscopic_parts,
     transistor_hamiltonian,
     two_level_swap_hamiltonian,
 )
@@ -39,10 +39,12 @@ __all__ = [
     "inner",
     "propagate",
     "evolve_on_grid",
+    "analytic_pair_amplitudes",
     "analytic_pair_evolution",
     "BlockadeSolution",
     "blockade_solution",
     "TransistorBasis",
+    "transistor_amplitudes",
     "transistor_evolution",
     "transistor_oracle",
     "ErrorReport",
@@ -190,16 +192,15 @@ def first_maximum_time(fn, t_low: float, t_high: float, iterations: int = 200) -
 # ---------------------------------------------------------------------------
 
 
-def analytic_pair_evolution(
+def analytic_pair_amplitudes(
     alpha1: complex,
     beta1: complex,
     alpha2: complex,
     beta2: complex,
     swap_rate: float,
     n_atoms: int,
-    t: float,
-    basis: CollectiveBasis | None = None,
-) -> StateVector:
+    times,
+) -> np.ndarray:
     """Closed-form swap evolution of a product pair state, interaction frame.
 
     Starting from (alpha1|0> + beta1|1>)(alpha2|0> + beta2|1>) the two
@@ -212,23 +213,40 @@ def analytic_pair_evolution(
                             + a1 b2 [cos(wt)|01> - i sin(wt)|10>] }
                + e^(-2 i w t) b1 b2 [cos(2wt)|11> - i sin(2wt)|2+>],
 
-    with w = swap_rate * n_atoms.
+    with w = swap_rate * n_atoms. Returns the collective-basis amplitudes
+    at every one of ``times``, shape times.shape + (6,).
     """
     for pair in ((alpha1, beta1), (alpha2, beta2)):
         norm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
         if abs(norm - 1.0) > 1e-9:
             raise ValueError("each node amplitude pair must be normalized")
+    t = np.asarray(times, dtype=float)
     w = swap_rate * n_atoms
     c1, s1 = np.cos(w * t), np.sin(w * t)
     c2, s2 = np.cos(2 * w * t), np.sin(2 * w * t)
     ph1 = np.exp(-1j * w * t)
     ph2 = np.exp(-2j * w * t)
-    amps = np.zeros(6, dtype=complex)
-    amps[0] = alpha1 * alpha2
-    amps[1] = ph1 * (beta1 * alpha2 * c1 - 1j * alpha1 * beta2 * s1)
-    amps[2] = ph1 * (alpha1 * beta2 * c1 - 1j * beta1 * alpha2 * s1)
-    amps[3] = ph2 * beta1 * beta2 * c2
-    amps[4] = ph2 * beta1 * beta2 * (-1j) * s2
+    amps = np.zeros(t.shape + (6,), dtype=complex)
+    amps[..., 0] = alpha1 * alpha2
+    amps[..., 1] = ph1 * (beta1 * alpha2 * c1 - 1j * alpha1 * beta2 * s1)
+    amps[..., 2] = ph1 * (alpha1 * beta2 * c1 - 1j * beta1 * alpha2 * s1)
+    amps[..., 3] = ph2 * beta1 * beta2 * c2
+    amps[..., 4] = ph2 * beta1 * beta2 * (-1j) * s2
+    return amps
+
+
+def analytic_pair_evolution(
+    alpha1: complex,
+    beta1: complex,
+    alpha2: complex,
+    beta2: complex,
+    swap_rate: float,
+    n_atoms: int,
+    t: float,
+    basis: CollectiveBasis | None = None,
+) -> StateVector:
+    """The closed-form pair state of analytic_pair_amplitudes at one time."""
+    amps = analytic_pair_amplitudes(alpha1, beta1, alpha2, beta2, swap_rate, n_atoms, t)
     return StateVector(amps, basis if basis is not None else CollectiveBasis())
 
 
@@ -355,6 +373,27 @@ class TransistorBasis:
         return self.labels.index(label)
 
 
+def transistor_amplitudes(
+    alpha: complex, beta: complex, n_atoms: int, rate: float, times
+) -> np.ndarray:
+    """Closed-form transistor transfer of a target superposition.
+
+    The excited control drains into the targets' parked level at the
+    collectively enhanced rate sqrt(N) * rate:
+
+        psi(t) =   cos(sqrt(N) W t) |ctrl1>(alpha|01> + beta|10>)
+               - i sin(sqrt(N) W t) |ctrl0>(alpha|02> + beta|20>).
+
+    Returns the TransistorBasis amplitudes at every one of ``times``,
+    shape times.shape + (4,).
+    """
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+        raise ValueError("target amplitudes must be normalized")
+    arg = np.sqrt(n_atoms) * rate * np.asarray(times, dtype=float)
+    c, s = np.cos(arg), np.sin(arg)
+    return np.stack([alpha * c, beta * c, -1j * alpha * s, -1j * beta * s], axis=-1)
+
+
 def transistor_evolution(
     alpha: complex,
     beta: complex,
@@ -363,19 +402,8 @@ def transistor_evolution(
     t: float,
     basis: TransistorBasis | None = None,
 ) -> StateVector:
-    """Closed-form transistor transfer of a target superposition.
-
-    The excited control drains into the targets' parked level at the
-    collectively enhanced rate sqrt(N) * rate:
-
-        psi(t) =   cos(sqrt(N) W t) |ctrl1>(alpha|01> + beta|10>)
-               - i sin(sqrt(N) W t) |ctrl0>(alpha|02> + beta|20>).
-    """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("target amplitudes must be normalized")
-    arg = np.sqrt(n_atoms) * rate * t
-    c, s = np.cos(arg), np.sin(arg)
-    amps = np.array([alpha * c, beta * c, -1j * alpha * s, -1j * beta * s])
+    """The closed-form transistor state of transistor_amplitudes at one time."""
+    amps = transistor_amplitudes(alpha, beta, n_atoms, rate, t)
     return StateVector(amps, basis if basis is not None else TransistorBasis(n_atoms))
 
 
@@ -483,6 +511,19 @@ def effective_model_error(
     start = collective.index("10")
     quanta = collective.sector(start)
 
+    # Only the mode frequency gap - delta changes along the sweep, and it
+    # enters only as the photon energy on the diagonal. With the mode at
+    # zero frequency the static part holds just the atomic energies, so
+    # each detuning adds (gap - delta) n_photon to that diagonal and then
+    # the coupling part, the order in which a fresh build sums them.
+    layout = FockFactor((Mode(frequency=0.0),), (n_max,))
+    basis, atomic, coupling = microscopic_parts(nodes, couplings, layout, quanta)
+    atomic_energy = np.diag(atomic)
+    photons = basis.occupations[:, basis.mode_site(0)]
+    isometry = pair_isometry(basis)
+    psi_full0 = StateVector(isometry[start], basis)
+    psi_eff0 = StateVector(isometry.conj() @ psi_full0.amplitudes, collective)
+
     max_inf, max_leak = [], []
     for delta in deltas:
         swap_rate = abs(g) ** 2 / delta if delta != 0 else 0.0
@@ -492,13 +533,9 @@ def effective_model_error(
             period = np.pi  # arbitrary finite window for the decoupled case
         times = np.linspace(0.0, swap_periods * period, grid_points)
 
-        fock = FockFactor((Mode(frequency=gap - delta),), (n_max,))
-        h_full = microscopic_hamiltonian(nodes, couplings, fock, quanta=quanta)
+        static = np.diag(atomic_energy + (gap - delta) * photons)
+        h_full = HamiltonianMatrix(static + coupling, basis, label="microscopic")
         h_eff = two_level_swap_hamiltonian(nodes, swap_rate)
-
-        isometry = pair_isometry(h_full.basis)
-        psi_full0 = StateVector(isometry[start], h_full.basis)
-        psi_eff0 = StateVector(isometry.conj() @ psi_full0.amplitudes, collective)
 
         full = evolve_on_grid(h_full, psi_full0, times)
         eff = evolve_on_grid(h_eff, psi_eff0, times)

@@ -252,34 +252,66 @@ def _number(n_levels: int):
     return [(n, n, float(n)) for n in range(n_levels)]
 
 
+def _families(basis: CompositeBasis, terms) -> dict:
+    """Terms grouped by their local operators and local dimensions.
+
+    The key holds one (local operator, site dimension) pair per factor;
+    every term of a family differs from the others only in its coefficient
+    and its sites. Each family keeps its terms' positions in the sum, their
+    coefficients and their (terms x factors) site array.
+    """
+    families: dict = {}
+    for position, (coeff, factors) in enumerate(terms):
+        if coeff == 0:
+            continue
+        key = tuple((tuple(entries), basis.shape[site]) for site, entries in factors)
+        family = families.setdefault(key, ([], [], []))
+        family[0].append(position)
+        family[1].append(complex(coeff))
+        family[2].append([site for site, _ in factors])
+    return families
+
+
 def _assemble(basis: CompositeBasis, terms) -> np.ndarray:
     """Dense matrix of a sum of terms over a full or sector product basis.
 
-    Each term acts on the basis occupation array at once: a state's
-    amplitude is coeff times its local amplitudes, its image the state with
-    every factor's site moved to ``to``, located by ``basis.rows``. Since
-    each local operator maps distinct levels to distinct levels, the images
-    of one term are distinct and a plain scatter-add is exact.
+    Every family of terms (see _families) acts on the basis occupation
+    array in one pass: a state's amplitude under a term is coeff times its
+    local amplitudes, its image the state with every factor's site moved to
+    ``to``, located by ``basis.rows``. Each local operator maps distinct
+    levels to distinct levels, so the images of one term are distinct. The
+    contributions of all families are then added in the order of the terms
+    in the sum, so every matrix element is the same sum, in the same order,
+    as one term at a time would give.
     """
     occ = basis.occupations
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for coeff, factors in terms:
-        if coeff == 0:
-            continue
-        amp = np.full(basis.dim, complex(coeff))
+    occ_by_site = np.ascontiguousarray(occ.T)
+    positions, cells, values = [], [], []
+    for key, (family_positions, coeffs, sites) in _families(basis, terms).items():
+        sites = np.array(sites)
+        amp = np.repeat(np.array(coeffs)[:, None], basis.dim, axis=1)
         moves = []
-        for site, entries in factors:
-            to = np.arange(basis.shape[site])
-            local = np.zeros(basis.shape[site])
-            for t, f, a in entries:
-                to[f], local[f] = t, a
-            amp *= local[occ[:, site]]
-            moves.append((site, to))
-        src = np.flatnonzero(amp)
+        for f, (entries, size) in enumerate(key):
+            to = np.arange(size)
+            local = np.zeros(size)
+            for t, fr, a in entries:
+                to[fr], local[fr] = t, a
+            amp *= local[occ_by_site[sites[:, f]]]
+            moves.append(to)
+        term, src = np.nonzero(amp)
         image = occ[src]
-        for site, to in moves:
-            image[:, site] = to[image[:, site]]
-        h[basis.rows(image), src] += amp[src]
+        k = np.arange(src.size)
+        for f, to in enumerate(moves):
+            column = sites[term, f]
+            image[k, column] = to[image[k, column]]
+        positions.append(np.array(family_positions)[term])
+        cells.append(basis.rows(image) * basis.dim + src)
+        values.append(amp[term, src])
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    if positions:
+        order = np.argsort(np.concatenate(positions), kind="stable")
+        cells, values = np.concatenate(cells)[order], np.concatenate(values)[order]
+        np.add.at(h.reshape(-1), cells, values)
     return h
 
 

@@ -288,7 +288,32 @@ _VALID = {
         "coupling": 0.01,
         "delta_factors": [10, 30],
     },
+    "blockade": {
+        "kind": "blockade",
+        "n_1": 1,
+        "n_2": 1,
+        "n_photons": 0,
+        "shift_rate_1": 0.1,
+        "shift_rate_2": 0.1,
+        "swap_rate": 0.1,
+        "points": 20,
+    },
+    "verify-gates": {"kind": "verify-gates", "seed": 3, "samples": 2},
+    "verify-circuits": {
+        "kind": "verify-circuits",
+        "seed": 3,
+        "t_values": [2],
+        "samples": 1,
+    },
 }
+
+
+def _assert_refused(tmp_path, capsys, payload, field):
+    scenario = _write(tmp_path, "bad.json", payload)
+    outdir = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "-o", str(outdir)]) == 3
+    assert field in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -308,23 +333,57 @@ def test_non_finite_values_and_too_few_points_exit_3(
     tmp_path, capsys, kind, field, value
 ):
     # json.dumps writes Infinity/NaN, which json.loads reads back as floats
-    scenario = _write(tmp_path, "bad.json", {**_VALID[kind], field: value})
-    outdir = tmp_path / "out"
-    assert cli.main(["run", str(scenario), "-o", str(outdir)]) == 3
-    assert field in capsys.readouterr().err
-    assert not (outdir / "report.json").exists()
+    _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
 
 
-# Finite windows whose phases overflow: numpy only warns (outside the
-# tests, where warnings are not errors), so the run sees NaN amplitudes.
-# Each must fail: a NaN fidelity fails its assertion (exit 4), and an
-# overflowed time grid is refused by the propagator (exit 5).
+# Without the schema bounds each of these ran: to exit 5 (zero atoms or
+# coupling), or to a pass that checked nothing or something else (no atoms
+# or negative photons in the blockade, zero samples, a fractional control
+# count run as its floor, a sweep without its headline factor dropping its
+# 1e-3 assertion).
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("pair-evolution", "n_atoms", 0),
+        ("transistor", "n_atoms", 0),
+        ("effective-error-sweep", "n_atoms", 0),
+        ("blockade", "n_1", 0),
+        ("blockade", "n_2", 0),
+        ("blockade", "n_photons", -1),
+        ("verify-gates", "samples", 0),
+        ("verify-gates", "seed", -1),
+        ("verify-circuits", "samples", 0),
+        ("verify-circuits", "t_values", [2.9]),
+        ("verify-circuits", "t_values", [1]),
+        ("effective-error-sweep", "delta_factors", [10, 100]),
+        ("effective-error-sweep", "delta_factors", []),
+        # inf only after the multiplication, which warns in no numpy call
+        ("transistor", "periods", 1e305),
+        # no transfer at all: the period would be infinite
+        ("transistor", "g21", 0.0),
+        ("transistor", "g32", 0.0),
+    ],
+)
+def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):
+    _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID))
+def test_valid_reference_scenarios_pass(tmp_path, kind):
+    scenario = _write(tmp_path, "ok.json", _VALID[kind])
+    assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 0
+
+
+# Finite inputs that overflow: numpy only warns (outside the tests, where
+# warnings are not errors), so the run sees NaN amplitudes. Each must fail:
+# a NaN fidelity fails its assertion (exit 4), and a window that overflows
+# to infinity is refused before any grid is built (exit 3).
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "kind, fields, code",
     [
         ("pair-evolution", {"t_max": 1e308, "points": 2}, 4),
-        ("transistor", {"periods": 1e305}, 5),
+        ("transistor", {"periods": 1e305}, 3),
     ],
 )
 def test_overflowing_time_window_does_not_pass(tmp_path, kind, fields, code):

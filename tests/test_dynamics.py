@@ -619,6 +619,54 @@ def test_error_sweep_sector_matches_full_space(n_atoms):
     assert np.abs(np.subtract(report.max_leakage, leakage)).max() <= 1e-12
 
 
+def fresh_build_model_error(
+    nodes, couplings, deltas, swap_periods=1.0, grid_points=200
+):
+    """The error sweep with the model built afresh at every detuning.
+
+    Per detuning: a microscopic_hamiltonian on the one-quantum sector with
+    the mode at gap - delta, and pair_isometry on its basis.
+    """
+    g = couplings.coupling(0, 0)
+    gap = nodes[0].transition_freq
+    n1, n2 = (node.atom_count for node in nodes)
+    collective = CollectiveBasis(nodes)
+    max_inf, max_leak = [], []
+    for delta in deltas:
+        swap_rate = abs(g) ** 2 / delta
+        period = np.pi / (np.sqrt(n1 * n2) * abs(swap_rate))
+        times = np.linspace(0.0, swap_periods * period, grid_points)
+        fock = FockFactor((Mode(frequency=gap - delta),), (2,))
+        h_full = microscopic_hamiltonian(nodes, couplings, fock, quanta=1)
+        h_eff = two_level_swap_hamiltonian(nodes, swap_rate)
+        isometry = pair_isometry(h_full.basis)
+        psi_full0 = StateVector(isometry[1], h_full.basis)
+        psi_eff0 = StateVector(isometry.conj() @ psi_full0.amplitudes, collective)
+        full = evolve_on_grid(h_full, psi_full0, times)
+        eff = evolve_on_grid(h_eff, psi_eff0, times)
+        projected = full @ isometry.conj().T
+        proj_norm_sq = np.sum(np.abs(projected) ** 2, axis=1)
+        overlap = np.abs(np.sum(np.conj(eff) * projected, axis=1)) ** 2
+        infidelity = 1.0 - overlap / proj_norm_sq
+        max_inf.append(float(np.clip(infidelity, 0.0, 1.0).max()))
+        max_leak.append(float(np.clip(1.0 - proj_norm_sq, 0.0, 1.0).max()))
+    return max_inf, max_leak
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_error_sweep_equals_a_fresh_build_per_detuning_bit_for_bit(n_atoms):
+    # mode frequencies gap - delta on both sides of zero, both signs of delta
+    g = 0.013
+    nodes = (NodeSpec(n_atoms), NodeSpec(n_atoms))
+    deltas = [f * np.sqrt(n_atoms) * g for f in (9.7, 30, -41.3, 117.0)] + [1.37]
+    report = effective_model_error(nodes, CouplingSet(g21=g), deltas, swap_periods=1.3)
+    infidelity, leakage = fresh_build_model_error(
+        nodes, CouplingSet(g21=g), deltas, swap_periods=1.3
+    )
+    assert np.array(report.max_infidelity).tobytes() == np.array(infidelity).tobytes()
+    assert np.array(report.max_leakage).tobytes() == np.array(leakage).tobytes()
+
+
 @pytest.mark.parametrize("n_atoms", [1, 2])
 @pytest.mark.parametrize("upper_swap", [False, True])
 def test_transistor_oracle_sector_matches_full_space(n_atoms, upper_swap):

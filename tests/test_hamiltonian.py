@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cavityqc import (
     FockFactor,
     Mode,
     NodeSpec,
+    build_microscopic_basis,
     effective_hamiltonian,
     effective_hamiltonian_microscopic,
     lamb_shift_hamiltonian,
@@ -35,6 +37,7 @@ from cavityqc.errors import (
     MissingCoupling,
     ResonanceSingularity,
 )
+from cavityqc import hamiltonian
 from cavityqc.hamiltonian import microscopic_parts
 
 THREE_LEVELS = (0.0, 1.0, 2.1)
@@ -730,3 +733,107 @@ def test_transistor_hermitian_conserving_and_sector_exact(
         )
 
     _check_builder(build(), build, couplings)
+
+
+# --- the family assembler against the term-at-a-time assembler ------------------------
+
+
+def per_term_assemble(basis, terms):
+    """Reference assembler: one scatter-add per term, in the order of the sum."""
+    occ = basis.occupations
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for coeff, factors in terms:
+        if coeff == 0:
+            continue
+        amp = np.full(basis.dim, complex(coeff))
+        moves = []
+        for site, entries in factors:
+            to = np.arange(basis.shape[site])
+            local = np.zeros(basis.shape[site])
+            for t, f, a in entries:
+                to[f], local[f] = t, a
+            amp *= local[occ[:, site]]
+            moves.append((site, to))
+        src = np.flatnonzero(amp)
+        image = occ[src]
+        for site, to in moves:
+            image[:, site] = to[image[:, site]]
+        h[basis.rows(image), src] += amp[src]
+    return h
+
+
+def _bits(matrix):
+    return np.asarray(matrix, dtype=complex).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.data())
+def test_family_assembler_equals_per_term_assembler(system, data):
+    nodes, couplings, fock = system
+    detunings = DetuningSet.from_system(nodes, couplings, fock)
+    wave_vectors = {
+        t: fock.modes[slot].wave_vector for slot, t in enumerate(couplings.enabled())
+    }
+    quanta = data.draw(st.sampled_from([None, 0, 1, 2]))
+    builds = [
+        lambda: microscopic_hamiltonian(nodes, couplings, fock, quanta=quanta).matrix,
+        lambda: sw_generator(nodes, couplings, fock, quanta=quanta),
+        lambda: effective_hamiltonian_microscopic(
+            nodes, couplings, fock, quanta=quanta
+        ).matrix,
+        lambda: photon_free_effective_hamiltonian(
+            nodes, couplings, detunings, wave_vectors, quanta=quanta
+        ).matrix,
+    ]
+    if all(node.level_count == 2 for node in nodes):
+        k = fock.modes[0].wave_vector
+        builds.append(
+            lambda: swap_hamiltonian_microscopic(
+                nodes, 0.3, wave_vector=k, quanta=quanta
+            ).matrix
+        )
+    # a transistor of drawn size, couplings, positions and channels
+    n_atoms = data.draw(st.integers(min_value=1, max_value=2))
+    target = NodeSpec(n_atoms, 3, THREE_LEVELS, _vectors(data.draw, n_atoms))
+    control = data.draw(st.sampled_from([target, NodeSpec(n_atoms, 3, THREE_LEVELS)]))
+    rate = st.floats(min_value=0.005, max_value=0.05)
+    detuning = st.floats(min_value=0.2, max_value=1.0)
+    transistor_couplings = CouplingSet(g21=data.draw(rate), g32=data.draw(rate))
+    transistor_detunings = DetuningSet(
+        lower=(data.draw(detuning),) * 3,
+        upper=(None, data.draw(detuning), -data.draw(detuning)),
+    )
+    transistor_waves = _vectors(data.draw, 2)
+    options = data.draw(st.tuples(st.booleans(), st.booleans()))
+    builds.append(
+        lambda: transistor_hamiltonian(
+            control, (target, target), transistor_couplings, transistor_detunings,
+            transistor_waves, include_target_upper_swap=options[0],
+            rotating_frame=options[1], quanta=None if quanta is None else quanta + 1,
+        ).matrix
+    )
+    for build in builds:
+        try:
+            family = build()
+        except BasisMismatch:  # an empty sector
+            continue
+        with mock.patch.object(hamiltonian, "_assemble", per_term_assemble):
+            reference = build()
+        assert np.array_equal(_bits(family), _bits(reference))
+
+
+def test_family_assembler_keeps_the_order_of_the_sum():
+    # Two families whose terms interleave on one diagonal element, with
+    # values whose floating-point sum depends on the order:
+    # (1 + 2^-53) - 2^-53 = 1 - 2^-53, but (1 - 2^-53) + 2^-53 = 1.
+    basis = build_microscopic_basis((NodeSpec(3),))
+    tiny = 2.0**-53
+    terms = [
+        (1.0, ((0, [(0, 0, 1.0)]),)),
+        (tiny, ((1, [(1, 1, 1.0)]),)),
+        (-tiny, ((2, [(0, 0, 1.0)]),)),
+    ]
+    state = basis.index((0, 1, 0))
+    family = hamiltonian._assemble(basis, terms)
+    assert family[state, state] == 1.0 - tiny
+    assert np.array_equal(_bits(family), _bits(per_term_assemble(basis, terms)))

@@ -1,0 +1,154 @@
+"""Compare the reports two source trees write for the same scenarios.
+
+Usage::
+
+    python3 tools/report_diff.py OLD_SRC NEW_SRC [--seed 7] [--cycles 6]
+
+OLD_SRC and NEW_SRC are directories that hold a ``cavityqc`` package (the
+``src`` directory of two checkouts). The scenarios are the shipped
+``scenarios/*.json`` of this checkout plus cycles 0 .. cycles-1 of every
+benchmark workload at one seed, read from ``perfbench/workloads.py``. Each
+tree runs all of them in its own subprocess. The tool prints how many
+``report.json`` files are byte-identical, every exit code that differs,
+and, per report field, the largest absolute and relative difference and
+the number of differing values. It exits 0 when every report is
+byte-identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs every scenario of a list through cavityqc.cli.run in one process and
+# prints the exit codes as one JSON object; the tree comes from PYTHONPATH.
+CHILD = """
+import contextlib, json, os, sys
+from cavityqc import cli
+codes = {}
+for name in json.loads(sys.argv[1]):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
+            contextlib.redirect_stderr(sink):
+        codes[name] = cli.main(["run", os.path.join(sys.argv[2], name + ".json"),
+                                "-o", os.path.join(sys.argv[3], name)])
+print(json.dumps(codes))
+"""
+
+
+def scenarios(seed: int, cycles: int) -> dict[str, str]:
+    """Scenario file text by name: shipped samples, then benchmark cycles."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    out = {
+        f"shipped-{path.stem}": path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "scenarios").glob("*.json"))
+    }
+    for workload in workloads.WORKLOADS:
+        for index in range(cycles):
+            for j, scenario in enumerate(workloads.cycle(workload, seed, index)):
+                out[f"{workload}-c{index}-{j:02d}"] = json.dumps(scenario)
+    return out
+
+
+def run_tree(src: Path, names: list[str], indir: Path, outdir: Path) -> dict:
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(names), str(indir), str(outdir)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def leaves(value, path=""):
+    """(field path, leaf) pairs of a JSON value; list indices become []."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from leaves(item, path + "[]")
+    else:
+        yield path, value
+
+
+def compare(old: bytes, new: bytes, fields: dict) -> None:
+    """Fold the leaf-by-leaf differences of two reports into ``fields``."""
+    old_doc, new_doc = json.loads(old), json.loads(new)
+    kind = old_doc.get("kind", "?")
+    old_leaves, new_leaves = list(leaves(old_doc)), list(leaves(new_doc))
+    if [p for p, _ in old_leaves] != [p for p, _ in new_leaves]:
+        fields[f"{kind}: report layout"]["count"] += 1
+        return
+    for (path, a), (_, b) in zip(old_leaves, new_leaves):
+        if a == b and type(a) is type(b):
+            continue
+        entry = fields[f"{kind}: {path}"]
+        entry["count"] += 1
+        numbers = all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)
+        )
+        if numbers and math.isfinite(a) and math.isfinite(b):
+            diff = abs(a - b)
+            entry["abs"] = max(entry["abs"], diff)
+            entry["rel"] = max(entry["rel"], diff / max(abs(a), abs(b)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--cycles", type=int, default=6)
+    args = parser.parse_args(argv)
+
+    texts = scenarios(args.seed, args.cycles)
+    names = list(texts)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        indir = tmp / "scenarios"
+        indir.mkdir()
+        for name, text in texts.items():
+            (indir / f"{name}.json").write_text(text, encoding="utf-8")
+        codes = {}
+        for side, src in (("old", args.old_src), ("new", args.new_src)):
+            codes[side] = run_tree(src.resolve(), names, indir, tmp / side)
+
+        identical = 0
+        fields = defaultdict(lambda: {"count": 0, "abs": 0.0, "rel": 0.0})
+        for name in names:
+            if codes["old"][name] != codes["new"][name]:
+                print(f"{name}: exit code {codes['old'][name]} -> {codes['new'][name]}")
+            reports = [tmp / side / name / "report.json" for side in ("old", "new")]
+            if not all(path.exists() for path in reports):
+                fields["missing report.json"]["count"] += 1
+                continue
+            old, new = (path.read_bytes() for path in reports)
+            if old == new:
+                identical += 1
+            else:
+                compare(old, new, fields)
+
+    print(f"{identical}/{len(names)} report.json byte-identical")
+    for field in sorted(fields):
+        entry = fields[field]
+        print(
+            f"  {field}: {entry['count']} differing values, "
+            f"max abs {entry['abs']:.3e}, max rel {entry['rel']:.3e}"
+        )
+    return 0 if identical == len(names) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
