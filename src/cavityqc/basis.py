@@ -366,13 +366,6 @@ class CollectiveBasis:
         return rot
 
 
-def build_two_node_collective_basis(nodes=None) -> CollectiveBasis:
-    """The six-state collective basis of a node pair."""
-    if nodes is not None:
-        nodes = tuple(nodes)
-    return CollectiveBasis(nodes)
-
-
 # ---------------------------------------------------------------------------
 # Collective states expanded over microscopic product bases
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ operation per line, ``KIND(params) controls -> targets``, with a trailing
 apostrophe on the kind marking the inverse, e.g.::
 
     PCET() q0 -> q1.a anc0
-    CONTROLLED_U(0.7,0, -0.7,0, 0.7,0, 0.7,0) anc0 -> q2
+    CONTROLLED_U(0.6,0, -0.8,0, 0.8,0, 0.6,0) anc0 -> q2
     PCET'() q0 -> q1.a anc0
 """
 
@@ -35,6 +35,11 @@ from .gates import LogicalQubit, decode, encode, et_gate, synthesize_rotation
 KINDS = ("ET", "PHASE", "CET", "PCET", "NODE_CSWAP", "CONTROLLED_U")
 
 _DROP = 1e-14  # snap threshold for locally vanishing mixing coefficients
+# Per input column: encoded weight a circuit may lose or gain (a CONTROLLED_U
+# payload may deviate from unitarity by as much), and weight it may leave on
+# ancilla nodes or scratch pairs.
+LEAKAGE_TOL = 1e-8
+ANCILLA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,13 @@ class Operation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown operation kind {self.kind!r}")
+        if self.kind == "CONTROLLED_U":
+            u = _u_from_params(self.params)
+            dev = float(np.abs(u.conj().T @ u - np.eye(2)).max())
+            if dev > LEAKAGE_TOL:
+                raise ValueError(
+                    f"CONTROLLED_U payload is not unitary (max |U^dag U - 1| {dev:.3e})"
+                )
 
     def inverse(self) -> "Operation":
         return replace(self, dagger=not self.dagger)
@@ -535,16 +547,13 @@ def logical_matrix(
     n_ancillas: int = 0,
     external_qubits: tuple[int, ...] | None = None,
     scratch_qubits: tuple[int, ...] = (),
-    leakage_tol: float = 1e-8,
-    ancilla_tol: float = 1e-10,
-    strict: bool = True,
 ) -> tuple[np.ndarray, AssemblyReport]:
     """Assemble the logical matrix of a circuit over its external qubits.
 
     Every external basis bitstring is encoded (scratch pairs to |0_L>,
-    ancilla nodes to |0>), run through the circuit, and decoded. In strict
-    mode leakage beyond ``leakage_tol`` raises LeakageError and ancilla or
-    scratch weight beyond ``ancilla_tol`` raises AncillaNotGround.
+    ancilla nodes to |0>), run through the circuit, and decoded. Encoded
+    weight lost or gained beyond LEAKAGE_TOL raises LeakageError, and
+    ancilla or scratch weight beyond ANCILLA_TOL raises AncillaNotGround.
     """
     if isinstance(bundle_or_circuit, CircuitBundle):
         bundle = bundle_or_circuit
@@ -593,19 +602,20 @@ def logical_matrix(
             column[ext_occ] = column.get(ext_occ, 0.0) + amp
         vec, total_leak = decode(column, n_ext)
         matrix[:, col] = vec
-        pair_leak = max(0.0, total_leak - anc_pop - scratch_pop)
+        # negative when the column carries more than unit norm
+        pair_leak = total_leak - anc_pop - scratch_pop
 
         max_anc = max(max_anc, anc_pop)
         max_scratch = max(max_scratch, scratch_pop)
         max_leak = max(max_leak, pair_leak)
 
-        if strict and anc_pop > ancilla_tol:
+        if anc_pop > ANCILLA_TOL:
             raise AncillaNotGround(f"ancilla weight {anc_pop:.3e} after input {bits}")
-        if strict and scratch_pop > ancilla_tol:
+        if scratch_pop > ANCILLA_TOL:
             raise AncillaNotGround(
                 f"scratch-qubit weight {scratch_pop:.3e} after input {bits}"
             )
-        if strict and pair_leak > leakage_tol:
+        if abs(pair_leak) > LEAKAGE_TOL:
             raise LeakageError(f"leakage {pair_leak:.3e} after input {bits}")
 
     return matrix, AssemblyReport(max_leak, max_anc, max_scratch)
@@ -704,15 +714,15 @@ def circuit_from_text(text: str) -> Circuit:
             )
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad parameters {params_text!r}") from exc
-        controls = tuple(m.group("controls").split())
-        targets = tuple(m.group("targets").split())
-        ops.append(
-            Operation(
+        try:
+            op = Operation(
                 kind=kind,
                 params=params,
-                controls=controls,
-                targets=targets,
+                controls=tuple(m.group("controls").split()),
+                targets=tuple(m.group("targets").split()),
                 dagger=m.group("dag") == "'",
             )
-        )
+        except (ValueError, AddressError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        ops.append(op)
     return Circuit(tuple(ops))

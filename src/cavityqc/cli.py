@@ -32,11 +32,18 @@ from . import circuits, dynamics, gates
 from .basis import NodeSpec
 from .errors import (
     ParseError,
+    ResonanceSingularity,
     SimulationError,
     UnknownKind,
     ValidationError,
 )
-from .hamiltonian import CouplingSet, DetuningSet, EffectiveRates, transistor_rate
+from .hamiltonian import (
+    CouplingSet,
+    DetuningSet,
+    EffectiveRates,
+    check_detuning,
+    transistor_rate,
+)
 from .state import StateVector, fidelity
 
 SCENARIO_KINDS = (
@@ -148,6 +155,12 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     ),
 }
 
+# Amplitude pairs of a scenario that must be normalized, per kind.
+NORMALIZED_PAIRS = {
+    "pair-evolution": (("alpha1", "beta1"), ("alpha2", "beta2")),
+    "transistor": (("alpha", "beta"),),
+}
+
 
 # ---------------------------------------------------------------------------
 # Loading and validation
@@ -235,13 +248,24 @@ def validate_params(kind: str, raw: dict) -> dict:
             raise ValidationError(f"missing required field {f.name!r}")
         else:
             params[f.name] = f.default
-    # the sweep's headline bound must not drop out of the report
+    for a, b in NORMALIZED_PAIRS.get(kind, ()):
+        norm = abs(params[a]) ** 2 + abs(params[b]) ** 2
+        if abs(norm - 1.0) > dynamics.NORM_TOL:
+            raise ValidationError(
+                f"fields {a!r} and {b!r} must be normalized, "
+                f"|{a}|^2 + |{b}|^2 = {norm:.12g}"
+            )
     if kind == "effective-error-sweep":
+        # the sweep's headline bound must not drop out of the report, nor
+        # pass on a run that has no time to evolve or nothing to exchange
         if params["assert_factor"] not in params["delta_factors"]:
             raise ValidationError(
                 "field 'delta_factors' must hold the asserted factor "
                 f"(assert_factor {params['assert_factor']:g})"
             )
+        _window(params["periods"], "periods")
+        if params["coupling"] == 0.0:
+            raise ValidationError("field 'coupling' must be nonzero")
     return params
 
 
@@ -261,17 +285,23 @@ def _default_window(rate_scale: float, periods: float = 2.0) -> float:
     return periods * np.pi / rate_scale
 
 
-def _time_grid(window: float, points: int, field: str) -> np.ndarray:
-    """``points`` times spanning [0, window], the window set by ``field``.
+def _window(window: float, field: str) -> float:
+    """The time window set by ``field``, refused unless positive and finite.
 
     Finite inputs can still give an infinite window (a huge period count,
-    a vanishing rate); that is refused before any grid is built.
+    a vanishing rate), and an empty or reversed window checks nothing.
     """
-    if not np.isfinite(window):
+    if not (np.isfinite(window) and window > 0.0):
         raise ValidationError(
-            f"field {field!r} gives a time window of {window}, which must be finite"
+            f"field {field!r} gives a time window of {window}, "
+            "which must be positive and finite"
         )
-    return np.linspace(0.0, window, points)
+    return window
+
+
+def _time_grid(window: float, points: int, field: str) -> np.ndarray:
+    """``points`` times spanning [0, window], the window set by ``field``."""
+    return np.linspace(0.0, _window(window, field), points)
 
 
 def _run_pair_evolution(p: dict):
@@ -381,6 +411,11 @@ def _run_blockade(p: dict):
 def _run_transistor(p: dict):
     n = p["n_atoms"]
     node = NodeSpec(n, 3, (0.0, 1.0, 2.0))
+    for name in ("delta_control", "delta_target"):
+        try:
+            check_detuning(p[name], (node,), f"field {name!r}")
+        except ResonanceSingularity as exc:
+            raise ValidationError(str(exc)) from exc
     couplings = CouplingSet(g21=p["g21"], g32=p["g32"])
     detunings = DetuningSet(
         lower=(p["delta_control"],) * 3,

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+# Largest | |alpha|^2 + |beta|^2 - 1 | accepted for an amplitude pair.
+NORM_TOL = 1e-9
+
 # Scan points that bracket the population maxima before the Newton polish.
 # The scan must resolve the population's fastest beat, max(w) - min(w), over
 # the window: 257 points keep at least eight per beat period up to 32 beats.
@@ -218,7 +221,7 @@ def analytic_pair_amplitudes(
     """
     for pair in ((alpha1, beta1), (alpha2, beta2)):
         norm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError("each node amplitude pair must be normalized")
     t = np.asarray(times, dtype=float)
     w = swap_rate * n_atoms
@@ -387,7 +390,7 @@ def transistor_amplitudes(
     Returns the TransistorBasis amplitudes at every one of ``times``,
     shape times.shape + (4,).
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > NORM_TOL:
         raise ValueError("target amplitudes must be normalized")
     arg = np.sqrt(n_atoms) * rate * np.asarray(times, dtype=float)
     c, s = np.cos(arg), np.sin(arg)

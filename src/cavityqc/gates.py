@@ -220,8 +220,9 @@ def decode(amplitudes, n_qubits: int) -> tuple[np.ndarray, float]:
     """Project node-occupation amplitudes onto the encoded subspace.
 
     ``amplitudes`` maps occupation tuples (two nodes per qubit) to complex
-    amplitudes; returns the 2^n logical vector and the leakage norm left
-    outside the encoded subspace. The input is assumed normalized.
+    amplitudes; returns the 2^n logical vector and the leakage 1 - (weight
+    captured in the encoded subspace). The leakage is negative when the
+    amplitudes carry more than unit norm, so that an excess stays visible.
     """
     logical = np.zeros(2**n_qubits, dtype=complex)
     captured = 0.0
@@ -243,5 +244,4 @@ def decode(amplitudes, n_qubits: int) -> tuple[np.ndarray, float]:
             index = int("".join(str(b) for b in bits), 2) if bits else 0
             logical[index] += amp
             captured += abs(amp) ** 2
-    leakage = float(max(0.0, 1.0 - captured))
-    return logical, leakage
+    return logical, float(1.0 - captured)

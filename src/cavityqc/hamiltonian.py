@@ -50,6 +50,8 @@ from .errors import (
 TRANSITIONS = ((1, 0), (2, 1), (2, 0))
 
 HERMITICITY_TOL = 1e-12
+# smallest |detuning| per unit of the largest level energy
+RESONANCE_FLOOR = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +343,10 @@ def _atom_phases(basis: CompositeBasis, wave_vector) -> np.ndarray:
     return phases
 
 
-def _check_detuning(delta: float, nodes, context: str, floor_scale: float):
+def check_detuning(
+    delta: float, nodes, context: str, floor_scale: float = RESONANCE_FLOOR
+):
+    """Refuse a detuning within floor_scale x the largest level energy."""
     scale = max(
         (abs(e) for node in nodes for e in node.level_energies), default=1.0
     )
@@ -433,30 +438,46 @@ def _photon_exchange_terms(basis, couplings: CouplingSet, fock: FockFactor, alph
                 )
 
 
-def _transition_exchange_terms(basis, t, couplings, deltas, phases):
-    """Second-order exchange of transition ``t`` among the atoms of some nodes.
+def _pair_rate(g_a, g_b, delta_a: float, delta_b: float):
+    """Virtual-photon exchange rate (1/Delta_a + 1/Delta_b)/2 g_a conj(g_b)."""
+    return 0.5 * (1.0 / delta_a + 1.0 / delta_b) * g_a * np.conj(g_b)
 
-    ``deltas`` maps each participating node to its detuning. Intra-node
-    double sums (self terms included) run at rate |g_m|^2/Delta_m, and
-    inter-node exchange at (1/Delta_1 + 1/Delta_2)/2 g_1 conj(g_2), plus
+
+def _exchange_terms(channels, pairs):
+    """Second-order exchange between atomic transitions (James & Jerke 2007).
+
+    A channel is (sites, transition, phases): some atoms driven on one
+    transition, with the plane-wave phase of every atomic site. ``pairs``
+    maps each pair (a, b) of channel keys to its rate c_ab. Within one
+    channel (a == b) the terms are the double sum over its atoms, self
+    terms included, c_aa phi_i conj(phi_j) S(up)_i S(down)_j; between two
+    channels c_ab phi_i conj(phi_j) S(up_a)_i S(down_b)_j, each followed by
     its Hermitian conjugate.
     """
-    upper, lower = TRANSITIONS[t]
-    up, down = (upper, lower), (lower, upper)
-    for m, delta in deltas.items():
-        rate = abs(couplings.coupling(t, m)) ** 2 / delta
-        for i in basis.node_sites(m):
-            for j in basis.node_sites(m):
-                yield _exchange(i, j, rate * phases[i] * np.conj(phases[j]), up, down)
+    for (a, b), rate in pairs.items():
+        sites_a, t_a, phases_a = channels[a]
+        sites_b, t_b, phases_b = channels[b]
+        up_a, up_b = TRANSITIONS[t_a], TRANSITIONS[t_b]
+        down_a, down_b = up_a[::-1], up_b[::-1]
+        for i in sites_a:
+            for j in sites_b:
+                coeff = rate * phases_a[i] * np.conj(phases_b[j])
+                yield _exchange(i, j, coeff, up_a, down_b)
+                if a != b:
+                    yield _exchange(j, i, np.conj(coeff), up_b, down_a)
+
+
+def _transition_pairs(t: int, couplings: CouplingSet, deltas: dict) -> dict:
+    """Exchange rates of transition ``t`` among the nodes of ``deltas``.
+
+    ``deltas`` maps each node to its detuning; each node runs at
+    |g_m|^2/Delta_m with itself, and each pair of nodes at their _pair_rate.
+    """
+    g = {m: couplings.coupling(t, m) for m in deltas}
+    pairs = {(m, m): abs(g[m]) ** 2 / delta for m, delta in deltas.items()}
     for m1, m2 in itertools.combinations(deltas, 2):
-        g1 = couplings.coupling(t, m1)
-        g2 = couplings.coupling(t, m2)
-        pref = 0.5 * (1.0 / deltas[m1] + 1.0 / deltas[m2])
-        for i in basis.node_sites(m1):
-            for j in basis.node_sites(m2):
-                coeff = pref * g1 * np.conj(g2) * phases[i] * np.conj(phases[j])
-                yield _exchange(i, j, coeff, up, down)
-                yield _exchange(j, i, np.conj(coeff), up, down)
+        pairs[m1, m2] = _pair_rate(g[m1], g[m2], deltas[m1], deltas[m2])
+    return pairs
 
 
 def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale):
@@ -468,9 +489,10 @@ def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale):
             m: deltas_of(t, m) for m, node in enumerate(nodes) if node.level_count > upper
         }
         for m, delta in deltas.items():
-            _check_detuning(delta, nodes, f"transition {t}, node {m}", floor_scale)
+            check_detuning(delta, nodes, f"transition {t}, node {m}", floor_scale)
         phases = _atom_phases(basis, slot_wave_vectors.get(t))
-        yield from _transition_exchange_terms(basis, t, couplings, deltas, phases)
+        channels = {m: (basis.node_sites(m), t, phases) for m in deltas}
+        yield from _exchange_terms(channels, _transition_pairs(t, couplings, deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -520,26 +542,17 @@ def total_excitation_operator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SwCoefficients:
-    """Generator coefficients, one (alpha, beta) pair per node and transition.
-
-    alpha multiplies the photon-absorbing monomial g S_ul a, beta = -alpha
-    multiplies the emitting conjugate. Disabled transitions carry zeros.
-    """
-
-    alpha: np.ndarray
-    detunings: DetuningSet
-
-    @property
-    def beta(self) -> np.ndarray:
-        return -self.alpha
-
-
 def sw_coefficients(
-    nodes, couplings: CouplingSet, fock: FockFactor, floor_scale: float = 1e-9
-) -> SwCoefficients:
-    """First-order generator coefficients alpha = -1/Delta per node/transition."""
+    nodes,
+    couplings: CouplingSet,
+    fock: FockFactor,
+    floor_scale: float = RESONANCE_FLOOR,
+) -> np.ndarray:
+    """First-order generator coefficients alpha = -1/Delta, node x transition.
+
+    alpha multiplies the photon-absorbing monomial g S_ul a; the emitting
+    conjugate carries -alpha. Disabled transitions carry zeros.
+    """
     nodes = tuple(nodes)
     detunings = DetuningSet.from_system(nodes, couplings, fock)
     slot_of = _mode_slots(couplings, fock)
@@ -550,30 +563,30 @@ def sw_coefficients(
             if node.level_count <= upper:
                 continue
             delta = detunings.value(t, m)
-            _check_detuning(delta, nodes, f"transition {t}, node {m}", floor_scale)
+            check_detuning(delta, nodes, f"transition {t}, node {m}", floor_scale)
             alpha[m, t] = -1.0 / delta
-    return SwCoefficients(alpha=alpha, detunings=detunings)
+    return alpha
 
 
 def sw_generator(
     nodes,
     couplings: CouplingSet,
     fock: FockFactor,
-    floor_scale: float = 1e-9,
+    floor_scale: float = RESONANCE_FLOOR,
     quanta=None,
 ) -> np.ndarray:
     """Anti-Hermitian generator s eliminating the first-order coupling."""
     nodes = tuple(nodes)
-    coeffs = sw_coefficients(nodes, couplings, fock, floor_scale)
+    alpha = sw_coefficients(nodes, couplings, fock, floor_scale)
     basis = _product_basis(nodes, couplings, fock, quanta)
-    return _assemble(basis, _photon_exchange_terms(basis, couplings, fock, coeffs.alpha))
+    return _assemble(basis, _photon_exchange_terms(basis, couplings, fock, alpha))
 
 
 def schrieffer_wolff_hamiltonian(
     nodes,
     couplings: CouplingSet,
     fock: FockFactor,
-    floor_scale: float = 1e-9,
+    floor_scale: float = RESONANCE_FLOOR,
     quanta=None,
 ) -> HamiltonianMatrix:
     """Numeric second-order Hamiltonian H_0 + [H_1, s]/2.
@@ -593,6 +606,20 @@ def schrieffer_wolff_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
+# Second-order cross terms of two driven transitions on one three-level
+# atom: the atomic transition (to, from), then its two photons in
+# transition order as (transition of the mode, +1 absorbed or -1 emitted,
+# sign of its 1/Delta). The rate is half the signed sum of the 1/Delta,
+# times g of an absorbed and conj(g) of an emitted photon; the phase
+# follows the same signed sum of wave vectors. Annihilators come first in
+# the product.
+_CROSS_TERMS = (
+    ((2, 0), ((0, 1, -1.0), (1, 1, 1.0))),  # two-photon climb S(2<-0) a_0 a_1
+    ((2, 1), ((0, -1, 1.0), (2, 1, 1.0))),  # Raman, upper levels S(2<-1) a_2 adag_0
+    ((1, 0), ((1, -1, -1.0), (2, 1, -1.0))),  # Raman, lower levels S(1<-0) a_2 adag_1
+)
+
+
 def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vectors):
     """Photon-number level shifts and the two-photon / Raman cross terms."""
     nodes = basis.nodes
@@ -601,6 +628,10 @@ def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vector
     def _mode(t):
         slot = slot_of[t]
         return basis.mode_site(slot), fock.n_max[slot] + 1
+
+    def _photon(t, absorbed):
+        mode_site, n_levels = _mode(t)
+        return mode_site, _annihilate(n_levels) if absorbed else _create(n_levels)
 
     # photon-number level shifts (P_upper - P_lower) n_mode
     for t in slot_of:
@@ -615,74 +646,36 @@ def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vector
                 yield -rate, ((j, _projector(lower)), (mode_site, _number(n_levels)))
 
     # cross terms between transition pairs, one atom at a time
-    enabled = set(slot_of)
     k_of = {
         t: np.asarray(wave_vectors[t] or (0.0, 0.0, 0.0), dtype=float)
-        for t in enabled
+        for t in slot_of
     }
+    rows = [
+        (to, fr, photons, sorted(photons, key=lambda photon: photon[1] < 0))
+        for (to, fr), photons in _CROSS_TERMS
+        if all(t in slot_of for t, _, _ in photons)
+    ]
     for m, node in enumerate(nodes):
         if node.level_count < 3:
             continue
         pos = node.atom_positions()
         for j in range(node.atom_count):
             site = basis.atom_site(m, j)
-            r = pos[j]
-            if {0, 1} <= enabled:
-                # two-photon climb to the top level: S(2<-0) a_0 a_1
-                d0, d1 = detunings.value(0, m), detunings.value(1, m)
-                g0, g1 = couplings.coupling(0, m), couplings.coupling(1, m)
+            for to, fr, photons, ordered in rows:
+                (ta, pa, sa), (tb, pb, sb) = photons
+                ga, gb = couplings.coupling(ta, m), couplings.coupling(tb, m)
                 coeff = (
                     0.5
-                    * (1.0 / d1 - 1.0 / d0)
-                    * g0
-                    * g1
-                    * np.exp(1j * ((k_of[0] + k_of[1]) @ r))
+                    * (sa / detunings.value(ta, m) + sb / detunings.value(tb, m))
+                    * (ga if pa > 0 else np.conj(ga))
+                    * (gb if pb > 0 else np.conj(gb))
+                    * np.exp(1j * ((pa * k_of[ta] + pb * k_of[tb]) @ pos[j]))
                 )
-                m0, l0 = _mode(0)
-                m1, l1 = _mode(1)
-                yield coeff, (
-                    (site, _transition(2, 0)), (m0, _annihilate(l0)), (m1, _annihilate(l1)),
+                yield coeff, ((site, _transition(to, fr)),) + tuple(
+                    _photon(t, p > 0) for t, p, _ in ordered
                 )
-                yield np.conj(coeff), (
-                    (site, _transition(0, 2)), (m0, _create(l0)), (m1, _create(l1)),
-                )
-            if {0, 2} <= enabled:
-                # Raman between the upper levels: S(2<-1) a_2 adag_0
-                d0, d2 = detunings.value(0, m), detunings.value(2, m)
-                g0, g2 = couplings.coupling(0, m), couplings.coupling(2, m)
-                coeff = (
-                    0.5
-                    * (1.0 / d0 + 1.0 / d2)
-                    * np.conj(g0)
-                    * g2
-                    * np.exp(1j * ((k_of[2] - k_of[0]) @ r))
-                )
-                m0, l0 = _mode(0)
-                m2, l2 = _mode(2)
-                yield coeff, (
-                    (site, _transition(2, 1)), (m2, _annihilate(l2)), (m0, _create(l0)),
-                )
-                yield np.conj(coeff), (
-                    (site, _transition(1, 2)), (m2, _create(l2)), (m0, _annihilate(l0)),
-                )
-            if {1, 2} <= enabled:
-                # Raman between the lower levels: S(1<-0) a_2 adag_1
-                d1, d2 = detunings.value(1, m), detunings.value(2, m)
-                g1, g2 = couplings.coupling(1, m), couplings.coupling(2, m)
-                coeff = (
-                    -0.5
-                    * (1.0 / d1 + 1.0 / d2)
-                    * np.conj(g1)
-                    * g2
-                    * np.exp(1j * ((k_of[2] - k_of[1]) @ r))
-                )
-                m1, l1 = _mode(1)
-                m2, l2 = _mode(2)
-                yield coeff, (
-                    (site, _transition(1, 0)), (m2, _annihilate(l2)), (m1, _create(l1)),
-                )
-                yield np.conj(coeff), (
-                    (site, _transition(0, 1)), (m2, _create(l2)), (m1, _annihilate(l1)),
+                yield np.conj(coeff), ((site, _transition(fr, to)),) + tuple(
+                    _photon(t, p < 0) for t, p, _ in ordered
                 )
 
 
@@ -690,7 +683,7 @@ def effective_hamiltonian_microscopic(
     nodes,
     couplings: CouplingSet,
     fock: FockFactor,
-    floor_scale: float = 1e-9,
+    floor_scale: float = RESONANCE_FLOOR,
     quanta=None,
 ) -> HamiltonianMatrix:
     """Analytic second-order Hamiltonian with explicit photon operators.
@@ -726,7 +719,7 @@ def photon_free_effective_hamiltonian(
     detunings: DetuningSet,
     wave_vectors: dict[int, tuple] | None = None,
     rotating_frame: bool = False,
-    floor_scale: float = 1e-9,
+    floor_scale: float = RESONANCE_FLOOR,
     quanta=None,
 ) -> HamiltonianMatrix:
     """Effective exchange Hamiltonian with no real photons, atomic basis only.
@@ -764,13 +757,9 @@ def swap_hamiltonian_microscopic(
     if any(node.level_count != 2 for node in nodes):
         raise BasisMismatch("swap Hamiltonian requires two-level nodes")
     basis = _product_basis(nodes, None, None, quanta)
-    phases = _atom_phases(basis, wave_vector)
-    sites = range(basis.n_atomic_sites)
-    exchange = (
-        _exchange(i, j, swap_rate * phases[i] * np.conj(phases[j]), (1, 0), (0, 1))
-        for i in sites
-        for j in sites
-    )
+    # every atom of both nodes in one channel: one double sum at one rate
+    atoms = (range(basis.n_atomic_sites), 0, _atom_phases(basis, wave_vector))
+    exchange = _exchange_terms({0: atoms}, {(0, 0): swap_rate})
     bare = () if rotating_frame else _bare_terms(basis)
     h = _assemble(basis, itertools.chain(bare, exchange))
     return HamiltonianMatrix(h, basis, label="swap-microscopic")
@@ -802,6 +791,7 @@ def collective_pair_hamiltonian(
     n_photons: int = 0,
     rotating_frame: bool = False,
     ladder: str = "bosonic",
+    label: str = "collective-pair",
 ) -> HamiltonianMatrix:
     """Two-node collective Hamiltonian on the six-state pair basis.
 
@@ -841,7 +831,7 @@ def collective_pair_hamiltonian(
             h[a, b] += np.conj(amp)
 
     rot = CollectiveBasis.occupation_rotation()
-    return HamiltonianMatrix(rot @ h @ rot.T, basis, label="collective-pair")
+    return HamiltonianMatrix(rot @ h @ rot.T, basis, label=label)
 
 
 def two_level_swap_hamiltonian(
@@ -862,16 +852,15 @@ def two_level_swap_hamiltonian(
     rate = complex(swap_rate)
     if abs(rate.imag) > 1e-12 * max(1.0, abs(rate)):
         raise ValueError("swap_rate must be real for the equal-coupling form")
-    h = collective_pair_hamiltonian(
+    return collective_pair_hamiltonian(
         nodes,
         swap_rate=rate.real,
         shift_rates=(rate.real, rate.real),
         n_photons=0,
         rotating_frame=rotating_frame,
         ladder=ladder,
+        label="two-level-swap",
     )
-    h.label = "two-level-swap"
-    return h
 
 
 def lamb_shift_hamiltonian(
@@ -881,7 +870,7 @@ def lamb_shift_hamiltonian(
     n_photons: int,
     rotating_frame: bool = False,
     ladder: str = "bosonic",
-    floor_scale: float = 1e-9,
+    floor_scale: float = RESONANCE_FLOOR,
 ) -> HamiltonianMatrix:
     """Photon-number dependent pair Hamiltonian with per-node couplings.
 
@@ -895,54 +884,17 @@ def lamb_shift_hamiltonian(
     g = [couplings.coupling(0, m) for m in range(2)]
     deltas = [detunings.value(0, m) for m in range(2)]
     for m, d in enumerate(deltas):
-        _check_detuning(d, nodes, f"lower transition, node {m}", floor_scale)
+        check_detuning(d, nodes, f"lower transition, node {m}", floor_scale)
     rates = EffectiveRates.from_couplings(g[0], g[1], deltas[0], deltas[1])
-    h = collective_pair_hamiltonian(
+    return collective_pair_hamiltonian(
         nodes,
         swap_rate=rates.swap_rate,
         shift_rates=(rates.shift_rate_1, rates.shift_rate_2),
         n_photons=n_photons,
         rotating_frame=rotating_frame,
         ladder=ladder,
+        label="lamb-shift",
     )
-    h.label = "lamb-shift"
-    return h
-
-
-def effective_hamiltonian(
-    nodes,
-    couplings: CouplingSet,
-    detunings: DetuningSet,
-    photon_numbers: tuple[int, int, int] = (0, 0, 0),
-    rotating_frame: bool = False,
-    ladder: str = "bosonic",
-    floor_scale: float = 1e-9,
-) -> HamiltonianMatrix:
-    """General effective Hamiltonian reduced to the collective pair basis.
-
-    Two-level node pairs only; photons enter through the lower-transition
-    mode occupation. For three-level nodes or explicit photon operators use
-    effective_hamiltonian_microscopic.
-    """
-    nodes = tuple(nodes)
-    if any(node.level_count != 2 for node in nodes):
-        raise BasisMismatch(
-            "collective reduction requires two-level nodes; build the "
-            "microscopic effective Hamiltonian for three-level systems"
-        )
-    if any(photon_numbers[1:]):
-        raise ValueError("two-level nodes couple only to the first mode")
-    h = lamb_shift_hamiltonian(
-        nodes,
-        couplings,
-        detunings,
-        n_photons=photon_numbers[0],
-        rotating_frame=rotating_frame,
-        ladder=ladder,
-        floor_scale=floor_scale,
-    )
-    h.label = "effective-collective"
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +910,7 @@ def transistor_hamiltonian(
     wave_vectors: tuple | None = None,
     include_target_upper_swap: bool = False,
     rotating_frame: bool = True,
-    floor_scale: float = 1e-9,
+    floor_scale: float = RESONANCE_FLOOR,
     quanta=None,
 ) -> HamiltonianMatrix:
     """Cross-transition exchange between a control node and two target nodes.
@@ -990,33 +942,20 @@ def transistor_hamiltonian(
 
     g21c = couplings.coupling(0, 0)
     delta_c = detunings.value(0, 0)
-    _check_detuning(delta_c, nodes, "control lower transition", floor_scale)
-    cross = []
+    check_detuning(delta_c, nodes, "control lower transition", floor_scale)
+    channels = {0: (basis.node_sites(0), 0, phases_lower)}
+    pairs = {}
     for m in (1, 2):
         g32m = couplings.coupling(1, m)
         delta_m = detunings.value(1, m)
-        _check_detuning(delta_m, nodes, f"target {m} upper transition", floor_scale)
-        pref = 0.5 * (1.0 / delta_c + 1.0 / delta_m)
-        for jc in basis.node_sites(0):
-            for jm in basis.node_sites(m):
-                coeff = (
-                    pref
-                    * g21c
-                    * np.conj(g32m)
-                    * phases_lower[jc]
-                    * np.conj(phases_upper[jm])
-                )
-                cross.append(_exchange(jc, jm, coeff, (1, 0), (1, 2)))
-                cross.append(_exchange(jm, jc, np.conj(coeff), (2, 1), (0, 1)))
-
-    upper_swap = ()
+        check_detuning(delta_m, nodes, f"target {m} upper transition", floor_scale)
+        channels[m] = (basis.node_sites(m), 1, phases_upper)
+        pairs[0, m] = _pair_rate(g21c, g32m, delta_c, delta_m)
     if include_target_upper_swap:
         deltas = {m: detunings.value(1, m) for m in (1, 2)}
-        upper_swap = _transition_exchange_terms(
-            basis, 1, couplings, deltas, phases_upper
-        )
+        pairs.update(_transition_pairs(1, couplings, deltas))
     bare = () if rotating_frame else _bare_terms(basis)
-    h = _assemble(basis, itertools.chain(bare, cross, upper_swap))
+    h = _assemble(basis, itertools.chain(bare, _exchange_terms(channels, pairs)))
     return HamiltonianMatrix(h, basis, label="transistor")
 
 
@@ -1028,5 +967,4 @@ def transistor_rate(couplings: CouplingSet, detunings: DetuningSet) -> float:
     delta_t = detunings.value(1, 1)
     if delta_c == 0.0 or delta_t == 0.0:
         raise ResonanceSingularity("transistor detunings must be nonzero")
-    pref = 0.5 * (1.0 / delta_c + 1.0 / delta_t)
-    return float(abs(pref * g21c * np.conj(g32)))
+    return float(abs(_pair_rate(g21c, g32, delta_c, delta_t)))

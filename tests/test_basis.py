@@ -15,7 +15,6 @@ from cavityqc import (
     SectorBasis,
     StateVector,
     build_microscopic_basis,
-    build_two_node_collective_basis,
     collective_excitation_state,
     double_excitation_state,
     pair_isometry,
@@ -48,7 +47,7 @@ def brute_pair_state(n1, n2, exc1, exc2):
 
 
 def test_pair_basis_shape_and_labels():
-    basis = build_two_node_collective_basis()
+    basis = CollectiveBasis()
     assert basis.dim == 6
     assert basis.labels == ("00", "10", "01", "11", "2+", "2-")
     assert [basis.sector(i) for i in range(6)] == [0, 1, 1, 2, 2, 2]

@@ -29,8 +29,10 @@ from cavityqc.errors import (
     AddressError,
     AncillaNotGround,
     DimensionMismatch,
+    LeakageError,
     ParseError,
 )
+from cavityqc.gates import decode, encode
 
 
 def test_empty_circuit_is_identity():
@@ -169,11 +171,42 @@ def test_ancilla_not_ground_detected():
 def test_pair_leakage_detected():
     # transferring between halves of different pairs drives |00>/|11>
     # pair patterns, which lie outside the encoding
-    from cavityqc.errors import LeakageError
-
     bad = Circuit((Operation(kind="ET", params=(np.pi,), targets=("q0.a", "q1.a")),))
     with pytest.raises(LeakageError):
         logical_matrix(bad, n_qubits=2)
+
+
+NON_UNITARY = (2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0)  # 2 x identity
+
+
+def _controlled_u(params):
+    return Operation(
+        kind="CONTROLLED_U", params=params, controls=("q0.a",), targets=("q1",)
+    )
+
+
+def test_non_unitary_controlled_u_payload_is_refused():
+    with pytest.raises(ValueError, match="not unitary"):
+        _controlled_u(NON_UNITARY)
+    # a unitary payload, a payload off by more than the leakage tolerance
+    _controlled_u((0.6, 0.0, -0.8, 0.0, 0.8, 0.0, 0.6, 0.0))
+    with pytest.raises(ValueError, match="not unitary"):
+        _controlled_u((0.6, 0.0, -0.8, 0.0, 0.8, 0.0, 0.6 + 1e-7, 0.0))
+    text = "ET(1.0) -> q0.a q0.b\nCONTROLLED_U(2,0, 0,0, 0,0, 2,0) q0.a -> q1\n"
+    with pytest.raises(ParseError, match="line 2: CONTROLLED_U payload is not unitary"):
+        circuit_from_text(text)
+
+
+def test_norm_excess_fails_logical_matrix():
+    # decode keeps the excess as negative leakage instead of clipping it
+    vec, leakage = decode({encode("1"): 2.0}, 1)
+    assert leakage == -3.0
+    # a payload that slipped past the check doubles the norm of the columns
+    # whose control is set; assembly must not report them as leakage-free
+    op = _controlled_u((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
+    object.__setattr__(op, "params", NON_UNITARY)
+    with pytest.raises(LeakageError, match="leakage -3"):
+        logical_matrix(Circuit((op,)), n_qubits=2)
 
 
 # --- relative-phase construction ---------------------------------------------------

@@ -175,19 +175,15 @@ def test_malformed_json_is_parse_error(tmp_path):
 
 
 def test_propagated_module_error_gives_exit_code_5(tmp_path):
-    # zero detuning triggers the resonance-singularity guard downstream
+    # a valid scenario whose 10001-state sector the byte cap refuses downstream
     scenario = _write(
         tmp_path,
-        "singular.json",
+        "capped.json",
         {
-            "kind": "transistor",
-            "n_atoms": 1,
-            "g21": 0.02,
-            "g32": 0.03,
-            "delta_control": 0.0,
-            "delta_target": 0.7,
-            "alpha": [1.0, 0.0],
-            "beta": [0.0, 0.0],
+            "kind": "effective-error-sweep",
+            "n_atoms": 5000,
+            "coupling": 0.01,
+            "delta_factors": [30],
         },
     )
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 5
@@ -362,6 +358,24 @@ def test_non_finite_values_and_too_few_points_exit_3(
         # no transfer at all: the period would be infinite
         ("transistor", "g21", 0.0),
         ("transistor", "g32", 0.0),
+        # invalid physics: a detuning at resonance or unnormalized
+        # amplitudes (exit 5, reported as an internal error, without the
+        # checks), an empty or reversed time window or a sweep without
+        # coupling, whose infidelity is 4e-16 (a pass that checked nothing)
+        ("transistor", "delta_control", 0.0),
+        ("transistor", "delta_target", 0.0),
+        ("transistor", "delta_control", 1e-12),
+        ("transistor", "delta_target", -1e-12),
+        ("transistor", "alpha", [0.8, 0.0]),
+        ("transistor", "beta", [0.0, 0.6]),
+        ("pair-evolution", "alpha1", [0.5, 0.0]),
+        ("pair-evolution", "beta2", [0.0, 0.5]),
+        ("transistor", "periods", 0.0),
+        ("transistor", "periods", -1.0),
+        ("pair-evolution", "t_max", -1.0),
+        ("blockade", "t_max", 0.0),
+        ("effective-error-sweep", "periods", 0.0),
+        ("effective-error-sweep", "coupling", 0.0),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):

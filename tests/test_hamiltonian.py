@@ -17,7 +17,6 @@ from cavityqc import (
     Mode,
     NodeSpec,
     build_microscopic_basis,
-    effective_hamiltonian,
     effective_hamiltonian_microscopic,
     lamb_shift_hamiltonian,
     microscopic_hamiltonian,
@@ -210,16 +209,15 @@ def test_alpha_direct_substitution():
     # gap 1.0 against mode frequency 0.9: alpha = -1/(1.0 - 0.9) = -10
     nodes = (NodeSpec(1, 2, (0.0, 1.0)), NodeSpec(1, 2, (0.0, 1.0)))
     fock = FockFactor((Mode(0.9),), (1,))
-    coeffs = sw_coefficients(nodes, CouplingSet(g21=0.01), fock)
-    assert coeffs.alpha[0, 0] == pytest.approx(-10.0)
-    assert coeffs.beta[0, 0] == pytest.approx(10.0)
+    alpha = sw_coefficients(nodes, CouplingSet(g21=0.01), fock)
+    assert alpha[0, 0] == pytest.approx(-10.0)
 
 
 def test_coefficients_vanish_at_large_detuning():
     nodes = (NodeSpec(1, 2, (0.0, 1.0)), NodeSpec(1, 2, (0.0, 1.0)))
     fock = FockFactor((Mode(1.0 - 1e9),), (1,))
-    coeffs = sw_coefficients(nodes, CouplingSet(g21=0.01), fock)
-    assert abs(coeffs.alpha[0, 0]) < 1e-8
+    alpha = sw_coefficients(nodes, CouplingSet(g21=0.01), fock)
+    assert abs(alpha[0, 0]) < 1e-8
 
 
 def test_resonance_singularity_raised():
@@ -442,7 +440,7 @@ def test_single_excitation_offdiagonal_from_collective_oracle():
 
 def test_effective_collective_equals_swap_form_without_photons():
     nodes, couplings, detunings = _blockade_setup(1, 1, 0.02, 0.02, 0.4, 0.4)
-    h = effective_hamiltonian(nodes, couplings, detunings, photon_numbers=(0, 0, 0))
+    h = lamb_shift_hamiltonian(nodes, couplings, detunings, n_photons=0)
     rate = 0.02**2 / 0.4
     h_swap = two_level_swap_hamiltonian(nodes, rate)
     assert np.abs(h.matrix - h_swap.matrix).max() < 1e-14
@@ -452,7 +450,7 @@ def test_effective_collective_equals_swap_form_without_photons():
 
 def test_effective_collective_doublet_splitting():
     nodes, couplings, detunings = _blockade_setup(1, 1, 0.02, 0.02, 0.4, 0.4)
-    h = effective_hamiltonian(nodes, couplings, detunings, rotating_frame=True)
+    h = lamb_shift_hamiltonian(nodes, couplings, detunings, 0, rotating_frame=True)
     rate = 0.02**2 / 0.4
     block = h.matrix[1:3, 1:3]
     values = np.linalg.eigvalsh(block)
@@ -462,7 +460,9 @@ def test_effective_collective_doublet_splitting():
 def test_effective_collective_rejects_three_level_nodes():
     nodes = (NodeSpec(1, 3, THREE_LEVELS), NodeSpec(1, 3, THREE_LEVELS))
     with pytest.raises(BasisMismatch):
-        effective_hamiltonian(nodes, CouplingSet(g21=0.1), DetuningSet(lower=(0.5, 0.5)))
+        lamb_shift_hamiltonian(
+            nodes, CouplingSet(g21=0.1), DetuningSet(lower=(0.5, 0.5)), 0
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -837,3 +837,256 @@ def test_family_assembler_keeps_the_order_of_the_sum():
     family = hamiltonian._assemble(basis, terms)
     assert family[state, state] == 1.0 - tiny
     assert np.array_equal(_bits(family), _bits(per_term_assemble(basis, terms)))
+
+
+# --- the exchange generator and the cross-term table against the loops they replaced --
+#
+# The builders below are the per-builder double loops and the three copied
+# cross-term blocks as they stood before one exchange generator and one
+# cross-term table replaced them. Every build must stay bit for bit equal.
+
+
+def loop_transition_exchange_terms(basis, t, couplings, deltas, phases):
+    upper, lower = LEVEL_PAIRS[t]
+    up, down = (upper, lower), (lower, upper)
+    for m, delta in deltas.items():
+        rate = abs(couplings.coupling(t, m)) ** 2 / delta
+        for i in basis.node_sites(m):
+            for j in basis.node_sites(m):
+                coeff = rate * phases[i] * np.conj(phases[j])
+                yield hamiltonian._exchange(i, j, coeff, up, down)
+    for m1, m2 in itertools.combinations(deltas, 2):
+        g1 = couplings.coupling(t, m1)
+        g2 = couplings.coupling(t, m2)
+        pref = 0.5 * (1.0 / deltas[m1] + 1.0 / deltas[m2])
+        for i in basis.node_sites(m1):
+            for j in basis.node_sites(m2):
+                coeff = pref * g1 * np.conj(g2) * phases[i] * np.conj(phases[j])
+                yield hamiltonian._exchange(i, j, coeff, up, down)
+                yield hamiltonian._exchange(j, i, np.conj(coeff), up, down)
+
+
+def loop_swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale):
+    nodes = basis.nodes
+    for t in couplings.enabled():
+        upper, _ = LEVEL_PAIRS[t]
+        deltas = {
+            m: deltas_of(t, m) for m, node in enumerate(nodes) if node.level_count > upper
+        }
+        for m, delta in deltas.items():
+            hamiltonian.check_detuning(delta, nodes, f"{t}, {m}", floor_scale)
+        phases = hamiltonian._atom_phases(basis, slot_wave_vectors.get(t))
+        yield from loop_transition_exchange_terms(basis, t, couplings, deltas, phases)
+
+
+def loop_cross_terms(basis, couplings, fock, detunings, wave_vectors):
+    """Photon shifts, then the two-photon and the two Raman blocks."""
+    transition, annihilate = hamiltonian._transition, hamiltonian._annihilate
+    create = hamiltonian._create
+    slot_of = hamiltonian._mode_slots(couplings, fock)
+
+    def mode(t):
+        return basis.mode_site(slot_of[t]), fock.n_max[slot_of[t]] + 1
+
+    for t in slot_of:
+        upper, lower = LEVEL_PAIRS[t]
+        mode_site, n_levels = mode(t)
+        number = hamiltonian._number(n_levels)
+        for m, node in enumerate(basis.nodes):
+            if node.level_count <= upper:
+                continue
+            rate = abs(couplings.coupling(t, m)) ** 2 / detunings.value(t, m)
+            for j in basis.node_sites(m):
+                yield rate, ((j, hamiltonian._projector(upper)), (mode_site, number))
+                yield -rate, ((j, hamiltonian._projector(lower)), (mode_site, number))
+    k = {t: np.asarray(wave_vectors[t] or (0.0,) * 3, dtype=float) for t in slot_of}
+    d, g = detunings.value, couplings.coupling
+    for m, node in enumerate(basis.nodes):
+        if node.level_count < 3:
+            continue
+        for j, r in enumerate(node.atom_positions()):
+            site = basis.atom_site(m, j)
+            if {0, 1} <= set(slot_of):
+                coeff = (
+                    0.5 * (1.0 / d(1, m) - 1.0 / d(0, m)) * g(0, m) * g(1, m)
+                    * np.exp(1j * ((k[0] + k[1]) @ r))
+                )
+                (m0, l0), (m1, l1) = mode(0), mode(1)
+                yield coeff, (
+                    (site, transition(2, 0)), (m0, annihilate(l0)), (m1, annihilate(l1))
+                )
+                yield np.conj(coeff), (
+                    (site, transition(0, 2)), (m0, create(l0)), (m1, create(l1))
+                )
+            if {0, 2} <= set(slot_of):
+                coeff = (
+                    0.5 * (1.0 / d(0, m) + 1.0 / d(2, m)) * np.conj(g(0, m)) * g(2, m)
+                    * np.exp(1j * ((k[2] - k[0]) @ r))
+                )
+                (m0, l0), (m2, l2) = mode(0), mode(2)
+                yield coeff, (
+                    (site, transition(2, 1)), (m2, annihilate(l2)), (m0, create(l0))
+                )
+                yield np.conj(coeff), (
+                    (site, transition(1, 2)), (m2, create(l2)), (m0, annihilate(l0))
+                )
+            if {1, 2} <= set(slot_of):
+                coeff = (
+                    -0.5 * (1.0 / d(1, m) + 1.0 / d(2, m)) * np.conj(g(1, m)) * g(2, m)
+                    * np.exp(1j * ((k[2] - k[1]) @ r))
+                )
+                (m1, l1), (m2, l2) = mode(1), mode(2)
+                yield coeff, (
+                    (site, transition(1, 0)), (m2, annihilate(l2)), (m1, create(l1))
+                )
+                yield np.conj(coeff), (
+                    (site, transition(0, 1)), (m2, create(l2)), (m1, annihilate(l1))
+                )
+
+
+def loop_swap_microscopic(nodes, swap_rate, wave_vector, rotating_frame, quanta):
+    basis = hamiltonian._product_basis(nodes, None, None, quanta)
+    phases = hamiltonian._atom_phases(basis, wave_vector)
+    sites = range(basis.n_atomic_sites)
+    exchange = (
+        hamiltonian._exchange(
+            i, j, swap_rate * phases[i] * np.conj(phases[j]), (1, 0), (0, 1)
+        )
+        for i in sites
+        for j in sites
+    )
+    bare = () if rotating_frame else hamiltonian._bare_terms(basis)
+    return hamiltonian._assemble(basis, itertools.chain(bare, exchange))
+
+
+def loop_transistor(nodes, couplings, detunings, wave_vectors, upper_swap, rotating,
+                    quanta):
+    basis = hamiltonian._product_basis(nodes, couplings, None, quanta)
+    phases_lower = hamiltonian._atom_phases(basis, wave_vectors[0])
+    phases_upper = hamiltonian._atom_phases(basis, wave_vectors[1])
+    g21c = couplings.coupling(0, 0)
+    delta_c = detunings.value(0, 0)
+    cross = []
+    for m in (1, 2):
+        g32m = couplings.coupling(1, m)
+        pref = 0.5 * (1.0 / delta_c + 1.0 / detunings.value(1, m))
+        for jc in basis.node_sites(0):
+            for jm in basis.node_sites(m):
+                coeff = (
+                    pref * g21c * np.conj(g32m) * phases_lower[jc]
+                    * np.conj(phases_upper[jm])
+                )
+                cross.append(hamiltonian._exchange(jc, jm, coeff, (1, 0), (1, 2)))
+                cross.append(
+                    hamiltonian._exchange(jm, jc, np.conj(coeff), (2, 1), (0, 1))
+                )
+    swap = ()
+    if upper_swap:
+        deltas = {m: detunings.value(1, m) for m in (1, 2)}
+        swap = loop_transition_exchange_terms(basis, 1, couplings, deltas, phases_upper)
+    bare = () if rotating else hamiltonian._bare_terms(basis)
+    return hamiltonian._assemble(basis, itertools.chain(bare, cross, swap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.data())
+def test_exchange_builders_equal_their_loops_bit_for_bit(system, data):
+    nodes, couplings, fock = system
+    detunings = DetuningSet.from_system(nodes, couplings, fock)
+    wave_vectors = {
+        t: fock.modes[slot].wave_vector for slot, t in enumerate(couplings.enabled())
+    }
+    quanta = data.draw(st.sampled_from([None, 0, 1, 2]))
+    rotating = data.draw(st.booleans())
+    cases = [
+        (
+            lambda: photon_free_effective_hamiltonian(
+                nodes, couplings, detunings, wave_vectors, rotating, quanta=quanta
+            ).matrix,
+            {"_swap_terms": loop_swap_terms},
+        ),
+        (
+            lambda: effective_hamiltonian_microscopic(
+                nodes, couplings, fock, quanta=quanta
+            ).matrix,
+            {"_swap_terms": loop_swap_terms,
+             "_photon_shift_and_cross_terms": loop_cross_terms},
+        ),
+    ]
+    for build, loops in cases:
+        try:
+            matrix = build()
+        except BasisMismatch:  # an empty sector
+            continue
+        with mock.patch.multiple(hamiltonian, **loops):
+            reference = build()
+        assert np.array_equal(_bits(matrix), _bits(reference))
+    if all(node.level_count == 2 for node in nodes):
+        k = fock.modes[0].wave_vector
+        rate = data.draw(st.floats(min_value=-0.5, max_value=0.5))
+        try:
+            swap = swap_hamiltonian_microscopic(nodes, rate, k, rotating, quanta)
+        except BasisMismatch:
+            return
+        reference = loop_swap_microscopic(nodes, rate, k, rotating, quanta)
+        assert np.array_equal(_bits(swap.matrix), _bits(reference))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([None, 1, 2, 3]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_transistor_equals_its_loops_bit_for_bit(
+    n_atoms, quanta, upper_swap, rotating, phased, data
+):
+    rate = st.floats(min_value=0.005, max_value=0.05)
+    detuning = st.floats(min_value=0.2, max_value=1.0)
+    positions = _vectors(data.draw, n_atoms) if phased else None
+    target = NodeSpec(n_atoms, 3, THREE_LEVELS, positions)
+    control = data.draw(st.sampled_from([target, NodeSpec(n_atoms, 3, THREE_LEVELS)]))
+    couplings = CouplingSet(
+        g21=data.draw(rate) * np.exp(1j * data.draw(st.floats(0.0, 6.0))),
+        g32_by_node=(None, data.draw(rate), -data.draw(rate) * 1j),
+    )
+    detunings = DetuningSet(
+        lower=(data.draw(detuning),) * 3,
+        upper=(None, data.draw(detuning), -data.draw(detuning)),
+    )
+    waves = _vectors(data.draw, 2) if phased else (None, None)
+    nodes = (control, target, target)
+    h = transistor_hamiltonian(
+        control, (target, target), couplings, detunings, waves,
+        include_target_upper_swap=upper_swap, rotating_frame=rotating, quanta=quanta,
+    )
+    reference = loop_transistor(
+        nodes, couplings, detunings, waves, upper_swap, rotating, quanta
+    )
+    assert np.array_equal(_bits(h.matrix), _bits(reference))
+
+
+def test_cross_terms_equal_their_blocks_at_a_deep_truncation():
+    # three photons per mode: products of sqrt(2) and sqrt(3) amplitudes
+    # depend on the order of the factors, which the blocks fixed
+    nodes = (
+        NodeSpec(1, 3, THREE_LEVELS, ((0.1, -0.4, 0.3),)),
+        NodeSpec(1, 3, (0.0, 1.05, 2.2), ((0.7, 0.2, -0.5),)),
+    )
+    couplings = CouplingSet(g21=0.02 + 0.003j, g32=0.015, g31=0.01 - 0.002j)
+    modes = (Mode(0.9, (0.3, 0.1, 0.0)), Mode(1.0, (0.0, 0.5, 0.2)), Mode(1.9))
+    fock = FockFactor(modes, (3, 3, 3))
+    for quanta in (None, 4):
+        h = effective_hamiltonian_microscopic(nodes, couplings, fock, quanta=quanta)
+        with mock.patch.multiple(
+            hamiltonian,
+            _swap_terms=loop_swap_terms,
+            _photon_shift_and_cross_terms=loop_cross_terms,
+        ):
+            reference = effective_hamiltonian_microscopic(
+                nodes, couplings, fock, quanta=quanta
+            )
+        assert np.array_equal(_bits(h.matrix), _bits(reference.matrix))
