@@ -30,7 +30,7 @@ from .errors import (
     LeakageError,
     ParseError,
 )
-from .gates import LogicalQubit, decode, encode, et_gate, synthesize_rotation
+from .gates import decode, encode, et_gate, synthesize_rotation
 
 KINDS = ("ET", "PHASE", "CET", "PCET", "NODE_CSWAP", "CONTROLLED_U")
 
@@ -107,11 +107,6 @@ class LogicalRegister:
     def from_bits(cls, bits: str, n_ancillas: int = 0) -> "LogicalRegister":
         occ = encode(bits) + (0,) * n_ancillas
         return cls(len(bits), n_ancillas, {occ: 1.0 + 0.0j})
-
-    def qubit(self, index: int) -> "LogicalQubit":
-        if index >= self.n_qubits:
-            raise AddressError(f"qubit {index} outside register of {self.n_qubits}")
-        return LogicalQubit(2 * index, 2 * index + 1)
 
     def node_index(self, address: str) -> int:
         m = re.fullmatch(r"q(\d+)\.([ab])", address)

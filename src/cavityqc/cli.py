@@ -161,6 +161,14 @@ NORMALIZED_PAIRS = {
     "transistor": (("alpha", "beta"),),
 }
 
+# Rates of a scenario that must be nonzero, per kind: with nothing
+# exchanged, every check passes on the unchanged initial state.
+NONZERO_FIELDS = {
+    "pair-evolution": ("swap_rate",),
+    "blockade": ("swap_rate",),
+    "effective-error-sweep": ("coupling",),
+}
+
 
 # ---------------------------------------------------------------------------
 # Loading and validation
@@ -255,17 +263,18 @@ def validate_params(kind: str, raw: dict) -> dict:
                 f"fields {a!r} and {b!r} must be normalized, "
                 f"|{a}|^2 + |{b}|^2 = {norm:.12g}"
             )
+    for name in NONZERO_FIELDS.get(kind, ()):
+        if params[name] == 0.0:
+            raise ValidationError(f"field {name!r} must be nonzero")
     if kind == "effective-error-sweep":
         # the sweep's headline bound must not drop out of the report, nor
-        # pass on a run that has no time to evolve or nothing to exchange
+        # pass on a run that has no time to evolve
         if params["assert_factor"] not in params["delta_factors"]:
             raise ValidationError(
                 "field 'delta_factors' must hold the asserted factor "
                 f"(assert_factor {params['assert_factor']:g})"
             )
         _window(params["periods"], "periods")
-        if params["coupling"] == 0.0:
-            raise ValidationError("field 'coupling' must be nonzero")
     return params
 
 
@@ -278,11 +287,17 @@ def _cpx(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def _default_window(rate_scale: float, periods: float = 2.0) -> float:
-    """Time window of a few natural periods; unit window for zero rates."""
-    if rate_scale <= 0.0:
-        return 1.0
-    return periods * np.pi / rate_scale
+def _default_window(rate_scale: float) -> float:
+    """Time window of two natural periods of a nonzero rate."""
+    return 2.0 * np.pi / rate_scale
+
+
+def _check_detuning(delta: float, nodes, field: str) -> None:
+    """check_detuning on a detuning set by ``field``, as a validation error."""
+    try:
+        check_detuning(delta, nodes, f"field {field!r}")
+    except ResonanceSingularity as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _window(window: float, field: str) -> float:
@@ -412,10 +427,7 @@ def _run_transistor(p: dict):
     n = p["n_atoms"]
     node = NodeSpec(n, 3, (0.0, 1.0, 2.0))
     for name in ("delta_control", "delta_target"):
-        try:
-            check_detuning(p[name], (node,), f"field {name!r}")
-        except ResonanceSingularity as exc:
-            raise ValidationError(str(exc)) from exc
+        _check_detuning(p[name], (node,), name)
     couplings = CouplingSet(g21=p["g21"], g32=p["g32"])
     detunings = DetuningSet(
         lower=(p["delta_control"],) * 3,
@@ -476,6 +488,8 @@ def _run_effective_error_sweep(p: dict):
     nodes = (NodeSpec(n), NodeSpec(n))
     couplings = CouplingSet(g21=g)
     deltas = [f * np.sqrt(n) * abs(g) for f in p["delta_factors"]]
+    for delta in deltas:
+        _check_detuning(delta, nodes, "delta_factors")
     report = dynamics.effective_model_error(
         nodes,
         couplings,

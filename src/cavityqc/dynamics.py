@@ -27,6 +27,7 @@ from .hamiltonian import (
     DetuningSet,
     EffectiveRates,
     HamiltonianMatrix,
+    check_detuning,
     microscopic_parts,
     transistor_hamiltonian,
     two_level_swap_hamiltonian,
@@ -177,10 +178,10 @@ def population_peak_time(
     return float(candidates[int(np.argmax(values))])
 
 
-def first_maximum_time(fn, t_low: float, t_high: float, iterations: int = 200) -> float:
-    """Location of the maximum of a unimodal function by ternary search."""
+def first_maximum_time(fn, t_low: float, t_high: float) -> float:
+    """Location of the maximum of a unimodal function by 200 ternary steps."""
     lo, hi = float(t_low), float(t_high)
-    for _ in range(iterations):
+    for _ in range(200):
         third = (hi - lo) / 3.0
         m1, m2 = lo + third, hi - third
         if fn(m1) < fn(m2):
@@ -466,15 +467,7 @@ class ErrorReport:
     deltas: tuple[float, ...]
     max_infidelity: tuple[float, ...]
     max_leakage: tuple[float, ...]
-    swap_periods: float
-    grid_points: int
     metric: str = ERROR_METRIC
-
-    def rows(self):
-        return [
-            {"delta": d, "max_infidelity": i, "max_leakage": l}
-            for d, i, l in zip(self.deltas, self.max_infidelity, self.max_leakage)
-        ]
 
 
 def effective_model_error(
@@ -483,7 +476,6 @@ def effective_model_error(
     deltas,
     swap_periods: float = 1.0,
     grid_points: int = 200,
-    n_max: int = 2,
 ) -> ErrorReport:
     """Compare microscopic and effective swap dynamics over a detuning sweep.
 
@@ -494,7 +486,8 @@ def effective_model_error(
     collective swap Hamiltonian with rate |g|^2/delta, over ``swap_periods``
     full swap periods pi / (sqrt(N1 N2) rate). The report carries, per
     delta, the maximum projected infidelity and the maximum leakage out of
-    the zero-photon collective subspace.
+    the zero-photon collective subspace. A detuning within the resonance
+    floor (see check_detuning) raises ResonanceSingularity.
     """
     nodes = tuple(nodes)
     if len(nodes) != 2 or any(n.level_count != 2 for n in nodes):
@@ -518,8 +511,9 @@ def effective_model_error(
     # enters only as the photon energy on the diagonal. With the mode at
     # zero frequency the static part holds just the atomic energies, so
     # each detuning adds (gap - delta) n_photon to that diagonal and then
-    # the coupling part, the order in which a fresh build sums them.
-    layout = FockFactor((Mode(frequency=0.0),), (n_max,))
+    # the coupling part, the order in which a fresh build sums them. The
+    # one-quantum sector holds at most one photon, whatever the truncation.
+    layout = FockFactor((Mode(frequency=0.0),), (1,))
     basis, atomic, coupling = microscopic_parts(nodes, couplings, layout, quanta)
     atomic_energy = np.diag(atomic)
     photons = basis.occupations[:, basis.mode_site(0)]
@@ -529,15 +523,16 @@ def effective_model_error(
 
     max_inf, max_leak = [], []
     for delta in deltas:
-        swap_rate = abs(g) ** 2 / delta if delta != 0 else 0.0
+        check_detuning(delta, nodes, "error sweep")
+        swap_rate = abs(g) ** 2 / delta
         if swap_rate != 0.0:
             period = np.pi / (np.sqrt(n1 * n2) * abs(swap_rate))
         else:
-            period = np.pi  # arbitrary finite window for the decoupled case
+            period = np.pi  # arbitrary finite window for uncoupled nodes
         times = np.linspace(0.0, swap_periods * period, grid_points)
 
         static = np.diag(atomic_energy + (gap - delta) * photons)
-        h_full = HamiltonianMatrix(static + coupling, basis, label="microscopic")
+        h_full = HamiltonianMatrix(static + coupling, basis)
         h_eff = two_level_swap_hamiltonian(nodes, swap_rate)
 
         full = evolve_on_grid(h_full, psi_full0, times)
@@ -557,6 +552,4 @@ def effective_model_error(
         deltas=tuple(float(d) for d in deltas),
         max_infidelity=tuple(max_inf),
         max_leakage=tuple(max_leak),
-        swap_periods=swap_periods,
-        grid_points=grid_points,
     )

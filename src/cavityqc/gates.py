@@ -21,12 +21,11 @@ UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GateUnitary:
-    """A unitary with its arity (in logical qubits), label and parameters."""
+    """A unitary with its arity (in logical qubits) and label."""
 
     matrix: np.ndarray
     arity: int
     label: str
-    params: tuple[float, ...] = ()
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -48,13 +47,13 @@ def et_gate(theta: float) -> GateUnitary:
     """
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     m = np.array([[c, -1j * s], [-1j * s, c]])
-    return GateUnitary(m, arity=1, label="ET", params=(theta,))
+    return GateUnitary(m, arity=1, label="ET")
 
 
 def phase_gate(chi: float) -> GateUnitary:
     """Differential pair phase diag(e^(-i chi/2), e^(i chi/2)): logical R_z."""
     m = np.diag([np.exp(-1j * chi / 2.0), np.exp(1j * chi / 2.0)])
-    return GateUnitary(m, arity=1, label="PHASE", params=(chi,))
+    return GateUnitary(m, arity=1, label="PHASE")
 
 
 def controlled_et(theta: float) -> GateUnitary:
@@ -67,7 +66,7 @@ def controlled_et(theta: float) -> GateUnitary:
     """
     m = np.eye(4, dtype=complex)
     m[2:, 2:] = et_gate(theta).matrix
-    return GateUnitary(m, arity=2, label="C(ET)", params=(theta,))
+    return GateUnitary(m, arity=2, label="C(ET)")
 
 
 def pcet() -> GateUnitary:
@@ -185,24 +184,6 @@ def synthesize_rotation(target, tol: float = 1e-10) -> RotationSynthesis:
 # ---------------------------------------------------------------------------
 # Pairwise encoding
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogicalQubit:
-    """A node pair holding exactly one excitation.
-
-    |0_L> puts the excitation on node_b (occupations (0, 1)), |1_L> on
-    node_a (occupations (1, 0)); anything else lies outside the logical
-    subspace.
-    """
-
-    node_a: int
-    node_b: int
-
-    def occupations(self, bit: int) -> tuple[int, int]:
-        if bit not in (0, 1):
-            raise ValueError("logical bit must be 0 or 1")
-        return (1, 0) if bit else (0, 1)
 
 
 def encode(bits) -> tuple[int, ...]:

@@ -162,9 +162,8 @@ class EffectiveRates:
 
     @classmethod
     def from_couplings(cls, g1, g2, delta_1, delta_2, freq_1=0.0, freq_2=0.0):
-        swap = 0.5 * g1 * np.conj(g2) * (1.0 / delta_1 + 1.0 / delta_2)
         return cls(
-            swap_rate=complex(swap),
+            swap_rate=complex(_pair_rate(g1, g2, delta_1, delta_2)),
             shift_rate_1=abs(g1) ** 2 / delta_1,
             shift_rate_2=abs(g2) ** 2 / delta_2,
             transition_freq_1=freq_1,
@@ -189,7 +188,6 @@ class HamiltonianMatrix:
 
     matrix: np.ndarray
     basis: object = field(repr=False)
-    label: str = ""
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -343,18 +341,17 @@ def _atom_phases(basis: CompositeBasis, wave_vector) -> np.ndarray:
     return phases
 
 
-def check_detuning(
-    delta: float, nodes, context: str, floor_scale: float = RESONANCE_FLOOR
-):
-    """Refuse a detuning within floor_scale x the largest level energy."""
-    scale = max(
-        (abs(e) for node in nodes for e in node.level_energies), default=1.0
-    )
+def check_detuning(delta: float, nodes, context: str):
+    """Refuse a detuning within RESONANCE_FLOOR x the largest level energy.
+
+    The second-order rates divide by detunings and hold only off resonance.
+    """
+    scale = max((abs(e) for node in nodes for e in node.level_energies), default=1.0)
     scale = max(scale, 1.0e-300)
-    if abs(delta) < floor_scale * scale:
+    if abs(delta) < RESONANCE_FLOOR * scale:
         raise ResonanceSingularity(
             f"{context}: |detuning| {abs(delta):.3e} below floor "
-            f"{floor_scale:.1e} x max|energy| {scale:.3e}"
+            f"{RESONANCE_FLOOR:.1e} x max|energy| {scale:.3e}"
         )
 
 
@@ -480,7 +477,7 @@ def _transition_pairs(t: int, couplings: CouplingSet, deltas: dict) -> dict:
     return pairs
 
 
-def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale):
+def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
     """Intra- and inter-node exchange of every enabled transition."""
     nodes = basis.nodes
     for t in couplings.enabled():
@@ -489,7 +486,7 @@ def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale):
             m: deltas_of(t, m) for m, node in enumerate(nodes) if node.level_count > upper
         }
         for m, delta in deltas.items():
-            check_detuning(delta, nodes, f"transition {t}, node {m}", floor_scale)
+            check_detuning(delta, nodes, f"transition {t}, node {m}")
         phases = _atom_phases(basis, slot_wave_vectors.get(t))
         channels = {m: (basis.node_sites(m), t, phases) for m in deltas}
         yield from _exchange_terms(channels, _transition_pairs(t, couplings, deltas))
@@ -523,7 +520,7 @@ def microscopic_hamiltonian(
     is exactly the corresponding block of the full one.
     """
     basis, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
-    return HamiltonianMatrix(h0 + h1, basis, label="microscopic")
+    return HamiltonianMatrix(h0 + h1, basis)
 
 
 def total_excitation_operator(
@@ -542,12 +539,7 @@ def total_excitation_operator(
 # ---------------------------------------------------------------------------
 
 
-def sw_coefficients(
-    nodes,
-    couplings: CouplingSet,
-    fock: FockFactor,
-    floor_scale: float = RESONANCE_FLOOR,
-) -> np.ndarray:
+def sw_coefficients(nodes, couplings: CouplingSet, fock: FockFactor) -> np.ndarray:
     """First-order generator coefficients alpha = -1/Delta, node x transition.
 
     alpha multiplies the photon-absorbing monomial g S_ul a; the emitting
@@ -563,31 +555,23 @@ def sw_coefficients(
             if node.level_count <= upper:
                 continue
             delta = detunings.value(t, m)
-            check_detuning(delta, nodes, f"transition {t}, node {m}", floor_scale)
+            check_detuning(delta, nodes, f"transition {t}, node {m}")
             alpha[m, t] = -1.0 / delta
     return alpha
 
 
 def sw_generator(
-    nodes,
-    couplings: CouplingSet,
-    fock: FockFactor,
-    floor_scale: float = RESONANCE_FLOOR,
-    quanta=None,
+    nodes, couplings: CouplingSet, fock: FockFactor, quanta=None
 ) -> np.ndarray:
     """Anti-Hermitian generator s eliminating the first-order coupling."""
     nodes = tuple(nodes)
-    alpha = sw_coefficients(nodes, couplings, fock, floor_scale)
+    alpha = sw_coefficients(nodes, couplings, fock)
     basis = _product_basis(nodes, couplings, fock, quanta)
     return _assemble(basis, _photon_exchange_terms(basis, couplings, fock, alpha))
 
 
 def schrieffer_wolff_hamiltonian(
-    nodes,
-    couplings: CouplingSet,
-    fock: FockFactor,
-    floor_scale: float = RESONANCE_FLOOR,
-    quanta=None,
+    nodes, couplings: CouplingSet, fock: FockFactor, quanta=None
 ) -> HamiltonianMatrix:
     """Numeric second-order Hamiltonian H_0 + [H_1, s]/2.
 
@@ -596,9 +580,9 @@ def schrieffer_wolff_hamiltonian(
     with ``quanta`` the products close on that sector.
     """
     basis, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
-    s = sw_generator(nodes, couplings, fock, floor_scale, quanta)
+    s = sw_generator(nodes, couplings, fock, quanta)
     h = h0 + 0.5 * (h1 @ s - s @ h1)
-    return HamiltonianMatrix(h, basis, label="schrieffer-wolff")
+    return HamiltonianMatrix(h, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +664,7 @@ def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vector
 
 
 def effective_hamiltonian_microscopic(
-    nodes,
-    couplings: CouplingSet,
-    fock: FockFactor,
-    floor_scale: float = RESONANCE_FLOOR,
-    quanta=None,
+    nodes, couplings: CouplingSet, fock: FockFactor, quanta=None
 ) -> HamiltonianMatrix:
     """Analytic second-order Hamiltonian with explicit photon operators.
 
@@ -704,13 +684,13 @@ def effective_hamiltonian_microscopic(
         basis,
         itertools.chain(
             _bare_terms(basis),
-            _swap_terms(basis, couplings, detunings.value, wave_vectors, floor_scale),
+            _swap_terms(basis, couplings, detunings.value, wave_vectors),
             _photon_shift_and_cross_terms(
                 basis, couplings, fock, detunings, wave_vectors
             ),
         ),
     )
-    return HamiltonianMatrix(h, basis, label="effective-microscopic")
+    return HamiltonianMatrix(h, basis)
 
 
 def photon_free_effective_hamiltonian(
@@ -719,7 +699,6 @@ def photon_free_effective_hamiltonian(
     detunings: DetuningSet,
     wave_vectors: dict[int, tuple] | None = None,
     rotating_frame: bool = False,
-    floor_scale: float = RESONANCE_FLOOR,
     quanta=None,
 ) -> HamiltonianMatrix:
     """Effective exchange Hamiltonian with no real photons, atomic basis only.
@@ -731,11 +710,9 @@ def photon_free_effective_hamiltonian(
     nodes = tuple(nodes)
     basis = _product_basis(nodes, couplings, None, quanta)
     bare = () if rotating_frame else _bare_terms(basis)
-    swap = _swap_terms(
-        basis, couplings, detunings.value, wave_vectors or {}, floor_scale
-    )
+    swap = _swap_terms(basis, couplings, detunings.value, wave_vectors or {})
     h = _assemble(basis, itertools.chain(bare, swap))
-    return HamiltonianMatrix(h, basis, label="photon-free-effective")
+    return HamiltonianMatrix(h, basis)
 
 
 def swap_hamiltonian_microscopic(
@@ -762,7 +739,7 @@ def swap_hamiltonian_microscopic(
     exchange = _exchange_terms({0: atoms}, {(0, 0): swap_rate})
     bare = () if rotating_frame else _bare_terms(basis)
     h = _assemble(basis, itertools.chain(bare, exchange))
-    return HamiltonianMatrix(h, basis, label="swap-microscopic")
+    return HamiltonianMatrix(h, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +768,6 @@ def collective_pair_hamiltonian(
     n_photons: int = 0,
     rotating_frame: bool = False,
     ladder: str = "bosonic",
-    label: str = "collective-pair",
 ) -> HamiltonianMatrix:
     """Two-node collective Hamiltonian on the six-state pair basis.
 
@@ -831,7 +807,7 @@ def collective_pair_hamiltonian(
             h[a, b] += np.conj(amp)
 
     rot = CollectiveBasis.occupation_rotation()
-    return HamiltonianMatrix(rot @ h @ rot.T, basis, label=label)
+    return HamiltonianMatrix(rot @ h @ rot.T, basis)
 
 
 def two_level_swap_hamiltonian(
@@ -859,7 +835,6 @@ def two_level_swap_hamiltonian(
         n_photons=0,
         rotating_frame=rotating_frame,
         ladder=ladder,
-        label="two-level-swap",
     )
 
 
@@ -870,7 +845,6 @@ def lamb_shift_hamiltonian(
     n_photons: int,
     rotating_frame: bool = False,
     ladder: str = "bosonic",
-    floor_scale: float = RESONANCE_FLOOR,
 ) -> HamiltonianMatrix:
     """Photon-number dependent pair Hamiltonian with per-node couplings.
 
@@ -884,7 +858,7 @@ def lamb_shift_hamiltonian(
     g = [couplings.coupling(0, m) for m in range(2)]
     deltas = [detunings.value(0, m) for m in range(2)]
     for m, d in enumerate(deltas):
-        check_detuning(d, nodes, f"lower transition, node {m}", floor_scale)
+        check_detuning(d, nodes, f"lower transition, node {m}")
     rates = EffectiveRates.from_couplings(g[0], g[1], deltas[0], deltas[1])
     return collective_pair_hamiltonian(
         nodes,
@@ -893,7 +867,6 @@ def lamb_shift_hamiltonian(
         n_photons=n_photons,
         rotating_frame=rotating_frame,
         ladder=ladder,
-        label="lamb-shift",
     )
 
 
@@ -910,7 +883,6 @@ def transistor_hamiltonian(
     wave_vectors: tuple | None = None,
     include_target_upper_swap: bool = False,
     rotating_frame: bool = True,
-    floor_scale: float = RESONANCE_FLOOR,
     quanta=None,
 ) -> HamiltonianMatrix:
     """Cross-transition exchange between a control node and two target nodes.
@@ -942,13 +914,13 @@ def transistor_hamiltonian(
 
     g21c = couplings.coupling(0, 0)
     delta_c = detunings.value(0, 0)
-    check_detuning(delta_c, nodes, "control lower transition", floor_scale)
+    check_detuning(delta_c, nodes, "control lower transition")
     channels = {0: (basis.node_sites(0), 0, phases_lower)}
     pairs = {}
     for m in (1, 2):
         g32m = couplings.coupling(1, m)
         delta_m = detunings.value(1, m)
-        check_detuning(delta_m, nodes, f"target {m} upper transition", floor_scale)
+        check_detuning(delta_m, nodes, f"target {m} upper transition")
         channels[m] = (basis.node_sites(m), 1, phases_upper)
         pairs[0, m] = _pair_rate(g21c, g32m, delta_c, delta_m)
     if include_target_upper_swap:
@@ -956,7 +928,7 @@ def transistor_hamiltonian(
         pairs.update(_transition_pairs(1, couplings, deltas))
     bare = () if rotating_frame else _bare_terms(basis)
     h = _assemble(basis, itertools.chain(bare, _exchange_terms(channels, pairs)))
-    return HamiltonianMatrix(h, basis, label="transistor")
+    return HamiltonianMatrix(h, basis)
 
 
 def transistor_rate(couplings: CouplingSet, detunings: DetuningSet) -> float:

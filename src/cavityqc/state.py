@@ -35,16 +35,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.basis)
-
-    def overlap(self, other: "StateVector") -> complex:
-        _require_same_basis(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def probability(self, index: int) -> float:
         return float(abs(self.amplitudes[index]) ** 2)
 

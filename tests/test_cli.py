@@ -376,6 +376,13 @@ def test_non_finite_values_and_too_few_points_exit_3(
         ("blockade", "t_max", 0.0),
         ("effective-error-sweep", "periods", 0.0),
         ("effective-error-sweep", "coupling", 0.0),
+        # a sweep detuning within the resonance floor, where the dispersive
+        # model does not hold: reported as a small error without the check
+        ("effective-error-sweep", "delta_factors", [0, 30]),
+        ("effective-error-sweep", "delta_factors", [1e-300, 30]),
+        # nothing exchanged: every closed-form check passes vacuously
+        ("pair-evolution", "swap_rate", 0.0),
+        ("blockade", "swap_rate", 0.0),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):

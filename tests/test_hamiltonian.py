@@ -18,6 +18,7 @@ from cavityqc import (
     NodeSpec,
     build_microscopic_basis,
     effective_hamiltonian_microscopic,
+    effective_model_error,
     lamb_shift_hamiltonian,
     microscopic_hamiltonian,
     photon_free_effective_hamiltonian,
@@ -225,6 +226,72 @@ def test_resonance_singularity_raised():
     fock = FockFactor((Mode(1.0 - 1e-12),), (1,))
     with pytest.raises(ResonanceSingularity):
         sw_coefficients(nodes, CouplingSet(g21=0.01), fock)
+
+
+def _two_level_pair(scale):
+    return (NodeSpec(1, 2, (0.0, scale)),) * 2
+
+
+def _with_mode(build):
+    """An entry point whose detuning is the gap minus a mode frequency."""
+
+    def call(delta, scale):
+        fock = FockFactor((Mode(scale - delta),), (1,))
+        return build(_two_level_pair(scale), CouplingSet(g21=0.01), fock)
+
+    return call
+
+
+def _transistor(delta, scale):
+    node = NodeSpec(1, 3, (0.0, 0.5 * scale, scale))
+    detunings = DetuningSet(lower=(delta,) * 3, upper=(None, delta, delta))
+    return transistor_hamiltonian(
+        node, (node, node), CouplingSet(g21=0.01, g32=0.01), detunings
+    )
+
+
+# Every entry point that divides by a detuning, called as (delta, scale) on
+# nodes whose largest level energy is ``scale``.
+RESONANT_ENTRY_POINTS = {
+    "check_detuning": lambda delta, scale: hamiltonian.check_detuning(
+        delta, _two_level_pair(scale), "test"
+    ),
+    "sw_coefficients": _with_mode(sw_coefficients),
+    "sw_generator": _with_mode(sw_generator),
+    "schrieffer_wolff_hamiltonian": _with_mode(schrieffer_wolff_hamiltonian),
+    "effective_hamiltonian_microscopic": _with_mode(effective_hamiltonian_microscopic),
+    "photon_free_effective_hamiltonian": lambda delta, scale: (
+        photon_free_effective_hamiltonian(
+            _two_level_pair(scale), CouplingSet(g21=0.01), DetuningSet((delta, delta))
+        )
+    ),
+    "lamb_shift_hamiltonian": lambda delta, scale: lamb_shift_hamiltonian(
+        _two_level_pair(scale), CouplingSet(g21=0.01), DetuningSet((delta, delta)), 1
+    ),
+    "transistor_hamiltonian": _transistor,
+    "effective_model_error": lambda delta, scale: effective_model_error(
+        _two_level_pair(scale), CouplingSet(g21=0.01), [delta], grid_points=2
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RESONANT_ENTRY_POINTS))
+@settings(max_examples=25, deadline=None)
+@given(
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    below=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+    above=st.floats(min_value=1.01, max_value=1.1),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_every_entry_point_refuses_detunings_within_the_floor(
+    entry, scale, below, above, sign
+):
+    # refused for |delta| < RESONANCE_FLOOR * max|energy|, accepted just above
+    build = RESONANT_ENTRY_POINTS[entry]
+    floor = hamiltonian.RESONANCE_FLOOR * scale
+    with pytest.raises(ResonanceSingularity):
+        build(sign * below * floor, scale)
+    build(sign * above * floor, scale)
 
 
 def _three_level_system():
@@ -866,7 +933,7 @@ def loop_transition_exchange_terms(basis, t, couplings, deltas, phases):
                 yield hamiltonian._exchange(j, i, np.conj(coeff), up, down)
 
 
-def loop_swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale):
+def loop_swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
     nodes = basis.nodes
     for t in couplings.enabled():
         upper, _ = LEVEL_PAIRS[t]
@@ -874,7 +941,7 @@ def loop_swap_terms(basis, couplings, deltas_of, slot_wave_vectors, floor_scale)
             m: deltas_of(t, m) for m, node in enumerate(nodes) if node.level_count > upper
         }
         for m, delta in deltas.items():
-            hamiltonian.check_detuning(delta, nodes, f"{t}, {m}", floor_scale)
+            hamiltonian.check_detuning(delta, nodes, f"{t}, {m}")
         phases = hamiltonian._atom_phases(basis, slot_wave_vectors.get(t))
         yield from loop_transition_exchange_terms(basis, t, couplings, deltas, phases)
 

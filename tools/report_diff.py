@@ -11,7 +11,9 @@ benchmark workload at one seed, read from ``perfbench/workloads.py``. Each
 tree runs all of them in its own subprocess. The tool prints how many
 ``report.json`` files are byte-identical, every exit code that differs,
 and, per report field, the largest absolute and relative difference and
-the number of differing values. It exits 0 when every report is
+the number of differing values. It then prints how many per-table CSV
+files are byte-identical, naming each one that differs or that only one
+tree wrote. It exits 0 when every report and every CSV file is
 byte-identical and 1 otherwise.
 """
 
@@ -127,9 +129,17 @@ def main(argv=None) -> int:
 
         identical = 0
         fields = defaultdict(lambda: {"count": 0, "abs": 0.0, "rel": 0.0})
+        csv_identical, csv_differing = 0, []
         for name in names:
             if codes["old"][name] != codes["new"][name]:
                 print(f"{name}: exit code {codes['old'][name]} -> {codes['new'][name]}")
+            dirs = [tmp / side / name for side in ("old", "new")]
+            for csv in sorted({path.name for d in dirs for path in d.glob("*.csv")}):
+                old, new = (d / csv for d in dirs)
+                if old.exists() and new.exists() and old.read_bytes() == new.read_bytes():
+                    csv_identical += 1
+                else:
+                    csv_differing.append(f"{name}/{csv}")
             reports = [tmp / side / name / "report.json" for side in ("old", "new")]
             if not all(path.exists() for path in reports):
                 fields["missing report.json"]["count"] += 1
@@ -147,7 +157,11 @@ def main(argv=None) -> int:
             f"  {field}: {entry['count']} differing values, "
             f"max abs {entry['abs']:.3e}, max rel {entry['rel']:.3e}"
         )
-    return 0 if identical == len(names) else 1
+    csv_total = csv_identical + len(csv_differing)
+    print(f"{csv_identical}/{csv_total} CSV files byte-identical")
+    for path in csv_differing:
+        print(f"  {path} differs")
+    return 0 if identical == len(names) and not csv_differing else 1
 
 
 if __name__ == "__main__":
