@@ -32,19 +32,54 @@ from .errors import (
 )
 from .gates import decode, encode, et_gate, synthesize_rotation
 
-KINDS = ("ET", "PHASE", "CET", "PCET", "NODE_CSWAP", "CONTROLLED_U")
+# kind: (allowed parameter counts, control count); every kind acts on two
+# target nodes, PHASE also on one
+KINDS = {
+    "ET": ((1,), 0),
+    "PHASE": ((1,), 0),
+    "CET": ((0, 1), 1),
+    "PCET": ((0,), 1),
+    "NODE_CSWAP": ((0,), 1),
+    "CONTROLLED_U": ((8,), 1),
+}
 
 _DROP = 1e-14  # snap threshold for locally vanishing mixing coefficients
+_SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 # Per input column: encoded weight a circuit may lose or gain (a CONTROLLED_U
 # payload may deviate from unitarity by as much), and weight it may leave on
 # ancilla nodes or scratch pairs.
 LEAKAGE_TOL = 1e-8
 ANCILLA_TOL = 1e-10
 
+_ADDRESS = re.compile(r"q(\d+)(?:\.([ab]))?|anc(\d+)")
+
+
+def _address_nodes(address: str) -> tuple[tuple[str, int], ...]:
+    """Nodes an address names, as ("q", 2q + half) or ("anc", j) keys.
+
+    A bare pair ``q<i>`` names its two halves (a, b).
+    """
+    m = _ADDRESS.fullmatch(address)
+    if m is None:
+        raise AddressError(f"malformed node address {address!r}")
+    q, half, anc = m.groups()
+    if anc is not None:
+        return (("anc", int(anc)),)
+    if half is None:
+        return (("q", 2 * int(q)), ("q", 2 * int(q) + 1))
+    return (("q", 2 * int(q) + (half == "b")),)
+
 
 @dataclass(frozen=True)
 class Operation:
-    """One physical operation with control and target addresses."""
+    """One physical operation with control and target addresses.
+
+    Its shape is checked when it is built: the parameter count of its kind,
+    finite parameters, one control address for the controlled kinds and none otherwise, two
+    distinct target nodes (one or two for PHASE), no node both control and
+    target, and a unitary CONTROLLED_U payload. Whether the addresses fit a
+    register is checked when it is applied.
+    """
 
     kind: str
     params: tuple[float, ...] = ()
@@ -56,6 +91,29 @@ class Operation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown operation kind {self.kind!r}")
+        counts, n_controls = KINDS[self.kind]
+        if len(self.params) not in counts:
+            expected = " or ".join(str(c) for c in counts)
+            raise ValueError(
+                f"{self.kind} takes {expected} parameters, not {len(self.params)}"
+            )
+        if not all(np.isfinite(self.params)):
+            raise ValueError(f"{self.kind} parameters must be finite")
+        if len(self.controls) != n_controls:
+            raise AddressError(
+                f"{self.kind} takes {n_controls} control addresses, "
+                f"not {len(self.controls)}"
+            )
+        targets = [n for address in self.targets for n in _address_nodes(address)]
+        sizes = (1, 2) if self.kind == "PHASE" else (2,)
+        if len(targets) not in sizes or len(set(targets)) != len(targets):
+            raise AddressError(
+                f"{self.kind} needs {' or '.join(map(str, sizes))} distinct "
+                f"target nodes, not {' '.join(self.targets) or 'none'}"
+            )
+        controls = {n for address in self.controls for n in _address_nodes(address)}
+        if controls & set(targets):
+            raise AddressError(f"{self.kind} control and targets share a node")
         if self.kind == "CONTROLLED_U":
             u = _u_from_params(self.params)
             dev = float(np.abs(u.conj().T @ u - np.eye(2)).max())
@@ -108,33 +166,51 @@ class LogicalRegister:
         occ = encode(bits) + (0,) * n_ancillas
         return cls(len(bits), n_ancillas, {occ: 1.0 + 0.0j})
 
-    def node_index(self, address: str) -> int:
-        m = re.fullmatch(r"q(\d+)\.([ab])", address)
-        if m:
-            q, half = int(m.group(1)), m.group(2)
-            if q >= self.n_qubits:
-                raise AddressError(f"qubit {q} outside register of {self.n_qubits}")
-            return 2 * q + (0 if half == "a" else 1)
-        m = re.fullmatch(r"anc(\d+)", address)
-        if m:
-            a = int(m.group(1))
-            if a >= self.n_ancillas:
-                raise AddressError(f"ancilla {a} outside register of {self.n_ancillas}")
-            return 2 * self.n_qubits + a
-        raise AddressError(f"malformed node address {address!r}")
-
     def resolve(self, address: str) -> tuple[int, ...]:
         """Node indices of an address; a bare pair expands to (a, b)."""
-        m = re.fullmatch(r"q(\d+)", address)
-        if m:
-            q = int(m.group(1))
-            if q >= self.n_qubits:
-                raise AddressError(f"qubit {q} outside register of {self.n_qubits}")
-            return (2 * q, 2 * q + 1)
-        return (self.node_index(address),)
+        nodes = []
+        for space, i in _address_nodes(address):
+            if space == "anc":
+                if i >= self.n_ancillas:
+                    raise AddressError(
+                        f"ancilla {i} outside register of {self.n_ancillas}"
+                    )
+                i += 2 * self.n_qubits
+            elif i >= 2 * self.n_qubits:
+                raise AddressError(
+                    f"qubit {i // 2} outside register of {self.n_qubits}"
+                )
+            nodes.append(i)
+        return tuple(nodes)
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+    def node_index(self, address: str) -> int:
+        """Index of a one-node address."""
+        nodes = self.resolve(address)
+        if len(nodes) != 1:
+            raise AddressError(f"{address!r} names a pair, not one node")
+        return nodes[0]
+
+    def _read_out(self, external_qubits, scratch_qubits=()):
+        """Decode the register over ``external_qubits``.
+
+        Returns the logical column, the leakage ``decode`` reports for it,
+        the weight with an excited ancilla node and the weight with a
+        scratch pair outside |0_L>. Both of those weights are left out of
+        the column, so the leakage counts them too.
+        """
+        anc_pop = 0.0
+        scratch_pop = 0.0
+        column: dict[tuple[int, ...], complex] = {}
+        for occ, amp in self.amplitudes.items():
+            if any(occ[2 * self.n_qubits :]):
+                anc_pop += abs(amp) ** 2
+            elif any((occ[2 * q], occ[2 * q + 1]) != (0, 1) for q in scratch_qubits):
+                scratch_pop += abs(amp) ** 2
+            else:
+                key = tuple(v for q in external_qubits for v in occ[2 * q : 2 * q + 2])
+                column[key] = column.get(key, 0.0) + amp
+        vec, leak = decode(column, len(external_qubits))
+        return vec, leak, anc_pop, scratch_pop
 
     def logical_state(self) -> tuple[np.ndarray, float]:
         """Logical amplitudes over the pairs and the leakage outside them.
@@ -142,23 +218,11 @@ class LogicalRegister:
         Ancilla nodes must be in |0>; any weight with an excited ancilla
         counts as leakage too.
         """
-        pairs_only: dict[tuple[int, ...], complex] = {}
-        stray = 0.0
-        for occ, amp in self.amplitudes.items():
-            if any(occ[2 * self.n_qubits + a] for a in range(self.n_ancillas)):
-                stray += abs(amp) ** 2
-                continue
-            key = occ[: 2 * self.n_qubits]
-            pairs_only[key] = pairs_only.get(key, 0.0) + amp
-        vec, leak = decode(pairs_only, self.n_qubits)
-        return vec, float(leak + stray)
+        vec, leak, anc_pop, _ = self._read_out(range(self.n_qubits))
+        return vec, float(leak + anc_pop)
 
     def ancilla_excited_population(self) -> float:
-        total = 0.0
-        for occ, amp in self.amplitudes.items():
-            if any(occ[2 * self.n_qubits + a] for a in range(self.n_ancillas)):
-                total += abs(amp) ** 2
-        return total
+        return self._read_out(range(self.n_qubits))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -199,109 +263,51 @@ def _mix_pair(amps, x: int, y: int, u2: np.ndarray, control: int | None):
     return out
 
 
-def _phase_nodes(amps, nodes: tuple[int, ...], chi: float):
+def _phase(amps, nodes: tuple[int, ...], chi: float):
     """Differential phase: e^(-i chi/2) on |01>, e^(i chi/2) on |10>.
 
-    A single-node address gets the one-node convention e^(+-i chi/2) for
+    A single node gets the one-node convention e^(+-i chi/2) for
     occupied/empty.
     """
-    out: dict[tuple[int, ...], complex] = {}
     half = chi / 2.0
-    for occ, amp in sorted(amps.items()):
-        if len(nodes) == 1:
-            factor = np.exp(1j * half) if occ[nodes[0]] else np.exp(-1j * half)
-        else:
-            x, y = nodes
-            if (occ[x], occ[y]) == (0, 1):
-                factor = np.exp(-1j * half)
-            elif (occ[x], occ[y]) == (1, 0):
-                factor = np.exp(1j * half)
-            else:
-                factor = 1.0
-        out[occ] = out.get(occ, 0.0) + amp * factor
-    return out
-
-
-def _swap_nodes(amps, x: int, y: int, control: int | None):
+    if len(nodes) == 2:
+        u2 = np.diag([np.exp(-1j * half), np.exp(1j * half)])
+        return _mix_pair(amps, *nodes, u2, control=None)
+    (node,) = nodes
+    up, down = np.exp(1j * half), np.exp(-1j * half)
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in sorted(amps.items()):
-        if control is not None and occ[control] == 0:
-            out[occ] = out.get(occ, 0.0) + amp
-            continue
-        swapped = list(occ)
-        swapped[x], swapped[y] = occ[y], occ[x]
-        key = tuple(swapped)
-        out[key] = out.get(key, 0.0) + amp
+        out[occ] = out.get(occ, 0.0) + amp * (up if occ[node] else down)
     return out
-
-
-def _control_node(register: LogicalRegister, op: Operation) -> int:
-    if len(op.controls) != 1:
-        raise AddressError(f"{op.kind} takes exactly one control address")
-    nodes = register.resolve(op.controls[0])
-    # a pair control conditions on its first half holding the excitation
-    return nodes[0]
-
-
-def _target_nodes(register: LogicalRegister, op: Operation) -> tuple[int, int]:
-    nodes: list[int] = []
-    for address in op.targets:
-        nodes.extend(register.resolve(address))
-    if len(nodes) != 2:
-        raise AddressError(f"{op.kind} needs exactly two target nodes")
-    if nodes[0] == nodes[1]:
-        raise AddressError(f"{op.kind} targets must be distinct nodes")
-    return nodes[0], nodes[1]
 
 
 def _u_from_params(params) -> np.ndarray:
-    if len(params) != 8:
-        raise AddressError("CONTROLLED_U expects 8 parameters (re, im pairs)")
     vals = [params[2 * k] + 1j * params[2 * k + 1] for k in range(4)]
     return np.array([[vals[0], vals[1]], [vals[2], vals[3]]])
 
 
 def _apply_operation(amps, op: Operation, register: LogicalRegister):
+    targets = tuple(n for address in op.targets for n in register.resolve(address))
+    controls = register.resolve(op.controls[0]) if op.controls else ()
+    # a pair control conditions on its first half holding the excitation
+    control = controls[0] if controls else None
     sign = -1.0 if op.dagger else 1.0
-    if op.kind == "ET":
-        theta = sign * op.params[0]
-        x, y = _target_nodes(register, op)
-        return _mix_pair(amps, x, y, et_gate(theta).matrix, control=None)
     if op.kind == "PHASE":
-        chi = sign * op.params[0]
-        nodes: list[int] = []
-        for address in op.targets:
-            nodes.extend(register.resolve(address))
-        if len(nodes) not in (1, 2):
-            raise AddressError("PHASE acts on one node or one pair")
-        return _phase_nodes(amps, tuple(nodes), chi)
-    if op.kind == "CET":
-        theta = sign * (op.params[0] if op.params else np.pi)
-        control = _control_node(register, op)
-        x, y = _target_nodes(register, op)
-        return _mix_pair(amps, x, y, et_gate(theta).matrix, control=control)
+        return _phase(amps, targets, sign * op.params[0])
     if op.kind == "PCET":
-        control_nodes = register.resolve(op.controls[0])
-        x, y = _target_nodes(register, op)
-        phase_op = lambda a: _phase_nodes(a, control_nodes, sign * np.pi / 2.0)
-        cet_op = lambda a: _mix_pair(
-            a, x, y, et_gate(sign * np.pi).matrix, control=control_nodes[0]
-        )
-        if op.dagger:
-            return phase_op(cet_op(amps))
-        return cet_op(phase_op(amps))
+        u2 = et_gate(sign * np.pi).matrix
+        transfer = lambda a: _mix_pair(a, *targets, u2, control)
+        phase = lambda a: _phase(a, controls, sign * np.pi / 2.0)
+        return phase(transfer(amps)) if op.dagger else transfer(phase(amps))
     if op.kind == "NODE_CSWAP":
-        control = _control_node(register, op)
-        x, y = _target_nodes(register, op)
-        return _swap_nodes(amps, x, y, control)
-    if op.kind == "CONTROLLED_U":
-        control = _control_node(register, op)
-        x, y = _target_nodes(register, op)
-        u = _u_from_params(op.params)
+        u2 = _SWAP
+    elif op.kind == "CONTROLLED_U":
+        u2 = _u_from_params(op.params)
         if op.dagger:
-            u = u.conj().T
-        return _mix_pair(amps, x, y, u, control=control)
-    raise ValueError(f"unhandled operation kind {op.kind!r}")
+            u2 = u2.conj().T
+    else:  # ET, CET
+        u2 = et_gate(sign * (op.params[0] if op.params else np.pi)).matrix
+    return _mix_pair(amps, *targets, u2, control)
 
 
 def apply(register: LogicalRegister, circuit: Circuit) -> LogicalRegister:
@@ -309,8 +315,7 @@ def apply(register: LogicalRegister, circuit: Circuit) -> LogicalRegister:
     amps = register.amplitudes
     for op in circuit:
         amps = _apply_operation(amps, op, register)
-    out = LogicalRegister(register.n_qubits, register.n_ancillas, amps)
-    return out
+    return LogicalRegister(register.n_qubits, register.n_ancillas, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +414,23 @@ def standard_toffoli_upto_phase() -> Circuit:
 
 @dataclass(frozen=True)
 class CircuitBundle:
-    """A construction together with its register layout."""
+    """A circuit together with the register it runs on.
+
+    ``logical_matrix`` reads the circuit over ``external_qubits`` (every
+    qubit by default). The other pairs start in |0_L>, and so do the ancilla
+    nodes (none by default); the ``scratch_qubits`` pairs and the ancilla
+    nodes must end there too.
+    """
 
     circuit: Circuit
     n_qubits: int
-    n_ancillas: int
-    external_qubits: tuple[int, ...]
+    n_ancillas: int = 0
+    external_qubits: tuple[int, ...] | None = None
     scratch_qubits: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.external_qubits is None:
+            object.__setattr__(self, "external_qubits", tuple(range(self.n_qubits)))
 
 
 def _u_params(u: np.ndarray) -> tuple[float, ...]:
@@ -536,35 +551,15 @@ class AssemblyReport:
     max_scratch_residual: float
 
 
-def logical_matrix(
-    bundle_or_circuit,
-    n_qubits: int | None = None,
-    n_ancillas: int = 0,
-    external_qubits: tuple[int, ...] | None = None,
-    scratch_qubits: tuple[int, ...] = (),
-) -> tuple[np.ndarray, AssemblyReport]:
-    """Assemble the logical matrix of a circuit over its external qubits.
+def logical_matrix(bundle: CircuitBundle) -> tuple[np.ndarray, AssemblyReport]:
+    """Assemble the logical matrix of a bundle's circuit over its external qubits.
 
-    Every external basis bitstring is encoded (scratch pairs to |0_L>,
+    Every external basis bitstring is encoded (the other pairs to |0_L>,
     ancilla nodes to |0>), run through the circuit, and decoded. Encoded
     weight lost or gained beyond LEAKAGE_TOL raises LeakageError, and
     ancilla or scratch weight beyond ANCILLA_TOL raises AncillaNotGround.
     """
-    if isinstance(bundle_or_circuit, CircuitBundle):
-        bundle = bundle_or_circuit
-        circuit = bundle.circuit
-        n_qubits = bundle.n_qubits
-        n_ancillas = bundle.n_ancillas
-        external_qubits = bundle.external_qubits
-        scratch_qubits = bundle.scratch_qubits
-    else:
-        circuit = bundle_or_circuit
-        if n_qubits is None:
-            raise ValueError("n_qubits required when passing a bare circuit")
-        if external_qubits is None:
-            external_qubits = tuple(range(n_qubits))
-
-    n_ext = len(external_qubits)
+    n_ext = len(bundle.external_qubits)
     dim = 2**n_ext
     matrix = np.zeros((dim, dim), dtype=complex)
     max_leak = 0.0
@@ -573,29 +568,14 @@ def logical_matrix(
 
     for col in range(dim):
         bits = format(col, f"0{n_ext}b")
-        full_bits = ["0"] * n_qubits
-        for q, b in zip(external_qubits, bits):
+        full_bits = ["0"] * bundle.n_qubits
+        for q, b in zip(bundle.external_qubits, bits):
             full_bits[q] = b
-        register = LogicalRegister.from_bits("".join(full_bits), n_ancillas)
-        out = apply(register, circuit)
-
-        anc_pop = out.ancilla_excited_population()
-        scratch_pop = 0.0
-        column: dict[tuple[int, ...], complex] = {}
-        for occ, amp in out.amplitudes.items():
-            if any(occ[2 * n_qubits + a] for a in range(n_ancillas)):
-                continue  # accounted by anc_pop
-            bad_scratch = any(
-                (occ[2 * q], occ[2 * q + 1]) != (0, 1) for q in scratch_qubits
-            )
-            if bad_scratch:
-                scratch_pop += abs(amp) ** 2
-                continue
-            ext_occ = tuple(
-                v for q in external_qubits for v in (occ[2 * q], occ[2 * q + 1])
-            )
-            column[ext_occ] = column.get(ext_occ, 0.0) + amp
-        vec, total_leak = decode(column, n_ext)
+        register = LogicalRegister.from_bits("".join(full_bits), bundle.n_ancillas)
+        out = apply(register, bundle.circuit)
+        vec, total_leak, anc_pop, scratch_pop = out._read_out(
+            bundle.external_qubits, bundle.scratch_qubits
+        )
         matrix[:, col] = vec
         # negative when the column carries more than unit norm
         pair_leak = total_leak - anc_pop - scratch_pop
@@ -679,9 +659,13 @@ _LINE = re.compile(
 
 
 def circuit_to_text(circuit: Circuit) -> str:
+    """Text form of a circuit; ``circuit_from_text`` reads it back exactly.
+
+    Operation groups are not written.
+    """
     lines = []
     for op in circuit:
-        params = ",".join(f"{p:.12g}" for p in op.params)
+        params = ",".join(repr(float(p)) for p in op.params)
         dag = "'" if op.dagger else ""
         controls = " ".join(op.controls)
         targets = " ".join(op.targets)
@@ -699,9 +683,6 @@ def circuit_from_text(text: str) -> Circuit:
         m = _LINE.match(line)
         if m is None:
             raise ParseError(f"line {lineno}: cannot parse {raw!r}")
-        kind = m.group("kind")
-        if kind not in KINDS:
-            raise ParseError(f"line {lineno}: unknown kind {kind!r}")
         params_text = m.group("params").strip()
         try:
             params = tuple(
@@ -711,7 +692,7 @@ def circuit_from_text(text: str) -> Circuit:
             raise ParseError(f"line {lineno}: bad parameters {params_text!r}") from exc
         try:
             op = Operation(
-                kind=kind,
+                kind=m.group("kind"),
                 params=params,
                 controls=tuple(m.group("controls").split()),
                 targets=tuple(m.group("targets").split()),

@@ -433,7 +433,7 @@ def _run_transistor(p: dict):
         lower=(p["delta_control"],) * 3,
         upper=(None, p["delta_target"], p["delta_target"]),
     )
-    rate = transistor_rate(couplings, detunings)
+    rate = transistor_rate((node,), couplings, detunings)
     if rate == 0.0:
         raise ValidationError("fields 'g21' and 'g32' give a transfer rate of 0")
     # a Python float, so that an overflowing window is inf without a warning
@@ -595,8 +595,8 @@ def _run_verify_circuits(p: dict):
     tol = p["tolerance"]
     rows = []
 
-    toffoli_circuit = circuits.encoded_toffoli(0, 1, 2, 0)
-    matrix, rep = circuits.logical_matrix(toffoli_circuit, n_qubits=3, n_ancillas=1)
+    toffoli = circuits.CircuitBundle(circuits.encoded_toffoli(0, 1, 2, 0), 3, 1)
+    matrix, rep = circuits.logical_matrix(toffoli)
     res = circuits.equivalence_up_to_global_phase(matrix, gates.TOFFOLI, 1e-10)
     rows.append(
         {
@@ -608,7 +608,9 @@ def _run_verify_circuits(p: dict):
         }
     )
 
-    margolus, _ = circuits.logical_matrix(circuits.standard_toffoli_upto_phase(), 3)
+    margolus, _ = circuits.logical_matrix(
+        circuits.CircuitBundle(circuits.standard_toffoli_upto_phase(), 3)
+    )
     dev = float(np.abs(np.abs(margolus) - np.abs(gates.TOFFOLI)).max())
     rows.append(
         {

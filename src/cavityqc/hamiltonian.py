@@ -931,12 +931,15 @@ def transistor_hamiltonian(
     return HamiltonianMatrix(h, basis)
 
 
-def transistor_rate(couplings: CouplingSet, detunings: DetuningSet) -> float:
-    """Single-atom cross-transition exchange rate of the transistor coupling."""
+def transistor_rate(nodes, couplings: CouplingSet, detunings: DetuningSet) -> float:
+    """Single-atom cross-transition exchange rate of the transistor coupling.
+
+    ``nodes`` scale the resonance floor, as in ``transistor_hamiltonian``.
+    """
     g21c = couplings.coupling(0, 0)
     g32 = couplings.coupling(1, 1)
     delta_c = detunings.value(0, 0)
     delta_t = detunings.value(1, 1)
-    if delta_c == 0.0 or delta_t == 0.0:
-        raise ResonanceSingularity("transistor detunings must be nonzero")
+    check_detuning(delta_c, nodes, "control lower transition")
+    check_detuning(delta_t, nodes, "target 1 upper transition")
     return float(abs(_pair_rate(g21c, g32, delta_c, delta_t)))

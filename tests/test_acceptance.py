@@ -16,6 +16,7 @@ import pytest
 from cavityqc import (
     CNOT,
     TOFFOLI,
+    CircuitBundle,
     CouplingSet,
     DetuningSet,
     EffectiveRates,
@@ -170,7 +171,7 @@ def test_criterion_5_transistor_transfer():
         node_of = lambda n: NodeSpec(n, 3, (0.0, 1.0, 2.0))
         couplings = CouplingSet(g21=0.02, g32=0.03)
         detunings = DetuningSet(lower=(0.5,) * 3, upper=(None, 0.7, 0.7))
-        rate = transistor_rate(couplings, detunings)
+        rate = transistor_rate((node_of(1),), couplings, detunings)
         t_star = {}
         for n_atoms in (1, 2):
             node = node_of(n_atoms)
@@ -200,7 +201,7 @@ def test_criterion_5_transistor_transfer():
 def test_criterion_6_encoded_toffoli():
     with criterion(6, "encoded Toffoli equals the doubly-controlled flip", 5.0):
         circuit = encoded_toffoli(0, 1, 2, 0)
-        matrix, report = logical_matrix(circuit, n_qubits=3, n_ancillas=1)
+        matrix, report = logical_matrix(CircuitBundle(circuit, 3, 1))
         result = equivalence_up_to_global_phase(matrix, TOFFOLI, tol=1e-10)
         assert result.equal
         assert result.max_deviation <= 1e-10
@@ -209,7 +210,7 @@ def test_criterion_6_encoded_toffoli():
 
 def test_criterion_7_toffoli_up_to_phase():
     with criterion(7, "rotation-ladder Toffoli matches magnitudes entrywise", 5.0):
-        matrix, _ = logical_matrix(standard_toffoli_upto_phase(), n_qubits=3)
+        matrix, _ = logical_matrix(CircuitBundle(standard_toffoli_upto_phase(), 3))
         assert np.abs(np.abs(matrix) - np.abs(TOFFOLI)).max() <= 1e-10
 
 

@@ -1,14 +1,17 @@
 """Register simulation and the encoded circuit constructions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityqc import (
     CNOT,
     TOFFOLI,
     Circuit,
+    CircuitBundle,
     LogicalRegister,
     Operation,
     and_gate,
@@ -25,6 +28,7 @@ from cavityqc import (
     logical_matrix,
     standard_toffoli_upto_phase,
 )
+from cavityqc.circuits import KINDS
 from cavityqc.errors import (
     AddressError,
     AncillaNotGround,
@@ -52,14 +56,14 @@ def test_single_full_transfer_flips_with_phase():
 def test_pcet_applied_twice_is_identity():
     op = Operation(kind="PCET", controls=("q0",), targets=("q1.a", "q1.b"))
     circuit = Circuit((op, op))
-    matrix, _ = logical_matrix(circuit, n_qubits=2)
+    matrix, _ = logical_matrix(CircuitBundle(circuit, 2))
     res = equivalence_up_to_global_phase(matrix, np.eye(4), tol=1e-10)
     assert res.equal
 
 
 def test_pcet_implements_cnot_on_register():
     op = Operation(kind="PCET", controls=("q0",), targets=("q1.a", "q1.b"))
-    matrix, _ = logical_matrix(Circuit((op,)), n_qubits=2)
+    matrix, _ = logical_matrix(CircuitBundle(Circuit((op,)), 2))
     res = equivalence_up_to_global_phase(matrix, CNOT, tol=1e-12)
     assert res.equal
     assert res.phase == pytest.approx(np.exp(-1j * np.pi / 4))
@@ -73,9 +77,8 @@ def test_address_errors():
         register.node_index("anc3")
     with pytest.raises(AddressError):
         register.node_index("junk")
-    bad = Circuit((Operation(kind="ET", params=(1.0,), targets=("q0.a",)),))
     with pytest.raises(AddressError):
-        apply(register, bad)
+        Operation(kind="ET", params=(1.0,), targets=("q0.a",))
 
 
 # --- AND via phased controlled transfer ------------------------------------------
@@ -129,7 +132,7 @@ def test_and_gate_true_branch_sets_ancilla():
 
 def test_and_gate_uncompute_restores_phases():
     circuit = and_gate(0, 1, 0) + and_gate(0, 1, 0).dagger()
-    matrix, report = logical_matrix(circuit, n_qubits=2, n_ancillas=1)
+    matrix, report = logical_matrix(CircuitBundle(circuit, 2, 1))
     assert report.max_ancilla_residual < 1e-12
     assert np.abs(matrix - np.eye(4)).max() < 1e-12
 
@@ -149,7 +152,7 @@ def test_encoded_toffoli_truth_table():
 
 def test_encoded_toffoli_matrix_and_ancilla_return():
     circuit = encoded_toffoli(0, 1, 2, 0)
-    matrix, report = logical_matrix(circuit, n_qubits=3, n_ancillas=1)
+    matrix, report = logical_matrix(CircuitBundle(circuit, 3, 1))
     res = equivalence_up_to_global_phase(matrix, TOFFOLI, tol=1e-10)
     assert res.equal
     assert report.max_ancilla_residual <= 1e-10
@@ -165,7 +168,7 @@ def test_encoded_toffoli_counts_three_phased_transfers():
 def test_ancilla_not_ground_detected():
     # a bare AND leaves the ancilla entangled: assembly must flag it
     with pytest.raises(AncillaNotGround):
-        logical_matrix(and_gate(0, 1, 0), n_qubits=2, n_ancillas=1)
+        logical_matrix(CircuitBundle(and_gate(0, 1, 0), 2, 1))
 
 
 def test_pair_leakage_detected():
@@ -173,7 +176,7 @@ def test_pair_leakage_detected():
     # pair patterns, which lie outside the encoding
     bad = Circuit((Operation(kind="ET", params=(np.pi,), targets=("q0.a", "q1.a")),))
     with pytest.raises(LeakageError):
-        logical_matrix(bad, n_qubits=2)
+        logical_matrix(CircuitBundle(bad, 2))
 
 
 NON_UNITARY = (2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0)  # 2 x identity
@@ -206,7 +209,7 @@ def test_norm_excess_fails_logical_matrix():
     op = _controlled_u((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
     object.__setattr__(op, "params", NON_UNITARY)
     with pytest.raises(LeakageError, match="leakage -3"):
-        logical_matrix(Circuit((op,)), n_qubits=2)
+        logical_matrix(CircuitBundle(Circuit((op,)), 2))
 
 
 # --- relative-phase construction ---------------------------------------------------
@@ -214,7 +217,7 @@ def test_norm_excess_fails_logical_matrix():
 
 def test_toffoli_up_to_phase_magnitudes():
     circuit = standard_toffoli_upto_phase()
-    matrix, _ = logical_matrix(circuit, n_qubits=3)
+    matrix, _ = logical_matrix(CircuitBundle(circuit, 3))
     assert np.abs(np.abs(matrix) - np.abs(TOFFOLI)).max() <= 1e-10
 
 
@@ -362,9 +365,97 @@ def test_circuit_text_round_trip():
         assert a.controls == b.controls
         assert a.targets == b.targets
         assert np.allclose(a.params, b.params, atol=1e-11)
-    matrix_a, _ = logical_matrix(parsed, n_qubits=4, n_ancillas=2)
-    matrix_b, _ = logical_matrix(bundle.circuit, n_qubits=4, n_ancillas=2)
+    matrix_a, _ = logical_matrix(replace(bundle, circuit=parsed))
+    matrix_b, _ = logical_matrix(bundle)
     assert np.abs(matrix_a - matrix_b).max() < 1e-9
+
+
+@st.composite
+def random_circuits(draw):
+    """A valid random circuit with its register: 2-3 qubits, 0-2 ancillas."""
+    n_qubits = draw(st.integers(min_value=2, max_value=3))
+    n_ancillas = draw(st.integers(min_value=0, max_value=2))
+    # every address with the nodes it names
+    nodes = {f"q{q}": {f"q{q}.a", f"q{q}.b"} for q in range(n_qubits)}
+    for q in range(n_qubits):
+        nodes.update({f"q{q}.{half}": {f"q{q}.{half}"} for half in "ab"})
+    nodes.update({f"anc{j}": {f"anc{j}"} for j in range(n_ancillas)})
+    singles = sorted(a for a, n in nodes.items() if len(n) == 1)
+    angle = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi)
+    ops = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(sorted(KINDS)))
+        if kind == "PHASE" and draw(st.booleans()):
+            targets = (draw(st.sampled_from(singles)),)
+        elif draw(st.booleans()):
+            targets = (draw(st.sampled_from([f"q{q}" for q in range(n_qubits)])),)
+        else:
+            pair = draw(st.lists(st.sampled_from(singles), min_size=2, max_size=2,
+                                 unique=True))
+            targets = tuple(pair)
+        used = set().union(*(nodes[a] for a in targets))
+        controls = ()
+        if kind not in ("ET", "PHASE"):
+            free = sorted(a for a, n in nodes.items() if not n & used)
+            controls = (draw(st.sampled_from(free)),)
+        if kind == "CONTROLLED_U":
+            seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+            u = haar_random_unitary(np.random.default_rng(seed))
+            params = tuple(v for z in u.reshape(-1) for v in (z.real, z.imag))
+        elif kind in ("PCET", "NODE_CSWAP"):
+            params = ()
+        elif kind == "CET":
+            params = tuple(draw(st.lists(angle, max_size=1)))
+        else:
+            params = (draw(angle),)
+        ops.append(Operation(kind=kind, params=tuple(map(float, params)),
+                             controls=controls, targets=targets,
+                             dagger=draw(st.booleans())))
+    return CircuitBundle(Circuit(tuple(ops)), n_qubits, n_ancillas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits())
+# twelve significant digits would read 0.1 + 0.2 back as 0.3
+@example(CircuitBundle(Circuit((Operation("ET", (0.1 + 0.2,), targets=("q0",)),)), 1))
+def test_text_form_round_trips_exactly(bundle):
+    text = circuit_to_text(bundle.circuit)
+    assert circuit_from_text(text) == bundle.circuit
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_circuits())
+def test_circuit_then_its_inverse_is_the_identity(bundle):
+    both = replace(bundle, circuit=bundle.circuit + bundle.circuit.dagger())
+    matrix, report = logical_matrix(both)
+    assert np.abs(matrix - np.eye(2**bundle.n_qubits)).max() <= 1e-12
+    assert report.max_leakage <= 1e-12
+    assert report.max_ancilla_residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "ET() -> q0",  # ET takes one angle
+        "PHASE(1.0, 2.0) -> q0",
+        "PCET(0.3) q0 -> q1",  # PCET takes none
+        "CONTROLLED_U(1,0, 0,0, 0,0, 1) q0 -> q1",  # seven of eight
+        "ET(nan) -> q0",
+        "PHASE(inf) -> q0.a",
+        "PCET() -> q0.a q0.b",  # no control
+        "ET(1.0) q0 -> q1",  # a control on an uncontrolled kind
+        "NODE_CSWAP() q0.a q1.a -> q2",  # two controls
+        "ET(1.0) -> q0.a",  # one target node
+        "PHASE(1.0) -> q0 q1",  # four target nodes
+        "CET(1.0) q0 -> q1.a q1.a",  # a node twice
+        "PCET() q0 -> q0.a q0.b",  # control and targets share a node
+        "CET(1.0) q0.a -> q0.a q0.b",
+        "ET(1.0) -> q0.c anc0",  # malformed address
+    ],
+)
+def test_operation_shape_is_checked_when_built(line):
+    with pytest.raises(ParseError, match="^line 2: "):
+        circuit_from_text("ET(1.0) -> q0\n" + line + "\n")
 
 
 def test_circuit_text_parse_errors():

@@ -330,7 +330,7 @@ def test_transistor_evolution_endpoints():
 @pytest.mark.parametrize("n_atoms", [1, 2])
 def test_transistor_closed_form_matches_propagation(n_atoms):
     node, couplings, detunings = _transistor_setup(n_atoms)
-    rate = transistor_rate(couplings, detunings)
+    rate = transistor_rate((node,), couplings, detunings)
     alpha, beta = 0.6, 0.8j
     h, psi0, projector = transistor_oracle(
         node, (node, node), couplings, detunings, alpha, beta
@@ -348,7 +348,7 @@ def test_transistor_transfer_time_scales_inverse_sqrt_n():
     t_star = {}
     for n_atoms in (1, 2):
         node, couplings, detunings = _transistor_setup(n_atoms)
-        rate = transistor_rate(couplings, detunings)
+        rate = transistor_rate((node,), couplings, detunings)
         h, psi0, projector = transistor_oracle(
             node, (node, node), couplings, detunings, 1.0, 0.0
         )
@@ -381,7 +381,7 @@ def test_transistor_control_in_ground_state_is_inert():
 
 def test_transistor_upper_swap_channel_degrades_closed_form():
     node, couplings, detunings = _transistor_setup(2)
-    rate = transistor_rate(couplings, detunings)
+    rate = transistor_rate((node,), couplings, detunings)
     h, psi0, projector = transistor_oracle(
         node, (node, node), couplings, detunings, 1.0, 0.0,
         include_target_upper_swap=True,
@@ -422,7 +422,7 @@ def test_position_phases_do_not_change_transfer_probabilities():
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
 def test_peak_locator_on_transistor(n_atoms):
     node, couplings, detunings = _transistor_setup(n_atoms)
-    rate = transistor_rate(couplings, detunings)
+    rate = transistor_rate((node,), couplings, detunings)
     h, psi0, projector = transistor_oracle(
         node, (node, node), couplings, detunings, 0.6, 0.8j
     )
@@ -532,7 +532,7 @@ def test_peak_locator_is_bit_identical_on_repeat():
         h, psi0, projector = transistor_oracle(
             node, (node, node), couplings, detunings, 0.6, 0.8j
         )
-        window = np.pi / (np.sqrt(2) * transistor_rate(couplings, detunings))
+        window = np.pi / (np.sqrt(2) * transistor_rate((node,), couplings, detunings))
         rows = projector.conj()[2:]
         for _ in range(2):
             times.append(population_peak_time(h, psi0, rows, 0.0, window))
@@ -689,7 +689,7 @@ def test_transistor_oracle_sector_matches_full_space(n_atoms, upper_swap):
         ]
     )
     psi_full = StateVector(alpha * rows[0] + beta * rows[1], full)
-    rate = transistor_rate(couplings, detunings)
+    rate = transistor_rate((node,), couplings, detunings)
     times = np.linspace(0.0, 2 * np.pi / (np.sqrt(n_atoms) * rate), 40)
     sector_amps = evolve_on_grid(h, psi0, times) @ projector.conj().T
     full_amps = evolve_on_grid(h_full, psi_full, times) @ rows.conj().T
@@ -714,7 +714,7 @@ def test_transistor_reaches_three_atoms_per_node():
     start = time.perf_counter()
     n_atoms = 3
     node, couplings, detunings = _transistor_setup(n_atoms)
-    rate = transistor_rate(couplings, detunings)
+    rate = transistor_rate((node,), couplings, detunings)
     alpha, beta = 0.6, 0.8j
     h, psi0, projector = transistor_oracle(
         node, (node, node), couplings, detunings, alpha, beta

@@ -242,12 +242,15 @@ def _with_mode(build):
     return call
 
 
-def _transistor(delta, scale):
-    node = NodeSpec(1, 3, (0.0, 0.5 * scale, scale))
-    detunings = DetuningSet(lower=(delta,) * 3, upper=(None, delta, delta))
-    return transistor_hamiltonian(
-        node, (node, node), CouplingSet(g21=0.01, g32=0.01), detunings
-    )
+def _transistor(build):
+    """A transistor entry point with both detunings at ``delta``."""
+
+    def call(delta, scale):
+        node = NodeSpec(1, 3, (0.0, 0.5 * scale, scale))
+        detunings = DetuningSet(lower=(delta,) * 3, upper=(None, delta, delta))
+        return build(node, CouplingSet(g21=0.01, g32=0.01), detunings)
+
+    return call
 
 
 # Every entry point that divides by a detuning, called as (delta, scale) on
@@ -268,7 +271,10 @@ RESONANT_ENTRY_POINTS = {
     "lamb_shift_hamiltonian": lambda delta, scale: lamb_shift_hamiltonian(
         _two_level_pair(scale), CouplingSet(g21=0.01), DetuningSet((delta, delta)), 1
     ),
-    "transistor_hamiltonian": _transistor,
+    "transistor_hamiltonian": _transistor(
+        lambda node, c, d: transistor_hamiltonian(node, (node, node), c, d)
+    ),
+    "transistor_rate": _transistor(lambda node, c, d: transistor_rate((node,), c, d)),
     "effective_model_error": lambda delta, scale: effective_model_error(
         _two_level_pair(scale), CouplingSet(g21=0.01), [delta], grid_points=2
     ),
@@ -559,7 +565,7 @@ def _transistor_setup(n_atoms):
 def test_transistor_collective_element_scales_with_sqrt_n(n_atoms):
     node, couplings, detunings = _transistor_setup(n_atoms)
     h = transistor_hamiltonian(node, (node, node), couplings, detunings)
-    rate = transistor_rate(couplings, detunings)
+    rate = transistor_rate((node,), couplings, detunings)
 
     # collective states assembled independently over 3-level product space
     n = node.atom_count

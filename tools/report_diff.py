@@ -6,8 +6,10 @@ Usage::
 
 OLD_SRC and NEW_SRC are directories that hold a ``cavityqc`` package (the
 ``src`` directory of two checkouts). The scenarios are the shipped
-``scenarios/*.json`` of this checkout plus cycles 0 .. cycles-1 of every
-benchmark workload at one seed, read from ``perfbench/workloads.py``. Each
+``scenarios/*.json`` of this checkout, cycles 0 .. cycles-1 of every
+benchmark workload at one seed, read from ``perfbench/workloads.py``, and
+one fixed verify-circuits scenario at t = 5 and 6, wider than any of
+those (they reach t <= 4). Each
 tree runs all of them in its own subprocess. The tool prints how many
 ``report.json`` files are byte-identical, every exit code that differs,
 and, per report field, the largest absolute and relative difference and
@@ -31,6 +33,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+WIDE_CIRCUITS = {
+    "kind": "verify-circuits",
+    "seed": 42,
+    "t_values": [5, 6],
+    "samples": 2,
+}
+
 # Runs every scenario of a list through cavityqc.cli.run in one process and
 # prints the exit codes as one JSON object; the tree comes from PYTHONPATH.
 CHILD = """
@@ -47,7 +56,7 @@ print(json.dumps(codes))
 
 
 def scenarios(seed: int, cycles: int) -> dict[str, str]:
-    """Scenario file text by name: shipped samples, then benchmark cycles."""
+    """Scenario file text by name: shipped samples, benchmark cycles, wide circuits."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -59,6 +68,7 @@ def scenarios(seed: int, cycles: int) -> dict[str, str]:
         for index in range(cycles):
             for j, scenario in enumerate(workloads.cycle(workload, seed, index)):
                 out[f"{workload}-c{index}-{j:02d}"] = json.dumps(scenario)
+    out["wide-verify-circuits"] = json.dumps(WIDE_CIRCUITS)
     return out
 
 
