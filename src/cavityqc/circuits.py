@@ -4,7 +4,8 @@ The register is a set of nodes: two per logical qubit plus any number of
 single ancilla nodes. States are kept as sparse maps from node-occupation
 tuples to amplitudes; every primitive maps a basis occupation to at most
 two, so circuits over the pi-transfer gates stay exactly representable at
-any register width.
+any register width. The 2x2 actions of transfers and phases are the ideal
+matrices of ``gates``, not copies of them.
 
 Address grammar: ``q<i>`` names a whole pair, ``q<i>.a`` / ``q<i>.b`` its
 halves, ``anc<j>`` an ancilla node. The text form of a circuit is one
@@ -30,7 +31,11 @@ from .errors import (
     LeakageError,
     ParseError,
 )
-from .gates import decode, encode, et_gate, synthesize_rotation
+from .gates import decode, encode, et_gate, phase_gate, synthesize_rotation
+
+# re-exported: the reference the controlled-power constructions are checked
+# against, named here by the CLI, the tests and perfbench/tracing.py
+from .gates import controlled_power_matrix  # noqa: F401
 
 # kind: (allowed parameter counts, control count); every kind acts on two
 # target nodes, PHASE also on one
@@ -264,17 +269,16 @@ def _mix_pair(amps, x: int, y: int, u2: np.ndarray, control: int | None):
 
 
 def _phase(amps, nodes: tuple[int, ...], chi: float):
-    """Differential phase: e^(-i chi/2) on |01>, e^(i chi/2) on |10>.
+    """Differential phase: phase_gate(chi) on span{|01>, |10>} of two nodes.
 
-    A single node gets the one-node convention e^(+-i chi/2) for
-    occupied/empty.
+    A single node gets the same diagonal on its own occupation: e^(-i chi/2)
+    when empty, e^(i chi/2) when occupied.
     """
-    half = chi / 2.0
+    u2 = phase_gate(chi)
     if len(nodes) == 2:
-        u2 = np.diag([np.exp(-1j * half), np.exp(1j * half)])
         return _mix_pair(amps, *nodes, u2, control=None)
     (node,) = nodes
-    up, down = np.exp(1j * half), np.exp(-1j * half)
+    down, up = np.diag(u2)
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in sorted(amps.items()):
         out[occ] = out.get(occ, 0.0) + amp * (up if occ[node] else down)
@@ -295,7 +299,7 @@ def _apply_operation(amps, op: Operation, register: LogicalRegister):
     if op.kind == "PHASE":
         return _phase(amps, targets, sign * op.params[0])
     if op.kind == "PCET":
-        u2 = et_gate(sign * np.pi).matrix
+        u2 = et_gate(sign * np.pi)
         transfer = lambda a: _mix_pair(a, *targets, u2, control)
         phase = lambda a: _phase(a, controls, sign * np.pi / 2.0)
         return phase(transfer(amps)) if op.dagger else transfer(phase(amps))
@@ -306,7 +310,7 @@ def _apply_operation(amps, op: Operation, register: LogicalRegister):
         if op.dagger:
             u2 = u2.conj().T
     else:  # ET, CET
-        u2 = et_gate(sign * (op.params[0] if op.params else np.pi)).matrix
+        u2 = et_gate(sign * (op.params[0] if op.params else np.pi))
     return _mix_pair(amps, *targets, u2, control)
 
 
@@ -528,15 +532,6 @@ def controlled_power_improved(t: int, u: np.ndarray) -> CircuitBundle:
         n_ancillas=t - 1,
         external_qubits=tuple(range(t + 1)),
     )
-
-
-def controlled_power_matrix(t: int, u: np.ndarray) -> np.ndarray:
-    """Reference matrix: apply u to the last qubit iff all t controls are set."""
-    dim = 2 ** (t + 1)
-    m = np.eye(dim, dtype=complex)
-    base = dim - 2
-    m[base:, base:] = np.asarray(u, dtype=complex)
-    return m
 
 
 # ---------------------------------------------------------------------------

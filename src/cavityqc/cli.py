@@ -550,24 +550,22 @@ def _run_verify_gates(p: dict):
             }
         )
 
-    res = circuits.equivalence_up_to_global_phase(gates.pcet().matrix, gates.CNOT, 1e-12)
+    res = circuits.equivalence_up_to_global_phase(gates.pcet(), gates.CNOT, 1e-12)
     add("pcet-equals-cnot", res.max_deviation, 1e-12)
 
-    square = gates.pcet().matrix @ gates.pcet().matrix
+    square = gates.pcet() @ gates.pcet()
     res = circuits.equivalence_up_to_global_phase(square, np.eye(4), 1e-12)
     add("pcet-involution", res.max_deviation, 1e-12)
 
-    anti = gates.phase_gate(np.pi).matrix @ gates.et_gate(np.pi).matrix + gates.et_gate(
-        np.pi
-    ).matrix @ gates.phase_gate(np.pi).matrix
+    phase, transfer = gates.phase_gate(np.pi), gates.et_gate(np.pi)
+    anti = phase @ transfer + transfer @ phase
     add("phase-et-anticommutation", np.abs(anti).max(), 1e-12)
 
     worst = 0.0
     for _ in range(p["samples"]):
         t1, t2 = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
         dev = np.abs(
-            gates.et_gate(t1).matrix @ gates.et_gate(t2).matrix
-            - gates.et_gate(t1 + t2).matrix
+            gates.et_gate(t1) @ gates.et_gate(t2) - gates.et_gate(t1 + t2)
         ).max()
         worst = max(worst, dev)
     add("et-group-law", worst, 1e-12)

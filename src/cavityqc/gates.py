@@ -5,40 +5,23 @@ A logical qubit is a node pair holding exactly one excitation:
 logical qubit about x, a differential frequency shift rotates it about z,
 and transfer conditioned on a control qubit gives the entangling gate.
 Matrices here are the ideal references that the physical-mechanism
-simulations must reproduce on the logical subspace.
+simulations must reproduce on the logical subspace. Each is a plain complex
+array whose formula is written once: the circuit engine takes its 2x2
+actions from ``et_gate`` and ``phase_gate``, and every "identity except the
+last 2x2 block" matrix (C(ET), CNOT, TOFFOLI, the t-controlled references)
+comes from ``controlled_power_matrix``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DecompositionFailure
 
-UNITARITY_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class GateUnitary:
-    """A unitary with its arity (in logical qubits) and label."""
-
-    matrix: np.ndarray
-    arity: int
-    label: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        d = 2**self.arity
-        if m.shape != (d, d):
-            raise ValueError(f"{self.label}: expected a {d}x{d} matrix")
-        dev = np.abs(m @ m.conj().T - np.eye(d)).max()
-        if dev > UNITARITY_TOL * 10:
-            raise ValueError(f"{self.label}: matrix is not unitary (dev {dev:.2e})")
-
-
-def et_gate(theta: float) -> GateUnitary:
+def et_gate(theta: float) -> np.ndarray:
     """Partial excitation transfer on span{|0>|1>, |1>|0>}.
 
     [[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]]; acts on the logical
@@ -46,17 +29,27 @@ def et_gate(theta: float) -> GateUnitary:
     swaps the pair states up to the overall factor -i.
     """
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    m = np.array([[c, -1j * s], [-1j * s, c]])
-    return GateUnitary(m, arity=1, label="ET")
+    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def phase_gate(chi: float) -> GateUnitary:
+def phase_gate(chi: float) -> np.ndarray:
     """Differential pair phase diag(e^(-i chi/2), e^(i chi/2)): logical R_z."""
-    m = np.diag([np.exp(-1j * chi / 2.0), np.exp(1j * chi / 2.0)])
-    return GateUnitary(m, arity=1, label="PHASE")
+    return np.diag([np.exp(-1j * chi / 2.0), np.exp(1j * chi / 2.0)])
 
 
-def controlled_et(theta: float) -> GateUnitary:
+def controlled_power_matrix(t: int, u) -> np.ndarray:
+    """Apply the 2x2 ``u`` to the last qubit iff all t leading controls are set.
+
+    The identity on 2^(t+1) states except for its last 2x2 block, which is
+    ``u`` (Barenco et al., PRA 52 (1995) 3457).
+    """
+    dim = 2 ** (t + 1)
+    m = np.eye(dim, dtype=complex)
+    m[dim - 2 :, dim - 2 :] = np.asarray(u, dtype=complex)
+    return m
+
+
+def controlled_et(theta: float) -> np.ndarray:
     """Excitation transfer on the target pair, gated by the control qubit.
 
     Identity when the control is |0_L>, et_gate(theta) on the target when
@@ -64,27 +57,20 @@ def controlled_et(theta: float) -> GateUnitary:
     the transistor coupling) must match this matrix on the logical
     subspace.
     """
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = et_gate(theta).matrix
-    return GateUnitary(m, arity=2, label="C(ET)")
+    return controlled_power_matrix(1, et_gate(theta))
 
 
-def pcet() -> GateUnitary:
+def pcet() -> np.ndarray:
     """Phased controlled transfer: (PHASE(pi/2) x I) . C(ET(pi)).
 
     Equals the logical CNOT times the global phase e^(-i pi/4).
     """
-    phase_on_control = np.kron(phase_gate(np.pi / 2.0).matrix, np.eye(2))
-    m = phase_on_control @ controlled_et(np.pi).matrix
-    return GateUnitary(m, arity=2, label="PCET")
+    return np.kron(phase_gate(np.pi / 2.0), np.eye(2)) @ controlled_et(np.pi)
 
 
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-TOFFOLI = np.eye(8, dtype=complex)
-TOFFOLI[6:, 6:] = np.array([[0, 1], [1, 0]])
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+CNOT = controlled_power_matrix(1, _X)
+TOFFOLI = controlled_power_matrix(2, _X)
 
 
 def haar_random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -114,7 +100,7 @@ class RotationSynthesis:
 
     def matrix(self) -> np.ndarray:
         a, b, c = self.angles
-        return phase_gate(a).matrix @ et_gate(b).matrix @ phase_gate(c).matrix
+        return phase_gate(a) @ et_gate(b) @ phase_gate(c)
 
 
 def _wrap_angle(x: float) -> float:
@@ -128,13 +114,14 @@ def synthesize_rotation(target, tol: float = 1e-10) -> RotationSynthesis:
     Any U with unit-modulus determinant factors (up to global phase) as
     Rz(a) Rx(b) Rz(c); the equivalent gate sequence is PHASE(c), ET(b),
     PHASE(a) applied in that order. Raises DecompositionFailure for
-    non-unitary input; the recomposition is checked against the target to
-    ``tol``.
+    non-unitary input, NaN entries included; the recomposition is checked
+    against the target to ``tol``.
     """
     u = np.asarray(target, dtype=complex)
     if u.shape != (2, 2):
         raise DecompositionFailure("expected a 2x2 matrix")
-    if np.abs(u @ u.conj().T - np.eye(2)).max() > 1e-8:
+    # written so that a NaN deviation fails too
+    if not np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-8:
         raise DecompositionFailure("input matrix is not unitary")
 
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
@@ -164,21 +151,21 @@ def synthesize_rotation(target, tol: float = 1e-10) -> RotationSynthesis:
     elif abs(abs(b) - np.pi) < 1e-12:
         a, c = _wrap_angle(a - c), 0.0
 
-    recomposed = phase_gate(a).matrix @ et_gate(b).matrix @ phase_gate(c).matrix
-    k = int(np.argmax(np.abs(recomposed)))
-    phase = u.flat[k] / recomposed.flat[k]
-    deviation = np.abs(u - phase * recomposed).max()
-    if deviation > tol:
-        raise DecompositionFailure(
-            f"recomposition deviates by {deviation:.2e} (tolerance {tol:.1e})"
-        )
-
     ops = tuple(
         (kind, angle)
         for kind, angle in (("PHASE", c), ("ET", b), ("PHASE", a))
         if angle != 0.0
     )
-    return RotationSynthesis(angles=(a, b, c), ops=ops, global_phase=complex(phase))
+    synthesis = RotationSynthesis(angles=(a, b, c), ops=ops, global_phase=1.0)
+    recomposed = synthesis.matrix()
+    k = int(np.argmax(np.abs(recomposed)))
+    phase = u.flat[k] / recomposed.flat[k]
+    deviation = np.abs(u - phase * recomposed).max()
+    if not deviation <= tol:
+        raise DecompositionFailure(
+            f"recomposition deviates by {deviation:.2e} (tolerance {tol:.1e})"
+        )
+    return replace(synthesis, global_phase=complex(phase))
 
 
 # ---------------------------------------------------------------------------

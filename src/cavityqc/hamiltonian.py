@@ -151,7 +151,8 @@ class EffectiveRates:
     node m; ``swap_rate`` is the inter-node exchange rate
     g_1 conj(g_2) (1/Delta_1 + 1/Delta_2) / 2; ``transition_freq_m`` is the
     bare two-level splitting. Dressed frequencies grow linearly with the
-    photon number: freq + 2 n shift.
+    photon number: freq + 2 n shift. ``from_couplings`` refuses a detuning
+    within the resonance floor of ``nodes`` (see check_detuning).
     """
 
     swap_rate: complex
@@ -161,7 +162,9 @@ class EffectiveRates:
     transition_freq_2: float = 0.0
 
     @classmethod
-    def from_couplings(cls, g1, g2, delta_1, delta_2, freq_1=0.0, freq_2=0.0):
+    def from_couplings(cls, nodes, g1, g2, delta_1, delta_2, freq_1=0.0, freq_2=0.0):
+        for m, delta in enumerate((delta_1, delta_2)):
+            check_detuning(delta, nodes, f"lower transition, node {m}")
         return cls(
             swap_rate=complex(_pair_rate(g1, g2, delta_1, delta_2)),
             shift_rate_1=abs(g1) ** 2 / delta_1,
@@ -201,7 +204,8 @@ class HamiltonianMatrix:
             )
         scale = max(1.0, float(np.abs(self.matrix).max(initial=0.0)))
         dev = float(np.abs(self.matrix - self.matrix.conj().T).max(initial=0.0))
-        if dev > HERMITICITY_TOL * scale:
+        # written so that a NaN deviation fails too
+        if not dev <= HERMITICITY_TOL * scale:
             raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
     @property
@@ -857,9 +861,7 @@ def lamb_shift_hamiltonian(
         raise BasisMismatch("lamb shift builder works on a node pair")
     g = [couplings.coupling(0, m) for m in range(2)]
     deltas = [detunings.value(0, m) for m in range(2)]
-    for m, d in enumerate(deltas):
-        check_detuning(d, nodes, f"lower transition, node {m}")
-    rates = EffectiveRates.from_couplings(g[0], g[1], deltas[0], deltas[1])
+    rates = EffectiveRates.from_couplings(nodes, g[0], g[1], deltas[0], deltas[1])
     return collective_pair_hamiltonian(
         nodes,
         swap_rate=rates.swap_rate,

@@ -68,7 +68,7 @@ def criterion(number, description, budget_seconds):
 
 def test_criterion_1_logical_cnot_identity():
     with criterion(1, "phased controlled transfer equals CNOT up to a global phase", 1.0):
-        result = equivalence_up_to_global_phase(pcet().matrix, CNOT, tol=1e-12)
+        result = equivalence_up_to_global_phase(pcet(), CNOT, tol=1e-12)
         assert result.equal
         assert result.max_deviation <= 1e-12
 

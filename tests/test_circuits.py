@@ -28,7 +28,7 @@ from cavityqc import (
     logical_matrix,
     standard_toffoli_upto_phase,
 )
-from cavityqc.circuits import KINDS
+from cavityqc.circuits import _DROP, KINDS
 from cavityqc.errors import (
     AddressError,
     AncillaNotGround,
@@ -36,7 +36,7 @@ from cavityqc.errors import (
     LeakageError,
     ParseError,
 )
-from cavityqc.gates import decode, encode
+from cavityqc.gates import decode, encode, et_gate, phase_gate
 
 
 def test_empty_circuit_is_identity():
@@ -51,6 +51,27 @@ def test_single_full_transfer_flips_with_phase():
     vec, leakage = out.logical_state()
     assert leakage < 1e-12
     assert vec[1] == pytest.approx(-1j, abs=1e-12)
+
+
+def _one_op_matrix(kind, angle):
+    op = Operation(kind=kind, params=(angle,), targets=("q0",))
+    return logical_matrix(CircuitBundle(Circuit((op,)), 1))[0]
+
+
+# angles whose cos(a/2) and sin(a/2), the real and imaginary parts of the
+# ET and PHASE entries, all lie above the engine's snap threshold
+_UNSNAPPED_ANGLES = st.floats(min_value=-4 * np.pi, max_value=4 * np.pi).filter(
+    lambda a: min(abs(np.cos(a / 2)), abs(np.sin(a / 2))) > _DROP
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=_UNSNAPPED_ANGLES, chi=_UNSNAPPED_ANGLES)
+def test_one_operation_circuits_take_their_2x2_from_gates(theta, chi):
+    # nothing is snapped, so the engine must reproduce the ideal matrices
+    # bit for bit
+    assert _one_op_matrix("ET", theta).tobytes() == et_gate(theta).tobytes()
+    assert _one_op_matrix("PHASE", chi).tobytes() == phase_gate(chi).tobytes()
 
 
 def test_pcet_applied_twice_is_identity():

@@ -283,7 +283,7 @@ def test_blockade_matches_collective_propagation():
     couplings = CouplingSet(g21_by_node=(g1, g2))
     detunings = DetuningSet(lower=(d1, d2))
     h = lamb_shift_hamiltonian(nodes, couplings, detunings, n_photons=n_ph)
-    rates = EffectiveRates.from_couplings(g1, g2, d1, d2, freq, freq)
+    rates = EffectiveRates.from_couplings(nodes, g1, g2, d1, d2, freq, freq)
     sol = blockade_solution(rates, n1, n2, n_ph)
     psi0 = StateVector(np.eye(6)[1], h.basis)
     for t in np.linspace(0.0, 200.0, 60):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from cavityqc import (
     CNOT,
+    TOFFOLI,
     NodeSpec,
     StateVector,
     controlled_et,
+    controlled_power_matrix,
     decode,
     encode,
     et_gate,
@@ -25,7 +27,7 @@ from cavityqc.errors import DecompositionFailure
 
 
 def test_et_full_transfer():
-    m = et_gate(np.pi).matrix
+    m = et_gate(np.pi)
     # |0>|1> picks up -i and moves to |1>|0>
     out = m @ np.array([1.0, 0.0])
     assert out[0] == pytest.approx(0.0, abs=1e-12)
@@ -33,8 +35,8 @@ def test_et_full_transfer():
 
 
 def test_et_identity_and_half_transfer():
-    assert np.abs(et_gate(0.0).matrix - np.eye(2)).max() == 0.0
-    out = et_gate(np.pi / 2).matrix @ np.array([1.0, 0.0])
+    assert np.abs(et_gate(0.0) - np.eye(2)).max() == 0.0
+    out = et_gate(np.pi / 2) @ np.array([1.0, 0.0])
     assert out[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert out[1] == pytest.approx(-1j / np.sqrt(2), abs=1e-12)
 
@@ -45,29 +47,29 @@ def test_et_identity_and_half_transfer():
     st.floats(min_value=-7.0, max_value=7.0),
 )
 def test_et_one_parameter_group(theta_1, theta_2):
-    combined = et_gate(theta_1).matrix @ et_gate(theta_2).matrix
-    assert np.abs(combined - et_gate(theta_1 + theta_2).matrix).max() < 1e-12
+    combined = et_gate(theta_1) @ et_gate(theta_2)
+    assert np.abs(combined - et_gate(theta_1 + theta_2)).max() < 1e-12
 
 
 def test_phase_values():
-    m = phase_gate(np.pi / 2).matrix
+    m = phase_gate(np.pi / 2)
     assert m[0, 0] == pytest.approx(np.exp(-1j * np.pi / 4))
     assert m[1, 1] == pytest.approx(np.exp(1j * np.pi / 4))
-    assert np.abs(phase_gate(0.0).matrix - np.eye(2)).max() == 0.0
+    assert np.abs(phase_gate(0.0) - np.eye(2)).max() == 0.0
     # full turn of the half-angle convention flips the sign only
-    assert np.abs(phase_gate(2 * np.pi).matrix + np.eye(2)).max() < 1e-12
+    assert np.abs(phase_gate(2 * np.pi) + np.eye(2)).max() < 1e-12
 
 
 def test_phase_and_et_anticommute():
-    a = phase_gate(np.pi).matrix @ et_gate(np.pi).matrix
-    b = et_gate(np.pi).matrix @ phase_gate(np.pi).matrix
+    a = phase_gate(np.pi) @ et_gate(np.pi)
+    b = et_gate(np.pi) @ phase_gate(np.pi)
     assert np.abs(a + b).max() < 1e-12
 
 
 def test_controlled_et_action_on_superposition():
     amps = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
     amps /= np.linalg.norm(amps)
-    out = controlled_et(np.pi).matrix @ amps
+    out = controlled_et(np.pi) @ amps
     assert out[0] == pytest.approx(amps[0])
     assert out[1] == pytest.approx(amps[1])
     assert out[2] == pytest.approx(-1j * amps[3])
@@ -75,22 +77,49 @@ def test_controlled_et_action_on_superposition():
 
 
 def test_controlled_et_trivial_cases():
-    assert np.abs(controlled_et(0.0).matrix - np.eye(4)).max() == 0.0
-    m = controlled_et(1.234).matrix
+    assert np.abs(controlled_et(0.0) - np.eye(4)).max() == 0.0
+    m = controlled_et(1.234)
     assert np.abs(m[:2, :2] - np.eye(2)).max() == 0.0
     assert np.abs(m[:2, 2:]).max() == 0.0
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_controlled_block_builder_reproduces_the_literal_references():
+    # the literal constructions C(ET), CNOT, TOFFOLI and the t-controlled
+    # reference each had before they shared one builder
+    cnot = np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    )
+    toffoli = np.eye(8, dtype=complex)
+    toffoli[6:, 6:] = np.array([[0, 1], [1, 0]])
+    assert _same_bits(CNOT, cnot)
+    assert _same_bits(TOFFOLI, toffoli)
+    for theta in (0.0, 0.7, np.pi, -2.5):
+        c_et = np.eye(4, dtype=complex)
+        c_et[2:, 2:] = et_gate(theta)
+        assert _same_bits(controlled_et(theta), c_et)
+    rng = np.random.default_rng(3)
+    for t in (1, 2, 3, 6):
+        u = haar_random_unitary(rng)
+        dim = 2 ** (t + 1)
+        reference = np.eye(dim, dtype=complex)
+        reference[dim - 2 :, dim - 2 :] = np.asarray(u, dtype=complex)
+        assert _same_bits(controlled_power_matrix(t, u), reference)
+
+
 def test_pcet_equals_cnot_up_to_global_phase():
-    res = equivalence_up_to_global_phase(pcet().matrix, CNOT, tol=1e-12)
+    res = equivalence_up_to_global_phase(pcet(), CNOT, tol=1e-12)
     assert res.equal
     # the extracted phase is the matrix element on the |00> input
-    assert res.phase == pytest.approx(pcet().matrix[0, 0])
+    assert res.phase == pytest.approx(pcet()[0, 0])
     assert res.phase == pytest.approx(np.exp(-1j * np.pi / 4))
 
 
 def test_pcet_involution_up_to_global_phase():
-    square = pcet().matrix @ pcet().matrix
+    square = pcet() @ pcet()
     res = equivalence_up_to_global_phase(square, np.eye(4), tol=1e-12)
     assert res.equal
 
@@ -108,7 +137,7 @@ def test_gate_layer_matches_swap_dynamics():
             psi0 = StateVector(np.eye(6)[1], h.basis)
             out = propagate(h, psi0, t)
             logical = np.array([out.amplitudes[2], out.amplitudes[1]])
-            expected = et_gate(theta).matrix @ np.array([0.0, 1.0])
+            expected = et_gate(theta) @ np.array([0.0, 1.0])
             res = equivalence_up_to_global_phase(
                 logical.reshape(2, 1), expected.reshape(2, 1), tol=1e-9
             )
@@ -151,7 +180,7 @@ def test_blockade_mechanism_reproduces_controlled_transfer_branches():
         return action
 
     transfer = logical_action(0)
-    res = equivalence_up_to_global_phase(transfer, et_gate(np.pi).matrix, tol=1e-9)
+    res = equivalence_up_to_global_phase(transfer, et_gate(np.pi), tol=1e-9)
     assert res.equal
 
     blocked = logical_action(1)
@@ -164,7 +193,7 @@ def test_blockade_mechanism_reproduces_controlled_transfer_branches():
 
 def test_synthesize_pure_transfer_rotation():
     theta = 1.1
-    synthesis = synthesize_rotation(et_gate(theta).matrix)
+    synthesis = synthesize_rotation(et_gate(theta))
     a, b, c = synthesis.angles
     assert a == 0.0 and c == 0.0
     assert b == pytest.approx(theta, abs=1e-12)
@@ -174,11 +203,7 @@ def test_synthesize_pure_transfer_rotation():
 def test_synthesize_hadamard():
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     # the symmetric triple is itself a valid decomposition
-    triple = (
-        phase_gate(np.pi / 2).matrix
-        @ et_gate(np.pi / 2).matrix
-        @ phase_gate(np.pi / 2).matrix
-    )
+    triple = phase_gate(np.pi / 2) @ et_gate(np.pi / 2) @ phase_gate(np.pi / 2)
     res = equivalence_up_to_global_phase(triple, hadamard, tol=1e-12)
     assert res.equal
     synthesis = synthesize_rotation(hadamard)
@@ -203,6 +228,12 @@ def test_synthesize_random_unitaries():
 def test_synthesize_rejects_non_unitary():
     with pytest.raises(DecompositionFailure):
         synthesize_rotation(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_synthesize_rejects_nan():
+    # a NaN deviation fails the unitarity check instead of passing it
+    with pytest.raises(DecompositionFailure, match="not unitary"):
+        synthesize_rotation(np.full((2, 2), np.nan))
 
 
 # --- encoding -------------------------------------------------------------------

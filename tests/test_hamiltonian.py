@@ -14,6 +14,7 @@ from cavityqc import (
     DetuningSet,
     EffectiveRates,
     FockFactor,
+    HamiltonianMatrix,
     Mode,
     NodeSpec,
     build_microscopic_basis,
@@ -275,6 +276,9 @@ RESONANT_ENTRY_POINTS = {
         lambda node, c, d: transistor_hamiltonian(node, (node, node), c, d)
     ),
     "transistor_rate": _transistor(lambda node, c, d: transistor_rate((node,), c, d)),
+    "EffectiveRates.from_couplings": lambda delta, scale: (
+        EffectiveRates.from_couplings(_two_level_pair(scale), 0.01, 0.01, delta, delta)
+    ),
     "effective_model_error": lambda delta, scale: effective_model_error(
         _two_level_pair(scale), CouplingSet(g21=0.01), [delta], grid_points=2
     ),
@@ -545,7 +549,7 @@ def test_effective_collective_rejects_three_level_nodes():
     st.floats(min_value=0.05, max_value=2.0),
 )
 def test_rate_identity_at_equal_detunings(g1, g2, delta):
-    rates = EffectiveRates.from_couplings(g1, g2, delta, delta)
+    rates = EffectiveRates.from_couplings(_two_level_pair(1.0), g1, g2, delta, delta)
     assert abs(rates.swap_rate) ** 2 == pytest.approx(
         rates.shift_rate_1 * rates.shift_rate_2, rel=1e-12
     )
@@ -651,6 +655,12 @@ def test_every_builder_returns_hermitian_matrices():
         dev = np.abs(h.matrix - h.matrix.conj().T).max()
         scale = max(1.0, np.abs(h.matrix).max())
         assert dev <= 1e-12 * scale
+
+
+def test_hermiticity_check_refuses_nan():
+    # a NaN deviation fails the check; eigh would return a NaN eigenvalue
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HamiltonianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), None)
 
 
 # --- properties of every microscopic builder over random small systems -------------
