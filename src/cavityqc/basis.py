@@ -33,6 +33,18 @@ DENSE_BYTES_CAP = 1 << 30
 Vector3 = tuple[float, float, float]
 
 
+def _finite_vectors(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``; ValueError unless all finite."""
+    try:
+        array = np.asarray(value, dtype=float)
+        valid = array.shape == shape and np.isfinite(array).all()
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be finite 3-vectors, shape {shape}: {value!r}")
+    return array
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """One multi-atom node: atom count, level structure, optional positions."""
@@ -53,8 +65,8 @@ class NodeSpec:
             b <= a for a, b in zip(self.level_energies, self.level_energies[1:])
         ):
             raise ValueError("level_energies must be strictly increasing")
-        if self.positions is not None and len(self.positions) != self.atom_count:
-            raise ValueError("positions list length must equal atom_count")
+        if self.positions is not None:
+            _finite_vectors(self.positions, (self.atom_count, 3), "positions")
 
     def atom_positions(self) -> np.ndarray:
         """(atom_count, 3) array; zeros unless positions were supplied."""
@@ -161,10 +173,6 @@ class CompositeBasis:
     @property
     def n_atomic_sites(self) -> int:
         return sum(node.atom_count for node in self.nodes)
-
-    def atom_site(self, node_index: int, atom_index: int) -> int:
-        offset = sum(n.atom_count for n in self.nodes[:node_index])
-        return offset + atom_index
 
     def node_sites(self, node_index: int) -> range:
         offset = sum(n.atom_count for n in self.nodes[:node_index])
@@ -350,7 +358,7 @@ class CollectiveBasis:
 
     def sector(self, index: int) -> int:
         """Total collective excitation number of basis state ``index``."""
-        return (0, 1, 1, 2, 2, 2)[index]
+        return sum(PAIR_OCCUPATIONS[index])
 
     @staticmethod
     def occupation_rotation() -> np.ndarray:
@@ -371,52 +379,56 @@ class CollectiveBasis:
 # ---------------------------------------------------------------------------
 
 
-def _phases(node: NodeSpec, wave_vector) -> np.ndarray:
-    if wave_vector is None:
-        return np.ones(node.atom_count, dtype=complex)
-    k = np.asarray(wave_vector, dtype=float)
-    return np.exp(1j * (node.atom_positions() @ k))
+def atom_phases(basis: CompositeBasis, wave_vector) -> np.ndarray:
+    """Plane-wave phase e^(i k.r_j) of every atomic site of the basis.
 
-
-def _product_pattern(basis: CompositeBasis, excitations, wave_vector):
-    """Occupation tuples and amplitudes of a product of collective excitations.
-
-    ``excitations`` lists (node_index, excited_level) pairs on distinct
-    nodes; each factor is N^(-1/2) sum_j e^(i k.r_j) |level at atom j>.
-    An empty list gives the all-ground state.
+    All phases are 1 when ``wave_vector`` is None; otherwise it must be a
+    finite 3-vector (ValueError).
     """
-    if len({m for m, _ in excitations}) != len(excitations):
+    phases = np.ones(basis.n_atomic_sites, dtype=complex)
+    if wave_vector is None:
+        return phases
+    k = _finite_vectors(wave_vector, (3,), "wave vector")
+    for m, node in enumerate(basis.nodes):
+        for site, r in zip(basis.node_sites(m), node.atom_positions()):
+            phases[site] = np.exp(1j * (r @ k))
+    return phases
+
+
+def _dicke_pattern(basis: CompositeBasis, excitations, phases):
+    """Occupation rows and amplitudes of a product of one-node Dicke states.
+
+    ``excitations`` lists (node_index, level, count) on distinct nodes. The
+    factor of a node with N atoms is C(N, count)^(-1/2) times the sum, over
+    each choice of ``count`` of its atoms, of the product of their
+    ``phases`` times the state with those atoms at ``level``. Every site
+    not chosen stays at 0, so an empty list gives the all-ground state.
+    """
+    if len({m for m, _, _ in excitations}) != len(excitations):
         raise BasisMismatch("product excitations need distinct nodes")
     occs, amps = [[0] * len(basis.shape)], [1.0]
-    for node_index, level in excitations:
+    for node_index, level, count in excitations:
         node = basis.nodes[node_index]
         if level >= node.level_count:
             raise BasisMismatch("node does not have the requested level")
-        factor = _phases(node, wave_vector) / np.sqrt(node.atom_count)
+        if count > node.atom_count:
+            raise BasisMismatch(f"{count} excitations need at least {count} atoms")
+        if count == 0:
+            continue  # the node's factor is its ground state, amplitude 1
+        norm = np.sqrt(math.comb(node.atom_count, count))
+        terms = [
+            (chosen, math.prod(phases[site] for site in chosen) / norm)
+            for chosen in itertools.combinations(basis.node_sites(node_index), count)
+        ]
         grown_occs, grown_amps = [], []
         for occ, amp in zip(occs, amps):
-            for j, site in enumerate(basis.node_sites(node_index)):
+            for chosen, factor in terms:
                 grown = list(occ)
-                grown[site] = level
+                for site in chosen:
+                    grown[site] = level
                 grown_occs.append(grown)
-                grown_amps.append(amp * factor[j])
+                grown_amps.append(amp * factor)
         occs, amps = grown_occs, grown_amps
-    return occs, amps
-
-
-def _double_pattern(basis: CompositeBasis, node_index: int, wave_vector):
-    node = basis.nodes[node_index]
-    if node.atom_count < 2:
-        raise BasisMismatch("double excitation needs at least two atoms")
-    phases = _phases(node, wave_vector)
-    norm = np.sqrt(node.atom_count * (node.atom_count - 1) / 2.0)
-    occs, amps = [], []
-    for j, f in itertools.combinations(range(node.atom_count), 2):
-        occ = [0] * len(basis.shape)
-        occ[basis.atom_site(node_index, j)] = 1
-        occ[basis.atom_site(node_index, f)] = 1
-        occs.append(occ)
-        amps.append(phases[j] * phases[f] / norm)
     return occs, amps
 
 
@@ -446,10 +458,12 @@ def product_excitation_state(
     """Product of single collective excitations on distinct nodes.
 
     ``excitations`` lists (node_index, excited_level) pairs; every site not
-    named stays at 0. Raises BasisMismatch when the state lies outside a
-    sector basis.
+    named stays at 0, so an empty list gives the all-ground state. Raises
+    BasisMismatch when the state lies outside a sector basis.
     """
-    return _vector(basis, *_product_pattern(basis, excitations, wave_vector))
+    phases = atom_phases(basis, wave_vector)
+    singles = [(m, level, 1) for m, level in excitations]
+    return _vector(basis, *_dicke_pattern(basis, singles, phases))
 
 
 def double_excitation_state(
@@ -460,42 +474,31 @@ def double_excitation_state(
     sqrt(2/(N(N-1))) sum_{j>f} e^(i k.(r_j+r_f)) |... e_j ... e_f ...>;
     requires at least two atoms in the node.
     """
-    return _vector(basis, *_double_pattern(basis, node_index, wave_vector))
-
-
-def ground_state(basis: CompositeBasis) -> np.ndarray:
-    return basis.basis_state(tuple(0 for _ in basis.shape))
+    phases = atom_phases(basis, wave_vector)
+    return _vector(basis, *_dicke_pattern(basis, [(node_index, 1, 2)], phases))
 
 
 def pair_isometry(basis: CompositeBasis, wave_vector=None) -> np.ndarray:
     """(6, dim) matrix whose rows are the collective pair states.
 
-    Rows follow PAIR_LABELS, every photon mode (if any) in its vacuum.
+    Rows follow PAIR_LABELS, every photon mode (if any) in its vacuum: the
+    PAIR_OCCUPATIONS states mixed by CollectiveBasis.occupation_rotation().
     States the basis cannot hold come out as zero rows, so projections onto
     them simply vanish: doubly-excited one-node states of single-atom
     nodes, and on a SectorBasis every state of another excitation count.
     """
-    if len(basis.nodes) != 2 or any(n.level_count != 2 for n in basis.nodes):
-        raise BasisMismatch("pair isometry requires exactly two two-level nodes")
-
-    def row(pattern):
-        occs, amps = pattern
-        if not basis.holds(occs[0]):
-            return np.zeros(basis.dim, dtype=complex)
-        return _vector(basis, occs, amps)
-
-    def two(m):
-        if basis.nodes[m].atom_count < 2:
-            return np.zeros(basis.dim, dtype=complex)
-        return row(_double_pattern(basis, m, wave_vector))
-
-    rows = np.zeros((6, basis.dim), dtype=complex)
-    for r, excitations in enumerate(([], [(0, 1)], [(1, 1)], [(0, 1), (1, 1)])):
-        rows[r] = row(_product_pattern(basis, excitations, wave_vector))
-    two1, two2 = two(0), two(1)
-    rows[4] = (two1 + two2) / np.sqrt(2.0)
-    rows[5] = (two1 - two2) / np.sqrt(2.0)
-    return rows
+    collective = CollectiveBasis(basis.nodes)
+    phases = atom_phases(basis, wave_vector)
+    states = np.zeros((6, basis.dim), dtype=complex)
+    for r, counts in enumerate(PAIR_OCCUPATIONS):
+        if any(n > node.atom_count for n, node in zip(counts, basis.nodes)):
+            continue
+        occs, amps = _dicke_pattern(
+            basis, [(m, 1, n) for m, n in enumerate(counts)], phases
+        )
+        if basis.holds(occs[0]):
+            states[r] = _vector(basis, occs, amps)
+    return collective.occupation_rotation() @ states
 
 
 def symmetrize(

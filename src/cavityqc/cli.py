@@ -46,15 +46,6 @@ from .hamiltonian import (
 )
 from .state import StateVector, fidelity
 
-SCENARIO_KINDS = (
-    "pair-evolution",
-    "blockade",
-    "transistor",
-    "effective-error-sweep",
-    "verify-gates",
-    "verify-circuits",
-)
-
 
 @dataclass(frozen=True)
 class Field:
@@ -154,6 +145,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("tolerance", "float", False, 1e-9, "equivalence bound"),
     ),
 }
+SCENARIO_KINDS = tuple(SCHEMAS)
 
 # Amplitude pairs of a scenario that must be normalized, per kind.
 NORMALIZED_PAIRS = {
@@ -199,6 +191,9 @@ def load_scenario(path) -> tuple[str, dict]:
 
 
 def _finite(field: Field, value) -> float:
+    """The one number rule: a JSON number, not a string or a boolean, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
     # json.loads accepts Infinity and NaN, which no scenario value may be
     number = float(value)
     if not np.isfinite(number):
@@ -221,8 +216,6 @@ def _coerce(field: Field, value):
         if field.kind == "int":
             return _integer(field, value)
         if field.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError
             return _finite(field, value)
         if field.kind == "bool":
             if not isinstance(value, bool):
@@ -231,11 +224,14 @@ def _coerce(field: Field, value):
         if field.kind == "complex":
             re_part, im_part = value
             return complex(_finite(field, re_part), _finite(field, im_part))
-        if field.kind == "list[float]":
-            return [_finite(field, v) for v in value]
-        if field.kind == "list[int]":
-            return [_integer(field, v) for v in value]
-    except (TypeError, ValueError) as exc:
+        if field.kind.startswith("list["):
+            if not isinstance(value, list):
+                raise TypeError
+            if not value:
+                raise ValidationError(f"field {field.name!r} must not be empty")
+            item = _finite if field.kind == "list[float]" else _integer
+            return [item(field, v) for v in value]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"field {field.name!r} expects {field.kind}, got {value!r}"
         ) from exc

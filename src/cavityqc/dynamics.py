@@ -490,8 +490,8 @@ def effective_model_error(
     floor (see check_detuning) raises ResonanceSingularity.
     """
     nodes = tuple(nodes)
-    if len(nodes) != 2 or any(n.level_count != 2 for n in nodes):
-        raise BasisMismatch("error study runs on a two-level node pair")
+    # refuses anything but a pair of two-level nodes
+    collective = CollectiveBasis(nodes)
     gaps = {node.transition_freq for node in nodes}
     if len(gaps) != 1:
         raise ValueError("nodes must share a transition frequency")
@@ -501,7 +501,6 @@ def effective_model_error(
         raise ValueError("error study assumes equal couplings")
 
     n1, n2 = (node.atom_count for node in nodes)
-    collective = CollectiveBasis(nodes)
     # one collective excitation on node 1, photon vacuum: its sector is
     # the only part of the microscopic space the dynamics can reach
     start = collective.index("10")

@@ -41,11 +41,16 @@ def controlled_power_matrix(t: int, u) -> np.ndarray:
     """Apply the 2x2 ``u`` to the last qubit iff all t leading controls are set.
 
     The identity on 2^(t+1) states except for its last 2x2 block, which is
-    ``u`` (Barenco et al., PRA 52 (1995) 3457).
+    ``u`` (Barenco et al., PRA 52 (1995) 3457). Raises ValueError unless
+    ``u`` is a 2x2 unitary to 1e-8, the bound a CONTROLLED_U payload meets.
     """
+    u = np.asarray(u, dtype=complex)
+    # written so that a NaN deviation fails too
+    if u.shape != (2, 2) or not np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-8:
+        raise ValueError(f"controlled block must be a 2x2 unitary, got {u!r}")
     dim = 2 ** (t + 1)
     m = np.eye(dim, dtype=complex)
-    m[dim - 2 :, dim - 2 :] = np.asarray(u, dtype=complex)
+    m[dim - 2 :, dim - 2 :] = u
     return m
 
 

@@ -37,6 +37,7 @@ from .basis import (
     NodeSpec,
     PAIR_OCCUPATIONS,
     SectorBasis,
+    atom_phases,
     build_microscopic_basis,
 )
 from .errors import (
@@ -332,19 +333,6 @@ def _mode_slots(couplings: CouplingSet, fock: FockFactor | None) -> dict[int, in
     return {t: slot for slot, t in enumerate(enabled)}
 
 
-def _atom_phases(basis: CompositeBasis, wave_vector) -> np.ndarray:
-    """Plane-wave phase e^(i k.r_j) per atomic site of the basis."""
-    phases = np.ones(basis.n_atomic_sites, dtype=complex)
-    if wave_vector is None:
-        return phases
-    k = np.asarray(wave_vector, dtype=float)
-    for m, node in enumerate(basis.nodes):
-        pos = node.atom_positions()
-        for j in range(node.atom_count):
-            phases[basis.atom_site(m, j)] = np.exp(1j * (pos[j] @ k))
-    return phases
-
-
 def check_detuning(delta: float, nodes, context: str):
     """Refuse a detuning within RESONANCE_FLOOR x the largest level energy.
 
@@ -420,7 +408,7 @@ def _photon_exchange_terms(basis, couplings: CouplingSet, fock: FockFactor, alph
         upper, lower = TRANSITIONS[t]
         mode_site = basis.mode_site(slot)
         n_levels = fock.n_max[slot] + 1
-        phases = _atom_phases(basis, fock.modes[slot].wave_vector)
+        phases = atom_phases(basis, fock.modes[slot].wave_vector)
         for m, node in enumerate(basis.nodes):
             if node.level_count <= upper:
                 continue
@@ -491,7 +479,7 @@ def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
         }
         for m, delta in deltas.items():
             check_detuning(delta, nodes, f"transition {t}, node {m}")
-        phases = _atom_phases(basis, slot_wave_vectors.get(t))
+        phases = atom_phases(basis, slot_wave_vectors.get(t))
         channels = {m: (basis.node_sites(m), t, phases) for m in deltas}
         yield from _exchange_terms(channels, _transition_pairs(t, couplings, deltas))
 
@@ -634,22 +622,23 @@ def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vector
                 yield -rate, ((j, _projector(lower)), (mode_site, _number(n_levels)))
 
     # cross terms between transition pairs, one atom at a time
+    zero = (0.0, 0.0, 0.0)
     k_of = {
-        t: np.asarray(wave_vectors[t] or (0.0, 0.0, 0.0), dtype=float)
+        t: np.asarray(zero if wave_vectors[t] is None else wave_vectors[t], dtype=float)
         for t in slot_of
     }
-    rows = [
-        (to, fr, photons, sorted(photons, key=lambda photon: photon[1] < 0))
-        for (to, fr), photons in _CROSS_TERMS
-        if all(t in slot_of for t, _, _ in photons)
-    ]
+    rows = []
+    for (to, fr), photons in _CROSS_TERMS:
+        if all(t in slot_of for t, _, _ in photons):
+            (ta, pa, _), (tb, pb, _) = photons
+            ordered = sorted(photons, key=lambda photon: photon[1] < 0)
+            phases = atom_phases(basis, pa * k_of[ta] + pb * k_of[tb])
+            rows.append((to, fr, photons, ordered, phases))
     for m, node in enumerate(nodes):
         if node.level_count < 3:
             continue
-        pos = node.atom_positions()
-        for j in range(node.atom_count):
-            site = basis.atom_site(m, j)
-            for to, fr, photons, ordered in rows:
+        for site in basis.node_sites(m):
+            for to, fr, photons, ordered, phases in rows:
                 (ta, pa, sa), (tb, pb, sb) = photons
                 ga, gb = couplings.coupling(ta, m), couplings.coupling(tb, m)
                 coeff = (
@@ -657,7 +646,7 @@ def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vector
                     * (sa / detunings.value(ta, m) + sb / detunings.value(tb, m))
                     * (ga if pa > 0 else np.conj(ga))
                     * (gb if pb > 0 else np.conj(gb))
-                    * np.exp(1j * ((pa * k_of[ta] + pb * k_of[tb]) @ pos[j]))
+                    * phases[site]
                 )
                 yield coeff, ((site, _transition(to, fr)),) + tuple(
                     _photon(t, p > 0) for t, p, _ in ordered
@@ -739,7 +728,7 @@ def swap_hamiltonian_microscopic(
         raise BasisMismatch("swap Hamiltonian requires two-level nodes")
     basis = _product_basis(nodes, None, None, quanta)
     # every atom of both nodes in one channel: one double sum at one rate
-    atoms = (range(basis.n_atomic_sites), 0, _atom_phases(basis, wave_vector))
+    atoms = (range(basis.n_atomic_sites), 0, atom_phases(basis, wave_vector))
     exchange = _exchange_terms({0: atoms}, {(0, 0): swap_rate})
     bare = () if rotating_frame else _bare_terms(basis)
     h = _assemble(basis, itertools.chain(bare, exchange))
@@ -911,8 +900,8 @@ def transistor_hamiltonian(
         raise BasisMismatch("target nodes must be three-level")
     basis = _product_basis(nodes, couplings, None, quanta)
     k_lower, k_upper = wave_vectors if wave_vectors is not None else (None, None)
-    phases_lower = _atom_phases(basis, k_lower)
-    phases_upper = _atom_phases(basis, k_upper)
+    phases_lower = atom_phases(basis, k_lower)
+    phases_upper = atom_phases(basis, k_upper)
 
     g21c = couplings.coupling(0, 0)
     delta_c = detunings.value(0, 0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cavityqc import (
     CollectiveBasis,
+    CouplingSet,
     FockFactor,
     Mode,
     NodeSpec,
@@ -17,12 +18,13 @@ from cavityqc import (
     build_microscopic_basis,
     collective_excitation_state,
     double_excitation_state,
+    microscopic_hamiltonian,
     pair_isometry,
     product_excitation_state,
     swap_hamiltonian_microscopic,
     symmetrize,
 )
-from cavityqc.basis import ground_state
+from cavityqc.basis import atom_phases
 from cavityqc.dynamics import evolve_on_grid
 from cavityqc.errors import BasisMismatch, DimensionCap
 
@@ -30,12 +32,20 @@ from cavityqc.errors import BasisMismatch, DimensionCap
 # --- independent brute-force oracle -----------------------------------------
 
 
-def brute_dicke(n_atoms, n_excited):
-    """Symmetric n-excitation state by direct enumeration of bitstrings."""
+def brute_dicke(n_atoms, n_excited, phases=None):
+    """Symmetric n-excitation state by direct enumeration of bitstrings.
+
+    With ``phases`` (one per atom) each bitstring carries the product of
+    the phases of its excited atoms. A node with fewer than ``n_excited``
+    atoms holds no such state: the zero vector.
+    """
+    phases = np.ones(n_atoms) if phases is None else phases
     vec = np.zeros(2**n_atoms, dtype=complex)
     for excited in itertools.combinations(range(n_atoms), n_excited):
         index = sum(2 ** (n_atoms - 1 - j) for j in excited)
-        vec[index] = 1.0
+        vec[index] = np.prod([phases[j] for j in excited])
+    if n_excited > n_atoms:
+        return vec
     return vec / np.linalg.norm(vec)
 
 
@@ -215,11 +225,71 @@ def test_index_order_is_lexicographic_and_stable():
     assert basis.index((1, 1, 1)) == basis.dim - 1
 
 
+_coordinates = st.floats(min_value=-2.0, max_value=2.0)
+_vectors = st.tuples(_coordinates, _coordinates, _coordinates)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    k=_vectors,
+    data=st.data(),
+)
+def test_phased_pair_states_match_a_kronecker_construction(sizes, k, data):
+    # every pair-isometry row, 2- included, and the one-node double
+    # excitation, against Dicke factors phased atom by atom and joined by kron
+    positions = [data.draw(st.lists(_vectors, min_size=n, max_size=n)) for n in sizes]
+    nodes = tuple(NodeSpec(n, positions=tuple(r)) for n, r in zip(sizes, positions))
+    micro = build_microscopic_basis(nodes)
+    phases = [np.exp(1j * (np.array(r) @ np.array(k))) for r in positions]
+
+    def pair(exc1, exc2):
+        first = brute_dicke(sizes[0], exc1, phases[0])
+        return np.kron(first, brute_dicke(sizes[1], exc2, phases[1]))
+
+    doubles = pair(2, 0), pair(0, 2)
+    expected = [pair(0, 0), pair(1, 0), pair(0, 1), pair(1, 1)]
+    expected += [(doubles[0] + sign * doubles[1]) / np.sqrt(2) for sign in (1, -1)]
+    rows = pair_isometry(micro, wave_vector=k)
+    for row, reference in zip(rows, expected):
+        assert np.abs(row - reference).max() < 1e-12
+    for m, n in enumerate(sizes):
+        if n < 2:
+            continue
+        state = double_excitation_state(micro, m, wave_vector=k)
+        assert np.abs(state - doubles[m]).max() < 1e-12
+
+
+def test_wave_vectors_must_be_finite_3_vectors():
+    # a NaN wave vector used to give a non-finite state without an error;
+    # every wave_vector argument and Mode.wave_vector reach the one check
+    nan = float("nan")
+    nodes = (NodeSpec(2, positions=((0, 0, 0), (0.3, 0.1, 0.2))), NodeSpec(1))
+    micro = build_microscopic_basis(nodes)
+    for k in ((1.0, 2.0), (nan, 0.0, 0.0), (0.0, float("inf"), 0.0), "k"):
+        with pytest.raises(ValueError):
+            atom_phases(micro, k)
+        with pytest.raises(ValueError):
+            collective_excitation_state(micro, 0, wave_vector=k)
+        with pytest.raises(ValueError):
+            pair_isometry(micro, wave_vector=k)
+        with pytest.raises(ValueError):
+            swap_hamiltonian_microscopic(nodes, 0.3, wave_vector=k)
+    fock = FockFactor((Mode(1.0, wave_vector=(nan, 0.0, 0.0)),), (1,))
+    with pytest.raises(ValueError):
+        microscopic_hamiltonian(nodes, CouplingSet(g21=0.1), fock)
+
+
 def test_node_spec_validation():
     with pytest.raises(ValueError):
         NodeSpec(2, 2, (1.0, 0.5))  # not increasing
     with pytest.raises(ValueError):
         NodeSpec(2, positions=((0.0, 0.0, 0.0),))  # wrong length
+    # positions that are not finite 3-vectors: these two used to construct
+    # and fail later, in a matmul or as a non-finite state
+    for positions in (((0, 0), (1, 0)), ((0, 0, 0), (float("nan"), 0, 0))):
+        with pytest.raises(ValueError):
+            NodeSpec(2, positions=positions)
 
 
 # --- symmetrization ----------------------------------------------------------
@@ -247,7 +317,7 @@ def test_symmetrize_rejects_photon_bases():
         (NodeSpec(1), NodeSpec(1)), FockFactor((Mode(1.0),), (1,))
     )
     with pytest.raises(BasisMismatch):
-        symmetrize(StateVector(ground_state(basis), basis))
+        symmetrize(StateVector(product_excitation_state(basis, []), basis))
 
 
 def test_swap_evolution_preserves_symmetric_subspace():

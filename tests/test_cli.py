@@ -383,6 +383,20 @@ def test_non_finite_values_and_too_few_points_exit_3(
         # nothing exchanged: every closed-form check passes vacuously
         ("pair-evolution", "swap_rate", 0.0),
         ("blockade", "swap_rate", 0.0),
+        # one number rule: a string or a boolean is no number, in a list
+        # or a [re, im] pair as in a float field (each of these ran, as
+        # [10, 30], [1, 30], 0.6 and 0.8), and an integer past the float
+        # range is no finite number (exit 5 before)
+        ("effective-error-sweep", "delta_factors", ["10", "30"]),
+        ("effective-error-sweep", "delta_factors", [True, 30]),
+        ("transistor", "alpha", ["0.6", 0.0]),
+        ("transistor", "beta", [0.8, False]),
+        pytest.param(
+            "effective-error-sweep", "coupling", 10**400, id="coupling-10**400"
+        ),
+        # an empty list drops every case it drives: with no t_values the
+        # run passed on the two fixed Toffoli cases alone
+        ("verify-circuits", "t_values", []),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):

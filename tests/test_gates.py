@@ -110,6 +110,16 @@ def test_controlled_block_builder_reproduces_the_literal_references():
         assert _same_bits(controlled_power_matrix(t, u), reference)
 
 
+def test_controlled_block_must_be_a_2x2_unitary():
+    # before the check: a block of 2s, a numpy broadcast error, a
+    # non-unitary block, and (from controlled_et) a NaN block
+    for u in (2.0, np.eye(3), 2.0 * np.eye(2), np.eye(2) + 1e-7):
+        with pytest.raises(ValueError):
+            controlled_power_matrix(1, u)
+    with pytest.raises(ValueError):
+        controlled_et(np.nan)
+
+
 def test_pcet_equals_cnot_up_to_global_phase():
     res = equivalence_up_to_global_phase(pcet(), CNOT, tol=1e-12)
     assert res.equal

@@ -39,6 +39,7 @@ from cavityqc.errors import (
     ResonanceSingularity,
 )
 from cavityqc import hamiltonian
+from cavityqc.basis import atom_phases
 from cavityqc.hamiltonian import microscopic_parts
 
 THREE_LEVELS = (0.0, 1.0, 2.1)
@@ -375,6 +376,10 @@ def test_effective_matches_oracle_with_position_phases():
     vac = basis.fock_block_indices((0, 0, 0))
     block = np.ix_(vac, vac)
     assert np.abs(oracle.matrix[block] - analytic.matrix[block]).max() < 1e-12
+    # wave vectors given as arrays (the cross terms used to refuse them)
+    modes = tuple(Mode(m.frequency, np.array(m.wave_vector)) for m in fock.modes)
+    arrays = effective_hamiltonian_microscopic(nodes, coup, FockFactor(modes, (1, 1, 1)))
+    assert np.array_equal(arrays.matrix, analytic.matrix)
 
 
 def test_zero_photon_block_equals_photon_free_form():
@@ -958,7 +963,7 @@ def loop_swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
         }
         for m, delta in deltas.items():
             hamiltonian.check_detuning(delta, nodes, f"{t}, {m}")
-        phases = hamiltonian._atom_phases(basis, slot_wave_vectors.get(t))
+        phases = atom_phases(basis, slot_wave_vectors.get(t))
         yield from loop_transition_exchange_terms(basis, t, couplings, deltas, phases)
 
 
@@ -987,8 +992,7 @@ def loop_cross_terms(basis, couplings, fock, detunings, wave_vectors):
     for m, node in enumerate(basis.nodes):
         if node.level_count < 3:
             continue
-        for j, r in enumerate(node.atom_positions()):
-            site = basis.atom_site(m, j)
+        for site, r in zip(basis.node_sites(m), node.atom_positions()):
             if {0, 1} <= set(slot_of):
                 coeff = (
                     0.5 * (1.0 / d(1, m) - 1.0 / d(0, m)) * g(0, m) * g(1, m)
@@ -1029,7 +1033,7 @@ def loop_cross_terms(basis, couplings, fock, detunings, wave_vectors):
 
 def loop_swap_microscopic(nodes, swap_rate, wave_vector, rotating_frame, quanta):
     basis = hamiltonian._product_basis(nodes, None, None, quanta)
-    phases = hamiltonian._atom_phases(basis, wave_vector)
+    phases = atom_phases(basis, wave_vector)
     sites = range(basis.n_atomic_sites)
     exchange = (
         hamiltonian._exchange(
@@ -1045,8 +1049,8 @@ def loop_swap_microscopic(nodes, swap_rate, wave_vector, rotating_frame, quanta)
 def loop_transistor(nodes, couplings, detunings, wave_vectors, upper_swap, rotating,
                     quanta):
     basis = hamiltonian._product_basis(nodes, couplings, None, quanta)
-    phases_lower = hamiltonian._atom_phases(basis, wave_vectors[0])
-    phases_upper = hamiltonian._atom_phases(basis, wave_vectors[1])
+    phases_lower = atom_phases(basis, wave_vectors[0])
+    phases_upper = atom_phases(basis, wave_vectors[1])
     g21c = couplings.coupling(0, 0)
     delta_c = detunings.value(0, 0)
     cross = []
