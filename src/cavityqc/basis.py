@@ -61,6 +61,10 @@ class NodeSpec:
             raise ValueError("level_count must be 2 or 3")
         if len(self.level_energies) != self.level_count:
             raise ValueError("level_energies length must equal level_count")
+        # NaN would pass the increasing check below, and fail only later, in a
+        # Hermiticity check of the Hamiltonian built from it
+        if not np.isfinite(self.level_energies).all():
+            raise ValueError(f"level_energies must be finite: {self.level_energies!r}")
         if any(
             b <= a for a, b in zip(self.level_energies, self.level_energies[1:])
         ):

@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -693,35 +694,140 @@ class RunReport:
         }
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+# JSON text of the non-finite floats, as json.dumps writes them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _block(items: list[str], brackets: str, depth: int) -> str:
+    """A JSON array or object holding ``items``, one per line, at ``depth``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return (
+        brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+    )
+
+
+def _json(value, depth: int = 0) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    ``depth`` is the indent level of the line that ``value`` starts on.
+    Object keys must be strings. A ``_Table`` renders itself.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return "%.12e" % value
-    return str(value)
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, _Table):
+        return value.json(depth)
+    if isinstance(value, (list, tuple)):
+        return _block([_json(v, depth + 1) for v in value], "[]", depth)
+    if isinstance(value, dict):
+        items = [
+            encode_basestring_ascii(k) + ": " + _json(value[k], depth + 1)
+            for k in sorted(value)
+        ]
+        return _block(items, "{}", depth)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _Table:
+    """One report table: rows that all have the first row's columns.
+
+    Its JSON fills one row template (sorted keys, indented at the table's
+    depth) and its CSV one line template (the first row's column order,
+    ``%.12e`` floats, ``true``/``false``), row by row.
+    """
+
+    def __init__(self, name: str, rows: list):
+        for row in rows:
+            if not isinstance(row, dict):
+                raise ValueError(f"table {name!r} holds a row that is not an object")
+            if row.keys() != rows[0].keys():
+                raise ValueError(
+                    f"table {name!r} is ragged: a row has columns {sorted(row)}, "
+                    f"the first row {sorted(rows[0])}"
+                )
+        self.count = len(rows)
+        self.columns = list(rows[0]) if rows else []
+        self.values = {c: [row[c] for row in rows] for c in self.columns}
+        # columns whose every value is a float take the fast text paths
+        self.floats = {
+            c
+            for c, values in self.values.items()
+            if all(issubclass(t, float) for t in set(map(type, values)))
+        }
+
+    def _fill(self, template: str, cells: list[list]) -> list[str]:
+        """``template`` filled with each row of the columns ``cells``."""
+        return list(map(template.__mod__, zip(*cells) if cells else [()] * self.count))
+
+    def json(self, depth: int) -> str:
+        keys = sorted(self.columns)
+        template = _block(
+            [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys],
+            "{}",
+            depth + 1,
+        )
+        cells = []
+        for k in keys:
+            if k in self.floats:
+                text = list(map(float.__repr__, self.values[k]))
+                cells.append(list(map(_NON_FINITE.get, text, text)))
+            else:
+                cells.append([_json(v, depth + 2) for v in self.values[k]])
+        return _block(self._fill(template, cells), "[]", depth)
+
+    def csv(self) -> str:
+        template = ",".join("%.12e" if c in self.floats else "%s" for c in self.columns)
+        cells = [
+            self.values[c]
+            if c in self.floats
+            else [
+                "%.12e" % v
+                if isinstance(v, float)
+                else ("true" if v else "false")
+                if isinstance(v, bool)
+                else str(v)
+                for v in self.values[c]
+            ]
+            for c in self.columns
+        ]
+        return "\n".join([",".join(self.columns), *self._fill(template, cells)]) + "\n"
 
 
 def write_report(outdir, report: RunReport) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_bytes(
-        (json.dumps(report.payload(), indent=2, sort_keys=True) + "\n").encode("utf-8")
-    )
-    for name, rows in report.tables.items():
-        if not rows:
-            continue
-        columns = list(rows[0].keys())
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in columns))
-        (outdir / f"{name}.csv").write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    """Write ``report.json``, one CSV per non-empty table and ``run_meta.json``.
+
+    ``report.json`` is the payload as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` writes it, plus one LF. Every file is rendered before
+    any is created, so a ragged table or a value that JSON cannot encode
+    raises with no file written.
+    """
+    tables = {name: _Table(name, rows) for name, rows in report.tables.items()}
+    files = {"report.json": _json({**report.payload(), "tables": tables}) + "\n"}
+    for name, table in tables.items():
+        if table.count:
+            files[f"{name}.csv"] = table.csv()
     meta = {
         "wall_time_seconds": report.wall_time_seconds,
         "written_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    (outdir / "run_meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
+    files["run_meta.json"] = _json(meta) + "\n"
+    data = {name: text.encode("utf-8") for name, text in files.items()}
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in data.items():
+        (outdir / name).write_bytes(content)
 
 
 def run(path, outdir) -> int:

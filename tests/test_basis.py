@@ -283,6 +283,11 @@ def test_wave_vectors_must_be_finite_3_vectors():
 def test_node_spec_validation():
     with pytest.raises(ValueError):
         NodeSpec(2, 2, (1.0, 0.5))  # not increasing
+    # non-finite energies: NaN passes the increasing check, so these used to
+    # construct and fail later as a non-Hermitian Hamiltonian
+    for energies in ((0.0, float("nan")), (float("-inf"), 0.0), (0.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            NodeSpec(1, 2, energies)
     with pytest.raises(ValueError):
         NodeSpec(2, positions=((0.0, 0.0, 0.0),))  # wrong length
     # positions that are not finite 3-vectors: these two used to construct
