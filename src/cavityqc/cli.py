@@ -316,6 +316,49 @@ def _time_grid(window: float, points: int, field: str) -> np.ndarray:
     return np.linspace(0.0, _window(window, field), points)
 
 
+def _abs_squares(z: np.ndarray) -> list[float]:
+    """``float(abs(x) ** 2)`` for every x of a 1-d complex array, in one pass.
+
+    Bit for bit: the scalar ``abs`` of a numpy complex is ``hypot(re, im)``,
+    which ``np.hypot`` computes and ``np.abs`` on a complex array does not,
+    and the scalar square is ``pow(m, 2)``, which Python float ``** 2``
+    computes and an array ``** 2`` replaces by m * m (the two differ in
+    about one value in a thousand).
+    """
+    return [m**2 for m in np.hypot(z.real, z.imag).tolist()]
+
+
+def _blockade_rows(times: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> list[dict]:
+    """The blockade amplitude table: |c2|^2, |c3|^2 and their sum per time."""
+    return [
+        {"t": t, "abs_c2_sq": a, "abs_c3_sq": b, "total": a + b}
+        for t, a, b in zip(times.tolist(), _abs_squares(c2), _abs_squares(c3))
+    ]
+
+
+def _transistor_rows(
+    times: np.ndarray, projected: np.ndarray, closed: np.ndarray
+) -> list[dict]:
+    """The transistor evolution table from the projected and closed-form amplitudes.
+
+    The fidelity is |<closed, projected>|^2; the batched 1 x 4 by 4 x 1
+    products give the sums of ``np.vdot`` bit for bit.
+    """
+    overlaps = (closed.conj()[:, None, :] @ projected[:, :, None])[:, 0, 0]
+    p0, p1, p2, p3 = map(_abs_squares, projected.T)
+    return [
+        {
+            "t": t,
+            "control_excited": a + b,
+            "transferred": c + d,
+            "closed_form_fidelity": f,
+        }
+        for t, a, b, c, d, f in zip(
+            times.tolist(), p0, p1, p2, p3, _abs_squares(overlaps)
+        )
+    ]
+
+
 def _run_pair_evolution(p: dict):
     n = p["n_atoms"]
     rate = p["swap_rate"]
@@ -383,15 +426,7 @@ def _run_blockade(p: dict):
     times = _time_grid(t_max, p["points"], "t_max")
     c2 = sol.c2(times)
     c3 = sol.c3(times)
-    rows = [
-        {
-            "t": float(t),
-            "abs_c2_sq": float(abs(a) ** 2),
-            "abs_c3_sq": float(abs(b) ** 2),
-            "total": float(abs(a) ** 2 + abs(b) ** 2),
-        }
-        for t, a, b in zip(times, c2, c3)
-    ]
+    rows = _blockade_rows(times, c2, c3)
     solution_row = {
         "r_1": sol.r1,
         "r_2": sol.r2,
@@ -443,22 +478,9 @@ def _run_transistor(p: dict):
     projected = grid @ projector.conj().T
     closed = dynamics.transistor_amplitudes(p["alpha"], p["beta"], n, rate, times)
 
-    rows = []
-    fidelities = []
-    # scalar abs and square per point: the array forms differ from them in
-    # the last bit
-    for t, proj, exact in zip(times, projected, closed):
-        f = float(abs(np.vdot(exact, proj)) ** 2)
-        fidelities.append(f)
-        rows.append(
-            {
-                "t": float(t),
-                "control_excited": float(abs(proj[0]) ** 2 + abs(proj[1]) ** 2),
-                "transferred": float(abs(proj[2]) ** 2 + abs(proj[3]) ** 2),
-                "closed_form_fidelity": f,
-            }
-        )
-    worst = float(np.min(fidelities))
+    rows = _transistor_rows(times, projected, closed)
+    # np.min, unlike a running min(), lets a NaN fidelity fail the check
+    worst = float(np.min([row["closed_form_fidelity"] for row in rows]))
 
     t_star = dynamics.population_peak_time(h, psi0, projector.conj()[2:], 0.0, period)
     expected = np.pi / (2.0 * np.sqrt(n) * rate)
@@ -697,6 +719,10 @@ class RunReport:
 # JSON text of the non-finite floats, as json.dumps writes them
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Characters that would end a CSV line or open a quoted cell. A comma is let
+# through: the effective-error-sweep's metric description holds one.
+_CSV_BREAKERS = frozenset('"\r\n')
+
 
 def _block(items: list[str], brackets: str, depth: int) -> str:
     """A JSON array or object holding ``items``, one per line, at ``depth``."""
@@ -745,10 +771,13 @@ class _Table:
 
     Its JSON fills one row template (sorted keys, indented at the table's
     depth) and its CSV one line template (the first row's column order,
-    ``%.12e`` floats, ``true``/``false``), row by row.
+    ``%.12e`` floats, ``true``/``false``), row by row. CSV cells are not
+    quoted, so a column name or string cell holding a double quote, CR or
+    LF is refused.
     """
 
     def __init__(self, name: str, rows: list):
+        self.name = name
         for row in rows:
             if not isinstance(row, dict):
                 raise ValueError(f"table {name!r} holds a row that is not an object")
@@ -788,6 +817,14 @@ class _Table:
         return _block(self._fill(template, cells), "[]", depth)
 
     def csv(self) -> str:
+        for c in self.columns:
+            texts = [c] if c in self.floats else [c, *self.values[c]]
+            for text in texts:
+                if isinstance(text, str) and not _CSV_BREAKERS.isdisjoint(text):
+                    raise ValueError(
+                        f"table {self.name!r} holds the CSV text {text!r}, "
+                        "which has a double quote, CR or LF"
+                    )
         template = ",".join("%.12e" if c in self.floats else "%s" for c in self.columns)
         cells = [
             self.values[c]
@@ -810,8 +847,8 @@ def write_report(outdir, report: RunReport) -> None:
 
     ``report.json`` is the payload as ``json.dumps(payload, indent=2,
     sort_keys=True)`` writes it, plus one LF. Every file is rendered before
-    any is created, so a ragged table or a value that JSON cannot encode
-    raises with no file written.
+    any is created, so a ragged table, a CSV text that would break its line
+    or a value that JSON cannot encode raises with no file written.
     """
     tables = {name: _Table(name, rows) for name, rows in report.tables.items()}
     files = {"report.json": _json({**report.payload(), "tables": tables}) + "\n"}

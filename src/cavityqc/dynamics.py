@@ -62,8 +62,11 @@ NORM_TOL = 1e-9
 # The scan must resolve the population's fastest beat, max(w) - min(w), over
 # the window: 257 points keep at least eight per beat period up to 32 beats.
 PEAK_SCAN_POINTS = 257
-# Safeguard on the polish: bisection alone reaches machine precision from a
-# scan bracket in about 45 steps, Newton in a handful.
+# Cap on the polish steps. Bisection alone halves a scan bracket down to
+# 4 eps max(|lo|, |hi|) in at most 52 steps (a bracket is never wider than
+# twice that maximum). Newton from the bracket end with the smaller |f'|
+# needs one evaluation for a peak on a scan point and three to eight for
+# one inside an interval (random spectra scanned at 16 points per beat).
 PEAK_POLISH_STEPS = 100
 
 
@@ -115,14 +118,18 @@ def _population_derivatives(amps: np.ndarray, w: np.ndarray, t: float):
     )
 
 
-def _polish_peak(amps: np.ndarray, w: np.ndarray, lo: float, hi: float) -> float:
+def _polish_peak(
+    amps: np.ndarray, w: np.ndarray, lo: float, hi: float, t: float
+) -> float:
     """Safeguarded Newton for the root of f' in [lo, hi], f'(lo) > 0 >= f'(hi).
 
-    A Newton step that leaves the current bracket, or is taken where f'' is
-    not negative, is replaced by bisection on the sign of f'.
+    The iteration starts at ``t`` in [lo, hi] and keeps every iterate in the
+    bracket, which each evaluation of f' shrinks. A Newton step is taken
+    where f'' is negative and the step lands on the closed bracket, so a
+    polish started on a root at a bracket end stops after one evaluation;
+    otherwise the bracket is bisected.
     """
     tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    t = 0.5 * (lo + hi)
     for _ in range(PEAK_POLISH_STEPS):
         _, slope, curvature = _population_derivatives(amps, w, t)
         if slope == 0.0:
@@ -132,7 +139,7 @@ def _polish_peak(amps: np.ndarray, w: np.ndarray, lo: float, hi: float) -> float
         else:
             hi = t
         step = 0.5 * (lo + hi)
-        if curvature < 0.0 and lo < t - slope / curvature < hi:
+        if curvature < 0.0 and lo <= t - slope / curvature <= hi:
             step = t - slope / curvature
         if abs(step - t) <= tol or hi - lo <= tol:
             return step
@@ -154,9 +161,13 @@ def population_peak_time(
     scan of PEAK_SCAN_POINTS times evaluates f and f'; every scan interval
     where f' turns from positive to non-positive holds a local maximum,
     which a safeguarded Newton polish on the analytic derivatives places to
-    machine precision. The largest of these maxima and of the two window
-    ends wins, the earliest on a tie. The scan must resolve the fastest
-    beat max(w) - min(w) over the window (see PEAK_SCAN_POINTS).
+    machine precision. Each polish starts at the interval end with the
+    smaller scanned |f'|, so a peak that falls on a scan point (as the
+    transistor's does, at the middle of its window) takes one Newton step
+    instead of a bisection down to round-off. The largest of these maxima
+    and of the two window ends wins, the earliest on a tie. The scan must
+    resolve the fastest beat max(w) - min(w) over the window (see
+    PEAK_SCAN_POINTS).
     """
     t_low, t_high = float(t_low), float(t_high)
     w, v, coeffs = _spectral_expansion(h, psi0, (t_low, t_high))
@@ -172,7 +183,9 @@ def population_peak_time(
     slope = 2.0 * np.sum(a.conj() * da, axis=1).real
     peaks = np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0))
     candidates = [t_low]
-    candidates += [_polish_peak(amps, w, grid[k], grid[k + 1]) for k in peaks]
+    for k in peaks:
+        start = grid[k] if abs(slope[k]) < abs(slope[k + 1]) else grid[k + 1]
+        candidates.append(_polish_peak(amps, w, grid[k], grid[k + 1], start))
     candidates.append(t_high)
     values = [_population_derivatives(amps, w, t)[0] for t in candidates]
     return float(candidates[int(np.argmax(values))])

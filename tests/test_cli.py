@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityqc import cli
 from cavityqc.errors import UnknownKind, ValidationError
@@ -424,3 +426,62 @@ def test_valid_reference_scenarios_pass(tmp_path, kind):
 def test_overflowing_time_window_does_not_pass(tmp_path, kind, fields, code):
     scenario = _write(tmp_path, "overflow.json", {**_VALID[kind], **fields})
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == code
+
+
+# --- table rows against the per-point scalar loops they replace ------------
+
+
+def _transistor_rows_oracle(times, projected, closed):
+    """The transistor table as numpy-scalar operations built it, point by point."""
+    rows = []
+    for t, proj, exact in zip(times, projected, closed):
+        f = float(abs(np.vdot(exact, proj)) ** 2)
+        rows.append(
+            {
+                "t": float(t),
+                "control_excited": float(abs(proj[0]) ** 2 + abs(proj[1]) ** 2),
+                "transferred": float(abs(proj[2]) ** 2 + abs(proj[3]) ** 2),
+                "closed_form_fidelity": f,
+            }
+        )
+    return rows
+
+
+def _blockade_rows_oracle(times, c2, c3):
+    """The blockade table as numpy-scalar operations built it, point by point."""
+    return [
+        {
+            "t": float(t),
+            "abs_c2_sq": float(abs(a) ** 2),
+            "abs_c3_sq": float(abs(b) ** 2),
+            "total": float(abs(a) ** 2 + abs(b) ** 2),
+        }
+        for t, a, b in zip(times, c2, c3)
+    ]
+
+
+def _amplitudes(rng, shape):
+    """Magnitudes log-uniform on [1e-150, 1e2], phases uniform."""
+    magnitudes = 10.0 ** rng.uniform(-150.0, 2.0, shape)
+    return magnitudes * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+
+
+def _bits(rows):
+    """Each row as (column, exact float text) pairs, columns in row order."""
+    assert all(type(v) is float for row in rows for v in row.values())
+    return [[(k, v.hex()) for k, v in row.items()] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 300))
+def test_row_passes_equal_the_scalar_loops_bit_for_bit(seed, points):
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, rng.uniform(1e-3, 1e3), points)
+    projected, closed = _amplitudes(rng, (2, points, 4))
+    c2, c3 = _amplitudes(rng, (2, points))
+    assert _bits(cli._transistor_rows(times, projected, closed)) == _bits(
+        _transistor_rows_oracle(times, projected, closed)
+    )
+    assert _bits(cli._blockade_rows(times, c2, c3)) == _bits(
+        _blockade_rows_oracle(times, c2, c3)
+    )

@@ -34,7 +34,11 @@ from cavityqc import (
     transistor_rate,
     two_level_swap_hamiltonian,
 )
-from cavityqc.dynamics import _population_derivatives, transistor_oracle
+from cavityqc.dynamics import (
+    PEAK_SCAN_POINTS,
+    _population_derivatives,
+    transistor_oracle,
+)
 from cavityqc.errors import BasisMismatch
 from cavityqc.hamiltonian import HamiltonianMatrix
 
@@ -537,6 +541,66 @@ def test_peak_locator_is_bit_identical_on_repeat():
         for _ in range(2):
             times.append(population_peak_time(h, psi0, rows, 0.0, window))
     assert len(set(times)) == 1
+
+
+# The locator evaluates f at each candidate (the two window ends and one
+# peak here) and f, f', f'' at each polish step: six calls leave the polish
+# three steps. Bisecting each scan bracket down to round-off takes 16-27
+# calls on these cases.
+LOCATOR_CALLS = 6
+
+
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """The times at which the locator evaluates _population_derivatives."""
+    from cavityqc import dynamics
+
+    calls = []
+    real = dynamics._population_derivatives
+
+    def counting(amps, w, t):
+        calls.append(t)
+        return real(amps, w, t)
+
+    monkeypatch.setattr(dynamics, "_population_derivatives", counting)
+    return calls
+
+
+def _rabi():
+    """Two levels at Rabi frequency RATE: |<1|psi(t)>|^2 peaks at pi / RATE."""
+    h = HamiltonianMatrix(np.array([[0.0, 0.5 * RATE], [0.5 * RATE, 0.0]]), None)
+    return h, StateVector(np.array([1.0, 0.0], dtype=complex), None), np.eye(2)[[1]]
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_peak_locator_places_the_transistor_peak_in_few_calls(
+    n_atoms, derivative_calls
+):
+    node, couplings, detunings = _transistor_setup(n_atoms)
+    rate = transistor_rate((node,), couplings, detunings)
+    h, psi0, projector = transistor_oracle(
+        node, (node, node), couplings, detunings, 0.6, 0.8j
+    )
+    window = np.pi / (np.sqrt(n_atoms) * rate)
+    t_star = population_peak_time(h, psi0, projector.conj()[2:], 0.0, window)
+    assert len(derivative_calls) <= LOCATOR_CALLS
+    expected = np.pi / (2.0 * np.sqrt(n_atoms) * rate)
+    assert abs(t_star - expected) / expected <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "intervals", [128.0, 128.5], ids=["on-a-scan-point", "mid-interval"]
+)
+def test_peak_locator_places_a_rabi_peak_in_few_calls(intervals, derivative_calls):
+    # the peak pi / omega sits `intervals` scan intervals into the window
+    h, psi0, rows = _rabi()
+    peak = np.pi / RATE
+    window = peak * (PEAK_SCAN_POINTS - 1) / intervals
+    if intervals == 128.0:
+        assert np.linspace(0.0, window, PEAK_SCAN_POINTS)[128] == peak
+    t_star = population_peak_time(h, psi0, rows, 0.0, window)
+    assert len(derivative_calls) <= LOCATOR_CALLS
+    assert abs(t_star - peak) / peak <= 1e-14
 
 
 # --- effective-versus-microscopic error sweep --------------------------------------

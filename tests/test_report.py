@@ -12,6 +12,18 @@ from cavityqc import cli
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
+# A small valid blockade scenario for full runs through cli.run
+BLOCKADE = {
+    "kind": "blockade",
+    "n_1": 1,
+    "n_2": 2,
+    "n_photons": 0,
+    "shift_rate_1": 0.1,
+    "shift_rate_2": 0.2,
+    "swap_rate": 0.3,
+    "points": 5,
+}
+
 
 def _csv_cell(value) -> str:
     """How a CSV cell was written before the table templates: the oracle."""
@@ -32,6 +44,18 @@ def _csv_oracle(rows) -> bytes:
 
 def _json_oracle(value) -> bytes:
     return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _breaks_a_csv_line(tables) -> bool:
+    """Whether a CSV column name or string cell holds a double quote, CR or LF."""
+    texts = [
+        text
+        for rows in tables.values()
+        if rows
+        for text in [*rows[0], *(v for row in rows for v in row.values())]
+        if isinstance(text, str)
+    ]
+    return any(c in text for text in texts for c in '"\r\n')
 
 
 # --- the writer against the json module and the old CSV cells -------------
@@ -87,6 +111,11 @@ REPORTS = st.builds(
 def test_writer_equals_the_json_and_csv_oracles(report):
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
+        if _breaks_a_csv_line(report.tables):
+            with pytest.raises(ValueError, match="CSV text"):
+                cli.write_report(outdir, report)
+            assert not outdir.exists()
+            return
         cli.write_report(outdir, report)
         written = {path.name: path.read_bytes() for path in outdir.iterdir()}
     assert written.pop("report.json") == _json_oracle(report.payload())
@@ -121,6 +150,28 @@ def test_ragged_table_writes_nothing(tmp_path, tables):
     with pytest.raises(ValueError, match="table 't'"):
         cli.write_report(tmp_path / "out", report)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ['say "hi"', "a\rb", "a\nb", "a\r\n"])
+@pytest.mark.parametrize("where", ["column", "cell"])
+def test_csv_text_that_breaks_a_line_writes_nothing(tmp_path, text, where):
+    row = {text: 1.0} if where == "column" else {"name": text, "x": 1.0}
+    report = cli.RunReport("k", {}, {"good": [{"x": 1.0}], "t": [row]}, [], 0.0)
+    with pytest.raises(ValueError, match="table 't' holds the CSV text"):
+        cli.write_report(tmp_path / "out", report)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_exits_5_on_csv_text_that_breaks_a_line(tmp_path, monkeypatch, capsys):
+    def runner(params):
+        return {"cases": [{"case": "a\nb", "passed": True}]}, []
+
+    monkeypatch.setitem(cli.RUNNERS, "blockade", runner)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(BLOCKADE), encoding="utf-8")
+    assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 5
+    assert "CSV text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_value_json_cannot_encode_writes_nothing(tmp_path):
@@ -168,21 +219,7 @@ def test_run_calls_write_report_once_with_the_outdir(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(cli, "write_report", recording)
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(
-        json.dumps(
-            {
-                "kind": "blockade",
-                "n_1": 1,
-                "n_2": 2,
-                "n_photons": 0,
-                "shift_rate_1": 0.1,
-                "shift_rate_2": 0.2,
-                "swap_rate": 0.3,
-                "points": 5,
-            }
-        ),
-        encoding="utf-8",
-    )
+    scenario.write_text(json.dumps(BLOCKADE), encoding="utf-8")
     outdir = tmp_path / "out"
     assert cli.run(scenario, outdir) == 0
     assert len(calls) == 1
