@@ -131,18 +131,10 @@ class CompositeBasis:
     def __init__(self, nodes: tuple[NodeSpec, ...], fock: FockFactor | None = None):
         self.nodes = tuple(nodes)
         self.fock = fock
-        shape: list[int] = []
-        labels: list[str] = []
-        for m, node in enumerate(self.nodes):
-            for j in range(node.atom_count):
-                shape.append(node.level_count)
-                labels.append(f"node{m}.atom{j}")
+        shape = [n.level_count for n in self.nodes for _ in range(n.atom_count)]
         if fock is not None:
-            for a, nmax in enumerate(fock.n_max):
-                shape.append(nmax + 1)
-                labels.append(f"mode{a}")
+            shape += [nmax + 1 for nmax in fock.n_max]
         self.shape = tuple(shape)
-        self.site_labels = tuple(labels)
         self.dim = self._count_states()
         dense_bytes = BYTES_PER_AMPLITUDE * self.dim**2
         if dense_bytes > DENSE_BYTES_CAP:

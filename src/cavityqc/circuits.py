@@ -161,7 +161,6 @@ class LogicalRegister:
     def __init__(self, n_qubits: int, n_ancillas: int = 0, amplitudes=None):
         self.n_qubits = n_qubits
         self.n_ancillas = n_ancillas
-        self.n_nodes = 2 * n_qubits + n_ancillas
         if amplitudes is None:
             amplitudes = {encode("0" * n_qubits) + (0,) * n_ancillas: 1.0 + 0.0j}
         self.amplitudes = dict(amplitudes)
@@ -187,13 +186,6 @@ class LogicalRegister:
                 )
             nodes.append(i)
         return tuple(nodes)
-
-    def node_index(self, address: str) -> int:
-        """Index of a one-node address."""
-        nodes = self.resolve(address)
-        if len(nodes) != 1:
-            raise AddressError(f"{address!r} names a pair, not one node")
-        return nodes[0]
 
     def _read_out(self, external_qubits, scratch_qubits=()):
         """Decode the register over ``external_qubits``.
@@ -596,7 +588,6 @@ class EquivalenceResult:
     equal: bool
     phase: complex
     max_deviation: float
-    transcript: tuple[str, ...]
 
 
 def equivalence_up_to_global_phase(
@@ -610,26 +601,13 @@ def equivalence_up_to_global_phase(
     k = int(np.argmax(np.abs(b)))
     pivot = b.flat[k]
     if abs(pivot) < tol:
-        return EquivalenceResult(False, 1.0 + 0j, float(np.abs(a - b).max()), ())
+        return EquivalenceResult(False, 1.0 + 0j, float(np.abs(a - b).max()))
     phase = a.flat[k] / pivot
     if abs(phase) > 0:
         phase = phase / abs(phase)
     deviation = float(np.abs(a - phase * b).max())
-    transcript = []
-    dim = a.shape[1] if a.ndim == 2 else 1
-    if a.ndim == 2:
-        width = max(1, int(np.ceil(np.log2(dim))))
-        for col in range(dim):
-            row = int(np.argmax(np.abs(a[:, col])))
-            transcript.append(
-                f"|{col:0{width}b}> -> |{row:0{width}b}> "
-                f"(amp {a[row, col]:.6f}, dev {np.abs(a[:, col] - phase * b[:, col]).max():.2e})"
-            )
     return EquivalenceResult(
-        equal=deviation <= tol,
-        phase=complex(phase),
-        max_deviation=deviation,
-        transcript=tuple(transcript),
+        equal=deviation <= tol, phase=complex(phase), max_deviation=deviation
     )
 
 

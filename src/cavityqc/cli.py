@@ -551,7 +551,8 @@ def _run_effective_error_sweep(p: dict):
                 "(10% fringe jitter allowed)",
             }
         )
-    return {"sweep": rows, "metric": [{"description": report.metric}]}, assertions
+    metric = [{"description": dynamics.ERROR_METRIC}]
+    return {"sweep": rows, "metric": metric}, assertions
 
 
 def _run_verify_gates(p: dict):
@@ -719,9 +720,25 @@ class RunReport:
 # JSON text of the non-finite floats, as json.dumps writes them
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Characters that would end a CSV line or open a quoted cell. A comma is let
-# through: the effective-error-sweep's metric description holds one.
+# Characters that would end a CSV line or a quoted cell. A comma is let
+# through, inside double quotes: the effective-error-sweep's metric
+# description holds one.
 _CSV_BREAKERS = frozenset('"\r\n')
+
+
+def _csv_text(value) -> str:
+    """One CSV cell: ``%.12e`` floats, ``true``/``false``, a comma quoted.
+
+    Only a string holding a comma is quoted; it holds no double quote (see
+    _CSV_BREAKERS), so nothing inside needs escaping.
+    """
+    if isinstance(value, float):
+        return "%.12e" % value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str) and "," in value:
+        return '"' + value + '"'
+    return str(value)
 
 
 def _block(items: list[str], brackets: str, depth: int) -> str:
@@ -771,9 +788,9 @@ class _Table:
 
     Its JSON fills one row template (sorted keys, indented at the table's
     depth) and its CSV one line template (the first row's column order,
-    ``%.12e`` floats, ``true``/``false``), row by row. CSV cells are not
-    quoted, so a column name or string cell holding a double quote, CR or
-    LF is refused.
+    ``%.12e`` floats, ``true``/``false``), row by row. A column name or
+    string cell holding a comma is written in double quotes; one holding a
+    double quote, CR or LF is refused.
     """
 
     def __init__(self, name: str, rows: list):
@@ -827,19 +844,11 @@ class _Table:
                     )
         template = ",".join("%.12e" if c in self.floats else "%s" for c in self.columns)
         cells = [
-            self.values[c]
-            if c in self.floats
-            else [
-                "%.12e" % v
-                if isinstance(v, float)
-                else ("true" if v else "false")
-                if isinstance(v, bool)
-                else str(v)
-                for v in self.values[c]
-            ]
+            self.values[c] if c in self.floats else list(map(_csv_text, self.values[c]))
             for c in self.columns
         ]
-        return "\n".join([",".join(self.columns), *self._fill(template, cells)]) + "\n"
+        header = ",".join(map(_csv_text, self.columns))
+        return "\n".join([header, *self._fill(template, cells)]) + "\n"
 
 
 def write_report(outdir, report: RunReport) -> None:

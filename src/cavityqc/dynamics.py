@@ -32,27 +32,7 @@ from .hamiltonian import (
     transistor_hamiltonian,
     two_level_swap_hamiltonian,
 )
-from .state import StateVector, fidelity, inner
-
-__all__ = [
-    "StateVector",
-    "fidelity",
-    "inner",
-    "propagate",
-    "evolve_on_grid",
-    "analytic_pair_amplitudes",
-    "analytic_pair_evolution",
-    "BlockadeSolution",
-    "blockade_solution",
-    "TransistorBasis",
-    "transistor_amplitudes",
-    "transistor_evolution",
-    "transistor_oracle",
-    "ErrorReport",
-    "effective_model_error",
-    "first_maximum_time",
-    "population_peak_time",
-]
+from .state import StateVector
 
 
 # Largest | |alpha|^2 + |beta|^2 - 1 | accepted for an amplitude pair.
@@ -165,9 +145,9 @@ def population_peak_time(
     smaller scanned |f'|, so a peak that falls on a scan point (as the
     transistor's does, at the middle of its window) takes one Newton step
     instead of a bisection down to round-off. The largest of these maxima
-    and of the two window ends wins, the earliest on a tie. The scan must
-    resolve the fastest beat max(w) - min(w) over the window (see
-    PEAK_SCAN_POINTS).
+    and of the two window ends (read off the scan) wins, the earliest on a
+    tie. The scan must resolve the fastest beat max(w) - min(w) over the
+    window (see PEAK_SCAN_POINTS).
     """
     t_low, t_high = float(t_low), float(t_high)
     w, v, coeffs = _spectral_expansion(h, psi0, (t_low, t_high))
@@ -182,12 +162,16 @@ def population_peak_time(
     a, da = np.split(scan, 2, axis=1)
     slope = 2.0 * np.sum(a.conj() * da, axis=1).real
     peaks = np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0))
+    # the window ends are the first and last scan points
     candidates = [t_low]
+    values = [np.vdot(a[0], a[0]).real]
     for k in peaks:
         start = grid[k] if abs(slope[k]) < abs(slope[k + 1]) else grid[k + 1]
-        candidates.append(_polish_peak(amps, w, grid[k], grid[k + 1], start))
+        t = _polish_peak(amps, w, grid[k], grid[k + 1], start)
+        candidates.append(t)
+        values.append(_population_derivatives(amps, w, t)[0])
     candidates.append(t_high)
-    values = [_population_derivatives(amps, w, t)[0] for t in candidates]
+    values.append(np.vdot(a[-1], a[-1]).real)
     return float(candidates[int(np.argmax(values))])
 
 
@@ -332,8 +316,8 @@ def blockade_solution(
         raise ValueError("blockade closed form assumes a real exchange rate")
     ws = swap.real
     w1, w2 = rates.shift_rate_1, rates.shift_rate_2
-    wt1 = rates.dressed_freq(0, n_photons)
-    wt2 = rates.dressed_freq(1, n_photons)
+    wt1 = rates.transition_freq_1 + 2.0 * n_photons * w1
+    wt2 = rates.transition_freq_2 + 2.0 * n_photons * w2
 
     diag_2 = (n1 / 2.0 - 1.0) * wt1 + (n2 / 2.0) * wt2 - n1 * w1
     diag_3 = (n1 / 2.0) * wt1 + (n2 / 2.0 - 1.0) * wt2 - n2 * w2
@@ -381,13 +365,8 @@ class TransistorBasis:
     upper-level excitation.
     """
 
-    n_atoms: int = 1
-
     dim = 4
     labels = ("ctrl1|01", "ctrl1|10", "ctrl0|02", "ctrl0|20")
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 def transistor_amplitudes(
@@ -417,11 +396,10 @@ def transistor_evolution(
     n_atoms: int,
     rate: float,
     t: float,
-    basis: TransistorBasis | None = None,
 ) -> StateVector:
     """The closed-form transistor state of transistor_amplitudes at one time."""
     amps = transistor_amplitudes(alpha, beta, n_atoms, rate, t)
-    return StateVector(amps, basis if basis is not None else TransistorBasis(n_atoms))
+    return StateVector(amps, TransistorBasis())
 
 
 def transistor_oracle(
@@ -475,12 +453,14 @@ ERROR_METRIC = (
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Effective-versus-microscopic error study over a detuning sweep."""
+    """Effective-versus-microscopic error study over a detuning sweep.
+
+    ``max_infidelity`` is measured as ERROR_METRIC describes.
+    """
 
     deltas: tuple[float, ...]
     max_infidelity: tuple[float, ...]
     max_leakage: tuple[float, ...]
-    metric: str = ERROR_METRIC
 
 
 def effective_model_error(

@@ -62,44 +62,33 @@ RESONANCE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """Interaction constants per transition, optionally per node.
+    """Interaction constants per transition.
 
     ``g21`` couples transition 0 (levels 1<->0), ``g32`` transition 1
-    (2<->1), ``g31`` transition 2 (2<->0). A ``*_by_node`` tuple overrides
-    the uniform value node by node. ``None`` disables a transition.
+    (2<->1), ``g31`` transition 2 (2<->0). Each is None (the transition is
+    disabled), one number for every node, or a tuple with one value per
+    node.
     """
 
-    g21: complex | None = None
-    g32: complex | None = None
-    g31: complex | None = None
-    g21_by_node: tuple[complex, ...] | None = None
-    g32_by_node: tuple[complex, ...] | None = None
-    g31_by_node: tuple[complex, ...] | None = None
+    g21: complex | tuple[complex, ...] | None = None
+    g32: complex | tuple[complex, ...] | None = None
+    g31: complex | tuple[complex, ...] | None = None
 
     def enabled(self) -> tuple[int, ...]:
-        out = []
-        for t, (uniform, by_node) in enumerate(self._slots()):
-            if uniform is not None or by_node is not None:
-                out.append(t)
-        return tuple(out)
-
-    def _slots(self):
-        return (
-            (self.g21, self.g21_by_node),
-            (self.g32, self.g32_by_node),
-            (self.g31, self.g31_by_node),
-        )
+        values = (self.g21, self.g32, self.g31)
+        return tuple(t for t, g in enumerate(values) if g is not None)
 
     def coupling(self, transition: int, node_index: int) -> complex:
-        uniform, by_node = self._slots()[transition]
-        if by_node is not None:
-            return complex(by_node[node_index])
-        if uniform is None:
+        g = (self.g21, self.g32, self.g31)[transition]
+        if isinstance(g, tuple):
+            g = g[node_index] if node_index < len(g) else None
+        if g is None:
             upper, lower = TRANSITIONS[transition]
             raise MissingCoupling(
-                f"transition {upper + 1}<->{lower + 1} has no interaction constant"
+                f"transition {upper + 1}<->{lower + 1} has no interaction "
+                f"constant for node {node_index}"
             )
-        return complex(uniform)
+        return complex(g)
 
 
 @dataclass(frozen=True)
@@ -172,17 +161,6 @@ class EffectiveRates:
             shift_rate_2=abs(g2) ** 2 / delta_2,
             transition_freq_1=freq_1,
             transition_freq_2=freq_2,
-        )
-
-    def shift_rate(self, node_index: int) -> float:
-        return (self.shift_rate_1, self.shift_rate_2)[node_index]
-
-    def transition_freq(self, node_index: int) -> float:
-        return (self.transition_freq_1, self.transition_freq_2)[node_index]
-
-    def dressed_freq(self, node_index: int, n_photons: int) -> float:
-        return self.transition_freq(node_index) + 2.0 * n_photons * self.shift_rate(
-            node_index
         )
 
 
@@ -320,11 +298,9 @@ def _assemble(basis: CompositeBasis, terms) -> np.ndarray:
     return h
 
 
-def _mode_slots(couplings: CouplingSet, fock: FockFactor | None) -> dict[int, int]:
+def _mode_slots(couplings: CouplingSet, fock: FockFactor) -> dict[int, int]:
     """Map enabled transition index -> mode slot in the Fock factor."""
     enabled = couplings.enabled()
-    if fock is None:
-        return {t: t for t in enabled}
     if fock.mode_count != len(enabled):
         raise MissingCoupling(
             f"{fock.mode_count} modes declared for {len(enabled)} enabled "

@@ -30,6 +30,13 @@ def test_describe_blockade_lists_required_fields():
         assert field in text
 
 
+def test_list_and_describe_through_main(capsys):
+    assert cli.main(["list"]) == 0
+    assert capsys.readouterr().out == cli.list_scenarios() + "\n"
+    assert cli.main(["describe", "blockade"]) == 0
+    assert capsys.readouterr().out == cli.describe("blockade") + "\n"
+
+
 def test_describe_unknown_kind_raises():
     with pytest.raises(UnknownKind):
         cli.describe("frobnicate")

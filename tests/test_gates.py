@@ -174,7 +174,7 @@ def test_blockade_mechanism_reproduces_controlled_transfer_branches():
         NodeSpec(1, 2, (-freq_1 / 2, freq_1 / 2)),
         NodeSpec(1, 2, (-freq_2 / 2, freq_2 / 2)),
     )
-    couplings = CouplingSet(g21_by_node=(g1, g2))
+    couplings = CouplingSet(g21=(g1, g2))
     detunings = DetuningSet(lower=(delta, delta))
     t_star = np.pi / (2.0 * swap)
 

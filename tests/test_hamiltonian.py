@@ -132,7 +132,7 @@ def kron_microscopic(nodes, couplings, fock):
     [
         (
             (NodeSpec(1), NodeSpec(2, 2, (0.0, 1.1))),
-            CouplingSet(g21_by_node=(0.02, 0.03 - 0.01j)),
+            CouplingSet(g21=(0.02, 0.03 - 0.01j)),
             FockFactor((Mode(0.9),), (2,)),
         ),
         (
@@ -341,7 +341,7 @@ def test_effective_matches_numeric_transformation_on_interior_sectors():
 def test_effective_matches_oracle_for_multi_atom_nodes():
     # two atoms per node exercises the intra-node cross sums (i != j)
     nodes = (NodeSpec(2, 2, (0.0, 1.0)), NodeSpec(2, 2, (0.0, 1.1)))
-    coup = CouplingSet(g21_by_node=(0.02, 0.03 - 0.004j))
+    coup = CouplingSet(g21=(0.02, 0.03 - 0.004j))
     fock = FockFactor((Mode(0.8),), (2,))
     oracle = schrieffer_wolff_hamiltonian(nodes, coup, fock)
     analytic = effective_hamiltonian_microscopic(nodes, coup, fock)
@@ -472,7 +472,7 @@ def _blockade_setup(n1, n2, g1, g2, d1, d2):
         NodeSpec(n1, 2, (-freq / 2, freq / 2)),
         NodeSpec(n2, 2, (-freq / 2, freq / 2)),
     )
-    couplings = CouplingSet(g21_by_node=(g1, g2))
+    couplings = CouplingSet(g21=(g1, g2))
     detunings = DetuningSet(lower=(d1, d2))
     return nodes, couplings, detunings
 
@@ -728,7 +728,7 @@ def small_systems(draw):
         if draw(st.booleans()):
             values[name] = draw(coupling)
         else:
-            values[f"{name}_by_node"] = (draw(coupling), draw(coupling))
+            values[name] = (draw(coupling), draw(coupling))
     couplings = CouplingSet(**values)
     modes, n_max = [], []
     for t in couplings.enabled():
@@ -1138,7 +1138,7 @@ def test_transistor_equals_its_loops_bit_for_bit(
     control = data.draw(st.sampled_from([target, NodeSpec(n_atoms, 3, THREE_LEVELS)]))
     couplings = CouplingSet(
         g21=data.draw(rate) * np.exp(1j * data.draw(st.floats(0.0, 6.0))),
-        g32_by_node=(None, data.draw(rate), -data.draw(rate) * 1j),
+        g32=(None, data.draw(rate), -data.draw(rate) * 1j),
     )
     detunings = DetuningSet(
         lower=(data.draw(detuning),) * 3,

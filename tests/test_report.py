@@ -1,5 +1,6 @@
 """Report writer: the bytes of report.json and the CSVs, and when nothing is written."""
 
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -26,17 +27,23 @@ BLOCKADE = {
 
 
 def _csv_cell(value) -> str:
-    """How a CSV cell was written before the table templates: the oracle."""
+    """How a CSV cell or column name is written: the oracle.
+
+    A string holding a comma goes in double quotes; it holds no double
+    quote, CR or LF, which the writer refuses.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return "%.12e" % value
+    if isinstance(value, str) and "," in value:
+        return f'"{value}"'
     return str(value)
 
 
 def _csv_oracle(rows) -> bytes:
     columns = list(rows[0].keys())
-    lines = [",".join(columns)]
+    lines = [",".join(map(_csv_cell, columns))]
     for row in rows:
         lines.append(",".join(_csv_cell(row[c]) for c in columns))
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -203,6 +210,17 @@ def test_shipped_report_bytes_are_canonical(tmp_path, scenario, capsys):
         for line, row in zip(lines, rows):
             assert sorted(columns) == sorted(row)
             assert line == ",".join(_csv_cell(row[c]) for c in columns)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda path: path.stem)
+def test_shipped_csvs_read_back_with_the_header_width(tmp_path, scenario, capsys):
+    """csv.reader finds as many cells in every row as in the header."""
+    assert cli.run(scenario, tmp_path) == 0
+    for path in tmp_path.glob("*.csv"):
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows
+        assert {len(row) for row in rows} == {len(header)}, path.name
 
 
 # --- the benchmark's writer span --------------------------------------------
