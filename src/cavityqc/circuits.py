@@ -31,7 +31,8 @@ from .errors import (
     LeakageError,
     ParseError,
 )
-from .gates import decode, encode, et_gate, phase_gate, synthesize_rotation
+from .gates import UNITARITY_TOL, decode, encode, et_gate, phase_gate
+from .gates import require_unitary, synthesize_rotation
 
 # re-exported: the reference the controlled-power constructions are checked
 # against, named here by the CLI, the tests and perfbench/tracing.py
@@ -53,7 +54,7 @@ _SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 # Per input column: encoded weight a circuit may lose or gain (a CONTROLLED_U
 # payload may deviate from unitarity by as much), and weight it may leave on
 # ancilla nodes or scratch pairs.
-LEAKAGE_TOL = 1e-8
+LEAKAGE_TOL = UNITARITY_TOL
 ANCILLA_TOL = 1e-10
 
 _ADDRESS = re.compile(r"q(\d+)(?:\.([ab]))?|anc(\d+)")
@@ -120,12 +121,11 @@ class Operation:
         if controls & set(targets):
             raise AddressError(f"{self.kind} control and targets share a node")
         if self.kind == "CONTROLLED_U":
-            u = _u_from_params(self.params)
-            dev = float(np.abs(u.conj().T @ u - np.eye(2)).max())
-            if dev > LEAKAGE_TOL:
-                raise ValueError(
-                    f"CONTROLLED_U payload is not unitary (max |U^dag U - 1| {dev:.3e})"
-                )
+            require_unitary(
+                _u_from_params(self.params),
+                ValueError,
+                "CONTROLLED_U payload is not unitary (max |U^dag U - 1| {dev:.3e})",
+            )
 
     def inverse(self) -> "Operation":
         return replace(self, dagger=not self.dagger)
@@ -535,7 +535,6 @@ def controlled_power_improved(t: int, u: np.ndarray) -> CircuitBundle:
 class AssemblyReport:
     max_leakage: float
     max_ancilla_residual: float
-    max_scratch_residual: float
 
 
 def logical_matrix(bundle: CircuitBundle) -> tuple[np.ndarray, AssemblyReport]:
@@ -551,7 +550,6 @@ def logical_matrix(bundle: CircuitBundle) -> tuple[np.ndarray, AssemblyReport]:
     matrix = np.zeros((dim, dim), dtype=complex)
     max_leak = 0.0
     max_anc = 0.0
-    max_scratch = 0.0
 
     for col in range(dim):
         bits = format(col, f"0{n_ext}b")
@@ -568,7 +566,6 @@ def logical_matrix(bundle: CircuitBundle) -> tuple[np.ndarray, AssemblyReport]:
         pair_leak = total_leak - anc_pop - scratch_pop
 
         max_anc = max(max_anc, anc_pop)
-        max_scratch = max(max_scratch, scratch_pop)
         max_leak = max(max_leak, pair_leak)
 
         if anc_pop > ANCILLA_TOL:
@@ -580,7 +577,7 @@ def logical_matrix(bundle: CircuitBundle) -> tuple[np.ndarray, AssemblyReport]:
         if abs(pair_leak) > LEAKAGE_TOL:
             raise LeakageError(f"leakage {pair_leak:.3e} after input {bits}")
 
-    return matrix, AssemblyReport(max_leak, max_anc, max_scratch)
+    return matrix, AssemblyReport(max_leak, max_anc)
 
 
 @dataclass(frozen=True)

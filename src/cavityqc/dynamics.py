@@ -21,18 +21,17 @@ from .basis import (
     pair_isometry,
     product_excitation_state,
 )
-from .errors import BasisMismatch
 from .hamiltonian import (
     CouplingSet,
     DetuningSet,
     EffectiveRates,
     HamiltonianMatrix,
-    check_detuning,
     microscopic_parts,
+    real_rate,
     transistor_hamiltonian,
     two_level_swap_hamiltonian,
 )
-from .state import StateVector
+from .state import StateVector, require_same_basis
 
 
 # Largest | |alpha|^2 + |beta|^2 - 1 | accepted for an amplitude pair.
@@ -50,16 +49,26 @@ PEAK_SCAN_POINTS = 257
 PEAK_POLISH_STEPS = 100
 
 
+def require_normalized(
+    alpha: complex, beta: complex, error: type[Exception], message: str
+) -> None:
+    """Raise ``error(message)`` unless |alpha|^2 + |beta|^2 is 1 to NORM_TOL.
+
+    ``{norm}`` in ``message`` stands for that sum.
+    """
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise error(message.format(norm=norm))
+
+
 def _spectral_expansion(h: HamiltonianMatrix, psi0: StateVector, times):
     """Checked eigen-expansion (w, v, v^H psi0) of psi0 under h.
 
     psi(t) = v @ (exp(-i w t) * coeffs) at every one of ``times``, which
     must be finite; the state must live on the Hamiltonian's basis.
     """
-    if psi0.basis is not None and h.basis is not None and psi0.basis != h.basis:
-        raise BasisMismatch("state and Hamiltonian live on different bases")
-    if psi0.dim != h.dim:
-        raise BasisMismatch(f"dimension mismatch: {psi0.dim} vs {h.dim}")
+    require_same_basis(psi0, h)
     if not np.all(np.isfinite(times)):
         raise ValueError("propagation time must be finite")
     w, v = h.eigensystem()
@@ -67,11 +76,9 @@ def _spectral_expansion(h: HamiltonianMatrix, psi0: StateVector, times):
 
 
 def propagate(h: HamiltonianMatrix, psi0: StateVector, t: float) -> StateVector:
-    """psi(t) = exp(-i H t) psi(0) via the cached eigendecomposition."""
-    w, v, coeffs = _spectral_expansion(h, psi0, t)
-    if t == 0.0:
-        return StateVector(psi0.amplitudes.copy(), psi0.basis)
-    return StateVector(v @ (np.exp(-1j * w * t) * coeffs), psi0.basis)
+    """psi(t) = exp(-i H t) psi(0): ``evolve_on_grid`` at t, an exact copy at t = 0."""
+    amps = evolve_on_grid(h, psi0, [t])[0]
+    return StateVector(psi0.amplitudes.copy() if t == 0.0 else amps, psi0.basis)
 
 
 def evolve_on_grid(
@@ -217,10 +224,9 @@ def analytic_pair_amplitudes(
     with w = swap_rate * n_atoms. Returns the collective-basis amplitudes
     at every one of ``times``, shape times.shape + (6,).
     """
-    for pair in ((alpha1, beta1), (alpha2, beta2)):
-        norm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError("each node amplitude pair must be normalized")
+    message = "each node amplitude pair must be normalized"
+    for alpha, beta in ((alpha1, beta1), (alpha2, beta2)):
+        require_normalized(alpha, beta, ValueError, message)
     t = np.asarray(times, dtype=float)
     w = swap_rate * n_atoms
     c1, s1 = np.cos(w * t), np.sin(w * t)
@@ -311,33 +317,26 @@ def blockade_solution(
     C1 = -C2 = -sqrt(N1 N2) Ws / (r1 - r2). The stored energies are the
     bare-frequency diagonal values (symmetric in the two nodes).
     """
-    swap = complex(rates.swap_rate)
-    if abs(swap.imag) > 1e-12 * max(1.0, abs(swap)):
-        raise ValueError("blockade closed form assumes a real exchange rate")
-    ws = swap.real
+    ws = real_rate(rates.swap_rate, "blockade closed form assumes a real exchange rate")
     w1, w2 = rates.shift_rate_1, rates.shift_rate_2
     wt1 = rates.transition_freq_1 + 2.0 * n_photons * w1
     wt2 = rates.transition_freq_2 + 2.0 * n_photons * w2
 
-    diag_2 = (n1 / 2.0 - 1.0) * wt1 + (n2 / 2.0) * wt2 - n1 * w1
-    diag_3 = (n1 / 2.0) * wt1 + (n2 / 2.0 - 1.0) * wt2 - n2 * w2
+    def diagonal(f1, f2):
+        """(E2, E3) at node frequencies (f1, f2)."""
+        return (
+            (n1 / 2.0 - 1.0) * f1 + (n2 / 2.0) * f2 - n1 * w1,
+            (n1 / 2.0) * f1 + (n2 / 2.0 - 1.0) * f2 - n2 * w2,
+        )
+
+    diag_2, diag_3 = diagonal(wt1, wt2)
+    energy_2, energy_3 = diagonal(rates.transition_freq_1, rates.transition_freq_2)
     exchange = np.sqrt(n1 * n2) * ws
     disc = np.sqrt((wt2 - wt1 + n2 * w2 - n1 * w1) ** 2 + 4.0 * n1 * n2 * ws**2)
     mean = 0.5 * (diag_2 + diag_3)
     r1 = mean + 0.5 * disc
     r2 = mean - 0.5 * disc
     c1 = 0.0 if disc == 0.0 else -exchange / disc
-
-    energy_2 = (
-        (n1 / 2.0 - 1.0) * rates.transition_freq_1
-        + (n2 / 2.0) * rates.transition_freq_2
-        - n1 * w1
-    )
-    energy_3 = (
-        (n1 / 2.0) * rates.transition_freq_1
-        + (n2 / 2.0 - 1.0) * rates.transition_freq_2
-        - n2 * w2
-    )
     return BlockadeSolution(
         r1=float(r1),
         r2=float(r2),
@@ -383,8 +382,7 @@ def transistor_amplitudes(
     Returns the TransistorBasis amplitudes at every one of ``times``,
     shape times.shape + (4,).
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > NORM_TOL:
-        raise ValueError("target amplitudes must be normalized")
+    require_normalized(alpha, beta, ValueError, "target amplitudes must be normalized")
     arg = np.sqrt(n_atoms) * rate * np.asarray(times, dtype=float)
     c, s = np.cos(arg), np.sin(arg)
     return np.stack([alpha * c, beta * c, -1j * alpha * s, -1j * beta * s], axis=-1)
@@ -515,8 +513,9 @@ def effective_model_error(
 
     max_inf, max_leak = [], []
     for delta in deltas:
-        check_detuning(delta, nodes, "error sweep")
-        swap_rate = abs(g) ** 2 / delta
+        rates = EffectiveRates.from_couplings(nodes, g, g, delta, delta)
+        # equal couplings: the swap rate is each node's self rate |g|^2/delta
+        swap_rate = rates.shift_rate_1
         if swap_rate != 0.0:
             period = np.pi / (np.sqrt(n1 * n2) * abs(swap_rate))
         else:

@@ -21,6 +21,25 @@ import numpy as np
 from .errors import DecompositionFailure
 
 
+# Largest max |U^dag U - 1| accepted for a 2x2 unitary: a CONTROLLED_U
+# payload, a controlled block or a rotation target.
+UNITARITY_TOL = 1e-8
+
+
+def require_unitary(u, error: type[Exception], message: str) -> np.ndarray:
+    """``u`` as a complex array; raises ``error(message)`` unless a 2x2 unitary.
+
+    Unitary means max |U^dag U - 1| within UNITARITY_TOL; ``message`` may
+    name ``{u}`` and ``{dev}``, that maximum (inf for another shape).
+    """
+    u = np.asarray(u, dtype=complex)
+    dev = np.abs(u.conj().T @ u - np.eye(2)).max() if u.shape == (2, 2) else np.inf
+    # written so that a NaN deviation fails too
+    if not dev <= UNITARITY_TOL:
+        raise error(message.format(u=u, dev=float(dev)))
+    return u
+
+
 def et_gate(theta: float) -> np.ndarray:
     """Partial excitation transfer on span{|0>|1>, |1>|0>}.
 
@@ -42,12 +61,10 @@ def controlled_power_matrix(t: int, u) -> np.ndarray:
 
     The identity on 2^(t+1) states except for its last 2x2 block, which is
     ``u`` (Barenco et al., PRA 52 (1995) 3457). Raises ValueError unless
-    ``u`` is a 2x2 unitary to 1e-8, the bound a CONTROLLED_U payload meets.
+    ``u`` passes ``require_unitary``.
     """
-    u = np.asarray(u, dtype=complex)
-    # written so that a NaN deviation fails too
-    if u.shape != (2, 2) or not np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-8:
-        raise ValueError(f"controlled block must be a 2x2 unitary, got {u!r}")
+    message = "controlled block must be a 2x2 unitary, got {u!r}"
+    u = require_unitary(u, ValueError, message)
     dim = 2 ** (t + 1)
     m = np.eye(dim, dtype=complex)
     m[dim - 2 :, dim - 2 :] = u
@@ -122,12 +139,9 @@ def synthesize_rotation(target, tol: float = 1e-10) -> RotationSynthesis:
     non-unitary input, NaN entries included; the recomposition is checked
     against the target to ``tol``.
     """
-    u = np.asarray(target, dtype=complex)
-    if u.shape != (2, 2):
+    if np.shape(target) != (2, 2):
         raise DecompositionFailure("expected a 2x2 matrix")
-    # written so that a NaN deviation fails too
-    if not np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-8:
-        raise DecompositionFailure("input matrix is not unitary")
+    u = require_unitary(target, DecompositionFailure, "input matrix is not unitary")
 
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     su = u / np.sqrt(det)

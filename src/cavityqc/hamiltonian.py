@@ -60,6 +60,13 @@ RESONANCE_FLOOR = 1e-9
 # ---------------------------------------------------------------------------
 
 
+def _per_node(value, node_index: int):
+    """A node's entry of a per-node field: None, one value, or a tuple per node."""
+    if isinstance(value, tuple):
+        return value[node_index] if node_index < len(value) else None
+    return value
+
+
 @dataclass(frozen=True)
 class CouplingSet:
     """Interaction constants per transition.
@@ -79,9 +86,7 @@ class CouplingSet:
         return tuple(t for t, g in enumerate(values) if g is not None)
 
     def coupling(self, transition: int, node_index: int) -> complex:
-        g = (self.g21, self.g32, self.g31)[transition]
-        if isinstance(g, tuple):
-            g = g[node_index] if node_index < len(g) else None
+        g = _per_node((self.g21, self.g32, self.g31)[transition], node_index)
         if g is None:
             upper, lower = TRANSITIONS[transition]
             raise MissingCoupling(
@@ -93,39 +98,35 @@ class CouplingSet:
 
 @dataclass(frozen=True)
 class DetuningSet:
-    """Per-node detunings of each transition from its driving mode.
+    """Detunings of each transition from its driving mode.
 
-    ``lower[m]``      : gap(1,0) of node m minus the mode-0 frequency,
-    ``upper[m]``      : gap(2,1) minus the mode-1 frequency,
-    ``two_photon[m]`` : gap(2,0) minus the mode-2 frequency.
-    Entries may be None when the transition is unused.
+    ``lower``      : gap(1,0) minus the mode-0 frequency,
+    ``upper``      : gap(2,1) minus the mode-1 frequency,
+    ``two_photon`` : gap(2,0) minus the mode-2 frequency.
+    Each takes CouplingSet's per-node form: None (the transition is unused),
+    one number for every node, or a tuple with one value (or None) per node.
     """
 
-    lower: tuple[float | None, ...] = ()
-    upper: tuple[float | None, ...] = ()
-    two_photon: tuple[float | None, ...] = ()
+    lower: float | tuple[float | None, ...] | None = None
+    upper: float | tuple[float | None, ...] | None = None
+    two_photon: float | tuple[float | None, ...] | None = None
 
     @classmethod
     def from_system(cls, nodes, couplings: CouplingSet, fock: FockFactor):
         """Derive detunings from level energies and mode frequencies."""
-        slot_of = _mode_slots(couplings, fock)
-        values: list[list[float | None]] = [[], [], []]
-        for t in range(3):
-            for node in nodes:
-                upper, lower = TRANSITIONS[t]
-                if t in slot_of and node.level_count > upper:
-                    freq = fock.modes[slot_of[t]].frequency
-                    values[t].append(node.energy_gap(upper, lower) - freq)
-                else:
-                    values[t].append(None)
-        return cls(tuple(values[0]), tuple(values[1]), tuple(values[2]))
+        values = {}
+        for t, slot in _mode_slots(couplings, fock).items():
+            upper, lower = TRANSITIONS[t]
+            freq = fock.modes[slot].frequency
+            values[t] = tuple(
+                n.energy_gap(upper, lower) - freq if n.level_count > upper else None
+                for n in nodes
+            )
+        return cls(*(values.get(t) for t in range(3)))
 
     def value(self, transition: int, node_index: int) -> float:
-        seq = (self.lower, self.upper, self.two_photon)[transition]
-        try:
-            delta = seq[node_index]
-        except IndexError:
-            delta = None
+        fields = (self.lower, self.upper, self.two_photon)
+        delta = _per_node(fields[transition], node_index)
         if delta is None:
             raise ResonanceSingularity(
                 f"no detuning available for transition {transition}, node {node_index}"
@@ -153,12 +154,14 @@ class EffectiveRates:
 
     @classmethod
     def from_couplings(cls, nodes, g1, g2, delta_1, delta_2, freq_1=0.0, freq_2=0.0):
-        for m, delta in enumerate((delta_1, delta_2)):
+        deltas = {0: delta_1, 1: delta_2}
+        for m, delta in deltas.items():
             check_detuning(delta, nodes, f"lower transition, node {m}")
+        pairs = _transition_pairs(0, CouplingSet(g21=(g1, g2)), deltas)
         return cls(
-            swap_rate=complex(_pair_rate(g1, g2, delta_1, delta_2)),
-            shift_rate_1=abs(g1) ** 2 / delta_1,
-            shift_rate_2=abs(g2) ** 2 / delta_2,
+            swap_rate=complex(pairs[0, 1]),
+            shift_rate_1=pairs[0, 0],
+            shift_rate_2=pairs[1, 1],
             transition_freq_1=freq_1,
             transition_freq_2=freq_2,
         )
@@ -403,6 +406,15 @@ def _photon_exchange_terms(basis, couplings: CouplingSet, fock: FockFactor, alph
                 )
 
 
+def real_rate(rate: complex, message: str) -> float:
+    """The real part of ``rate``; ValueError(message) unless it is finite and real."""
+    rate = complex(rate)
+    # written so that a NaN part fails too
+    if not (np.isfinite(rate) and abs(rate.imag) <= 1e-12 * max(1.0, abs(rate))):
+        raise ValueError(message)
+    return rate.real
+
+
 def _pair_rate(g_a, g_b, delta_a: float, delta_b: float):
     """Virtual-photon exchange rate (1/Delta_a + 1/Delta_b)/2 g_a conj(g_b)."""
     return 0.5 * (1.0 / delta_a + 1.0 / delta_b) * g_a * np.conj(g_b)
@@ -445,16 +457,19 @@ def _transition_pairs(t: int, couplings: CouplingSet, deltas: dict) -> dict:
     return pairs
 
 
+def _driven_deltas(t: int, nodes, deltas_of) -> dict:
+    """Detuning ``deltas_of(t, m)`` of every node m with transition ``t``, checked."""
+    upper, _ = TRANSITIONS[t]
+    deltas = {m: deltas_of(t, m) for m, n in enumerate(nodes) if n.level_count > upper}
+    for m, delta in deltas.items():
+        check_detuning(delta, nodes, f"transition {t}, node {m}")
+    return deltas
+
+
 def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
     """Intra- and inter-node exchange of every enabled transition."""
-    nodes = basis.nodes
     for t in couplings.enabled():
-        upper, _ = TRANSITIONS[t]
-        deltas = {
-            m: deltas_of(t, m) for m, node in enumerate(nodes) if node.level_count > upper
-        }
-        for m, delta in deltas.items():
-            check_detuning(delta, nodes, f"transition {t}, node {m}")
+        deltas = _driven_deltas(t, basis.nodes, deltas_of)
         phases = atom_phases(basis, slot_wave_vectors.get(t))
         channels = {m: (basis.node_sites(m), t, phases) for m in deltas}
         yield from _exchange_terms(channels, _transition_pairs(t, couplings, deltas))
@@ -515,15 +530,9 @@ def sw_coefficients(nodes, couplings: CouplingSet, fock: FockFactor) -> np.ndarr
     """
     nodes = tuple(nodes)
     detunings = DetuningSet.from_system(nodes, couplings, fock)
-    slot_of = _mode_slots(couplings, fock)
     alpha = np.zeros((len(nodes), 3))
-    for t in slot_of:
-        upper, _ = TRANSITIONS[t]
-        for m, node in enumerate(nodes):
-            if node.level_count <= upper:
-                continue
-            delta = detunings.value(t, m)
-            check_detuning(delta, nodes, f"transition {t}, node {m}")
+    for t in _mode_slots(couplings, fock):
+        for m, delta in _driven_deltas(t, nodes, detunings.value).items():
             alpha[m, t] = -1.0 / delta
     return alpha
 
@@ -589,13 +598,13 @@ def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vector
     for t in slot_of:
         upper, lower = TRANSITIONS[t]
         mode_site, n_levels = _mode(t)
-        for m, node in enumerate(nodes):
-            if node.level_count <= upper:
-                continue
-            rate = abs(couplings.coupling(t, m)) ** 2 / detunings.value(t, m)
+        number = (mode_site, _number(n_levels))
+        deltas = _driven_deltas(t, nodes, detunings.value)
+        rates = _transition_pairs(t, couplings, deltas)
+        for m in deltas:
             for j in basis.node_sites(m):
-                yield rate, ((j, _projector(upper)), (mode_site, _number(n_levels)))
-                yield -rate, ((j, _projector(lower)), (mode_site, _number(n_levels)))
+                yield rates[m, m], ((j, _projector(upper)), number)
+                yield -rates[m, m], ((j, _projector(lower)), number)
 
     # cross terms between transition pairs, one atom at a time
     zero = (0.0, 0.0, 0.0)
@@ -794,13 +803,11 @@ def two_level_swap_hamiltonian(
     under which the closed-form pair evolution holds exactly; "exact"
     instead uses finite-N Dicke combinatorics, 2 sqrt(N(N-1)) swap_rate.
     """
-    rate = complex(swap_rate)
-    if abs(rate.imag) > 1e-12 * max(1.0, abs(rate)):
-        raise ValueError("swap_rate must be real for the equal-coupling form")
+    rate = real_rate(swap_rate, "swap_rate must be real for the equal-coupling form")
     return collective_pair_hamiltonian(
         nodes,
-        swap_rate=rate.real,
-        shift_rates=(rate.real, rate.real),
+        swap_rate=rate,
+        shift_rates=(rate, rate),
         n_photons=0,
         rotating_frame=rotating_frame,
         ladder=ladder,
@@ -824,13 +831,11 @@ def lamb_shift_hamiltonian(
     nodes = tuple(nodes)
     if len(nodes) != 2:
         raise BasisMismatch("lamb shift builder works on a node pair")
-    g = [couplings.coupling(0, m) for m in range(2)]
-    deltas = [detunings.value(0, m) for m in range(2)]
-    rates = EffectiveRates.from_couplings(nodes, g[0], g[1], deltas[0], deltas[1])
+    rates = _transition_pairs(0, couplings, _driven_deltas(0, nodes, detunings.value))
     return collective_pair_hamiltonian(
         nodes,
-        swap_rate=rates.swap_rate,
-        shift_rates=(rates.shift_rate_1, rates.shift_rate_2),
+        swap_rate=rates[0, 1],
+        shift_rates=(rates[0, 0], rates[1, 1]),
         n_photons=n_photons,
         rotating_frame=rotating_frame,
         ladder=ladder,
@@ -840,6 +845,14 @@ def lamb_shift_hamiltonian(
 # ---------------------------------------------------------------------------
 # Quantum-transistor coupling
 # ---------------------------------------------------------------------------
+
+
+def _cross_rate(nodes, couplings: CouplingSet, detunings: DetuningSet, m: int):
+    """Exchange rate of the control's lower transition with target m's upper one."""
+    d_c, d_m = detunings.value(0, 0), detunings.value(1, m)
+    check_detuning(d_c, nodes, "control lower transition")
+    check_detuning(d_m, nodes, f"target {m} upper transition")
+    return _pair_rate(couplings.coupling(0, 0), couplings.coupling(1, m), d_c, d_m)
 
 
 def transistor_hamiltonian(
@@ -879,17 +892,11 @@ def transistor_hamiltonian(
     phases_lower = atom_phases(basis, k_lower)
     phases_upper = atom_phases(basis, k_upper)
 
-    g21c = couplings.coupling(0, 0)
-    delta_c = detunings.value(0, 0)
-    check_detuning(delta_c, nodes, "control lower transition")
     channels = {0: (basis.node_sites(0), 0, phases_lower)}
     pairs = {}
     for m in (1, 2):
-        g32m = couplings.coupling(1, m)
-        delta_m = detunings.value(1, m)
-        check_detuning(delta_m, nodes, f"target {m} upper transition")
         channels[m] = (basis.node_sites(m), 1, phases_upper)
-        pairs[0, m] = _pair_rate(g21c, g32m, delta_c, delta_m)
+        pairs[0, m] = _cross_rate(nodes, couplings, detunings, m)
     if include_target_upper_swap:
         deltas = {m: detunings.value(1, m) for m in (1, 2)}
         pairs.update(_transition_pairs(1, couplings, deltas))
@@ -903,10 +910,4 @@ def transistor_rate(nodes, couplings: CouplingSet, detunings: DetuningSet) -> fl
 
     ``nodes`` scale the resonance floor, as in ``transistor_hamiltonian``.
     """
-    g21c = couplings.coupling(0, 0)
-    g32 = couplings.coupling(1, 1)
-    delta_c = detunings.value(0, 0)
-    delta_t = detunings.value(1, 1)
-    check_detuning(delta_c, nodes, "control lower transition")
-    check_detuning(delta_t, nodes, "target 1 upper transition")
-    return float(abs(_pair_rate(g21c, g32, delta_c, delta_t)))
+    return float(abs(_cross_rate(nodes, couplings, detunings, 1)))

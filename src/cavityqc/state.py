@@ -39,16 +39,17 @@ class StateVector:
         return float(abs(self.amplitudes[index]) ** 2)
 
 
-def _require_same_basis(a: StateVector, b: StateVector) -> None:
+def require_same_basis(a, b) -> None:
+    """Refuse two states, or a state and a Hamiltonian, on different bases."""
     if a.basis is not None and b.basis is not None and a.basis != b.basis:
-        raise BasisMismatch("states live on different bases")
+        raise BasisMismatch("operands live on different bases")
     if a.dim != b.dim:
         raise BasisMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b> with basis checking."""
-    _require_same_basis(a, b)
+    require_same_basis(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 

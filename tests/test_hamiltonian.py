@@ -605,6 +605,27 @@ def test_transistor_zero_upper_coupling_gives_zero_matrix():
     assert np.abs(h.matrix).max() == 0.0
 
 
+def test_one_detuning_for_every_node_builds_the_tuple_form_bit_for_bit():
+    node = NodeSpec(2, 3, THREE_LEVELS)
+    couplings = CouplingSet(g21=(0.02, 0.025, 0.03), g32=0.03)
+    uniform = DetuningSet(lower=0.5, upper=0.7)
+    per_node = DetuningSet(lower=(0.5,) * 3, upper=(None, 0.7, 0.7))
+    for swap in (False, True):
+        a, b = (
+            transistor_hamiltonian(
+                node, (node, node), couplings, d, include_target_upper_swap=swap
+            )
+            for d in (uniform, per_node)
+        )
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+    pair = (NodeSpec(2), NodeSpec(3))
+    a, b = (
+        lamb_shift_hamiltonian(pair, CouplingSet(g21=(0.02, 0.03)), d, 2)
+        for d in (uniform, per_node)
+    )
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
 def test_transistor_conserves_weighted_excitation():
     node, couplings, detunings = _transistor_setup(2)
     h = transistor_hamiltonian(

@@ -30,12 +30,13 @@ from cavityqc import (
     two_level_swap_hamiltonian,
 )
 from cavityqc.cli import load_scenario
-from cavityqc.dynamics import transistor_amplitudes
+from cavityqc.dynamics import analytic_pair_amplitudes, transistor_amplitudes
 from cavityqc.errors import (
     BasisMismatch,
     DecompositionFailure,
     MissingCoupling,
     ParseError,
+    ResonanceSingularity,
     UnknownKind,
     ValidationError,
 )
@@ -179,10 +180,36 @@ REFUSALS = [
         lambda _: blockade_solution(EffectiveRates(0.1 + 0.1j, 0.1, 0.2), 1, 1, 0),
     ),
     _case(
+        "swap-nan-rate",
+        ValueError,
+        "must be real",
+        lambda _: two_level_swap_hamiltonian((TWO, TWO), complex(0.1, np.nan)),
+    ),
+    _case(
+        "blockade-nan-rate",
+        ValueError,
+        "real exchange rate",
+        lambda _: blockade_solution(
+            EffectiveRates(complex(0.1, np.nan), 0.1, 0.2), 1, 1, 0
+        ),
+    ),
+    _case(
         "transistor-unnormalized",
         ValueError,
         "normalized",
         lambda _: transistor_amplitudes(1.0, 1.0, 1, 0.1, [0.0]),
+    ),
+    _case(
+        "transistor-nan-amplitude",
+        ValueError,
+        "normalized",
+        lambda _: transistor_amplitudes(np.nan, 1.0, 1, 0.1, [0.0]),
+    ),
+    _case(
+        "pair-nan-amplitude",
+        ValueError,
+        "normalized",
+        lambda _: analytic_pair_amplitudes(np.nan, 1.0, 1.0, 0.0, 0.7, 2, [0.0]),
     ),
     _case(
         "sweep-unequal-gaps",
@@ -211,6 +238,18 @@ REFUSALS = [
         MissingCoupling,
         "3<->2 has no interaction constant for node 0",
         lambda _: CouplingSet(g32=(None, 0.01)).coupling(1, 0),
+    ),
+    _case(
+        "detuning-tuple-too-short",
+        ResonanceSingularity,
+        "transition 1, node 2",
+        lambda _: DetuningSet(upper=(None, 0.7)).value(1, 2),
+    ),
+    _case(
+        "detuning-tuple-none-entry",
+        ResonanceSingularity,
+        "transition 1, node 0",
+        lambda _: DetuningSet(lower=0.5, upper=(None, 0.7, 0.7)).value(1, 0),
     ),
     _case(
         "transistor-one-target",

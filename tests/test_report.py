@@ -26,19 +26,23 @@ BLOCKADE = {
 }
 
 
-def _csv_cell(value) -> str:
-    """How a CSV cell or column name is written: the oracle.
-
-    A string holding a comma goes in double quotes; it holds no double
-    quote, CR or LF, which the writer refuses.
-    """
+def _csv_text(value) -> str:
+    """The text of a CSV cell or column name before quoting."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return "%.12e" % value
-    if isinstance(value, str) and "," in value:
-        return f'"{value}"'
     return str(value)
+
+
+def _csv_cell(value) -> str:
+    """How a CSV cell or column name is written: the oracle.
+
+    A text holding a comma goes in double quotes; it holds no double
+    quote, CR or LF, which the writer refuses.
+    """
+    text = _csv_text(value)
+    return f'"{text}"' if "," in text else text
 
 
 def _csv_oracle(rows) -> bytes:
@@ -54,13 +58,12 @@ def _json_oracle(value) -> bytes:
 
 
 def _breaks_a_csv_line(tables) -> bool:
-    """Whether a CSV column name or string cell holds a double quote, CR or LF."""
+    """Whether the text of a CSV column name or cell holds a double quote, CR or LF."""
     texts = [
-        text
+        _csv_text(value)
         for rows in tables.values()
         if rows
-        for text in [*rows[0], *(v for row in rows for v in row.values())]
-        if isinstance(text, str)
+        for value in [*rows[0], *(v for row in rows for v in row.values())]
     ]
     return any(c in text for text in texts for c in '"\r\n')
 
@@ -164,6 +167,27 @@ def test_ragged_table_writes_nothing(tmp_path, tables):
 def test_csv_text_that_breaks_a_line_writes_nothing(tmp_path, text, where):
     row = {text: 1.0} if where == "column" else {"name": text, "x": 1.0}
     report = cli.RunReport("k", {}, {"good": [{"x": 1.0}], "t": [row]}, [], 0.0)
+    with pytest.raises(ValueError, match="table 't' holds the CSV text"):
+        cli.write_report(tmp_path / "out", report)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{"x": [1, 2], "y": 1.0}, {"x": {"a": 1, "b": 2}, "y": 1.0}, {"x": (1, 2)}],
+    ids=["list", "dict", "tuple"],
+)
+def test_csv_cell_that_is_not_a_float_or_string_keeps_its_comma_inside(tmp_path, row):
+    # a cell's text was quoted only for a string, so "[1, 2]" split in two
+    cli.write_report(tmp_path, cli.RunReport("k", {}, {"t": [row]}, [], 0.0))
+    with (tmp_path / "t.csv").open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(r) for r in rows] == [len(header)]
+    assert rows[0][0] == str(row["x"])
+
+
+def test_csv_cell_whose_text_breaks_a_line_writes_nothing(tmp_path):
+    report = cli.RunReport("k", {}, {"t": [{"x": ['a"b']}]}, [], 0.0)
     with pytest.raises(ValueError, match="table 't' holds the CSV text"):
         cli.write_report(tmp_path / "out", report)
     assert list(tmp_path.iterdir()) == []
