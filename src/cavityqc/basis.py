@@ -5,6 +5,9 @@ Conventions used throughout the package:
 * hbar = 1, all energies are angular frequencies;
 * atomic levels are indexed 0, 1, 2 from the ground state up;
 * a "node" is an ensemble of identical atoms acting as one collective site;
+* a product basis lays a node out either atom by atom (one site per atom,
+  the default) or as one symmetric site whose local states are the node's
+  permutation-symmetric (Dicke) states, labelled by level counts;
 * collective node states |0>, |1>, |2> are the permutation-symmetric
   superpositions with 0, 1 or 2 excited atoms (Dicke states), truncated at
   two excitations per node pair;
@@ -119,8 +122,55 @@ class FockFactor:
         return len(self.modes)
 
 
+def _excited_counts(n_atoms: int, top: int, cap: int | None):
+    """Counts (n_1, ..., n_top) of ``n_atoms`` atoms on levels 1..top.
+
+    Only counts with sum_k k n_k at most ``cap`` (any, for None), in
+    lexicographic order of (n_top, ..., n_1).
+    """
+    if top == 0:
+        yield ()
+        return
+    n_top = 0
+    while n_top <= n_atoms and (cap is None or top * n_top <= cap):
+        rest_cap = None if cap is None else cap - top * n_top
+        for rest in _excited_counts(n_atoms - n_top, top - 1, rest_cap):
+            yield rest + (n_top,)
+        n_top += 1
+
+
+def _level_counts(node: NodeSpec, cap: int | None) -> tuple[tuple[int, ...], ...]:
+    """Level counts (n_0, ..., n_top) of a node's Dicke states, one per local state.
+
+    Every way of putting the node's atoms on its levels whose level sum
+    n_1 + 2 n_2 is at most ``cap`` (every way, for None), ordered so that a
+    one-atom node's state k is its level k. Counts are Python integers, so
+    no atom count overflows them. Raises DimensionCap, before listing more,
+    once the states alone outgrow any matrix under DENSE_BYTES_CAP.
+    """
+    limit = math.isqrt(DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE)
+    rows = []
+    for excited in _excited_counts(node.atom_count, node.level_count - 1, cap):
+        if len(rows) == limit:
+            raise DimensionCap(
+                f"a symmetric site of {node.atom_count} atoms has more than "
+                f"{limit} states, above the cap of {DENSE_BYTES_CAP:.3e} bytes"
+            )
+        rows.append((node.atom_count - sum(excited),) + excited)
+    return tuple(rows)
+
+
 class CompositeBasis:
-    """Full product basis: one site per atom, then one site per photon mode.
+    """Full product basis: the atomic sites, then one site per photon mode.
+
+    The atomic sites take one of two layouts. Per atom (the default), each
+    atom is a site whose local state is its level. Symmetric, each node is
+    one site whose local states are its permutation-symmetric (Dicke)
+    states, labelled by level counts (see level_counts). A per-atom site is
+    the symmetric site of a group of one atom. The symmetric layout is exact
+    for couplings uniform within each node and no plane-wave phase (see
+    atom_phases); its cost does not grow with the atom count once a sector
+    caps the level sums.
 
     Index order is lexicographic over the occupation tuple with the last
     site varying fastest, so indices are stable across runs. Building a
@@ -128,10 +178,30 @@ class CompositeBasis:
     DimensionCap before anything of that size is allocated.
     """
 
-    def __init__(self, nodes: tuple[NodeSpec, ...], fock: FockFactor | None = None):
+    # largest level sum of a symmetric site's states; a sector sets it
+    quanta: int | None = None
+
+    def __init__(
+        self,
+        nodes: tuple[NodeSpec, ...],
+        fock: FockFactor | None = None,
+        symmetric: bool = False,
+    ):
         self.nodes = tuple(nodes)
         self.fock = fock
-        shape = [n.level_count for n in self.nodes for _ in range(n.atom_count)]
+        self.symmetric = bool(symmetric)
+        if self.symmetric:
+            self._counts = tuple(_level_counts(n, self.quanta) for n in self.nodes)
+            self._count_index = tuple(
+                {c: i for i, c in enumerate(counts)} for counts in self._counts
+            )
+            self._level_sums = tuple(
+                np.array([sum(k * n for k, n in enumerate(c)) for c in counts])
+                for counts in self._counts
+            )
+            shape = [len(counts) for counts in self._counts]
+        else:
+            shape = [n.level_count for n in self.nodes for _ in range(n.atom_count)]
         if fock is not None:
             shape += [nmax + 1 for nmax in fock.n_max]
         self.shape = tuple(shape)
@@ -153,7 +223,7 @@ class CompositeBasis:
     # -- identity ---------------------------------------------------------
 
     def _key(self):
-        return (self.nodes, self.fock, self.shape)
+        return (self.nodes, self.fock, self.shape, self.symmetric)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -168,9 +238,13 @@ class CompositeBasis:
 
     @property
     def n_atomic_sites(self) -> int:
+        if self.symmetric:
+            return len(self.nodes)
         return sum(node.atom_count for node in self.nodes)
 
     def node_sites(self, node_index: int) -> range:
+        if self.symmetric:
+            return range(node_index, node_index + 1)
         offset = sum(n.atom_count for n in self.nodes[:node_index])
         return range(offset, offset + self.nodes[node_index].atom_count)
 
@@ -178,6 +252,24 @@ class CompositeBasis:
         if self.fock is None:
             raise BasisMismatch("basis carries no photon modes")
         return self.n_atomic_sites + mode_index
+
+    def level_counts(self, site: int) -> tuple[tuple[int, ...], ...]:
+        """Level counts (n_0, ..., n_top) of each local state of a symmetric site."""
+        return self._counts[site]
+
+    def site_levels(self, site: int) -> np.ndarray:
+        """Level sum (atoms) or photon number (modes) of each local state of a site."""
+        if self.symmetric and site < self.n_atomic_sites:
+            return self._level_sums[site]
+        return np.arange(self.shape[site])
+
+    def local_index(self, node_index: int, counts) -> int:
+        """Local state of a symmetric node site with these level counts.
+
+        A state the sector caps away gets the index one past the site's
+        last state, which no basis state holds.
+        """
+        return self._count_index[node_index].get(tuple(counts), self.shape[node_index])
 
     # -- indexing ---------------------------------------------------------
 
@@ -237,10 +329,12 @@ class SectorBasis(CompositeBasis):
     """The product states of one conserved excitation sector.
 
     Keeps the site layout of the full CompositeBasis over the same nodes and
-    modes but only the occupation tuples with sum_k weights[k] occ[k] equal
-    to ``quanta``, in the same lexicographic order. The weights are the
-    per-site quanta of the model's excitation counter
-    (hamiltonian.excitation_weights). The sector size is counted before
+    modes but only the occupation tuples whose quanta, sum_k weights[k]
+    times the level sum (or photon number) of site k's local state, equal
+    ``quanta``, in the same lexicographic order. The weights are the
+    per-site quanta of the model's excitation counter; a symmetric site
+    keeps only the Dicke states of level sum at most ``quanta``, so its
+    atomic weights must be at least 1. The sector size is counted before
     any state is enumerated, so the dense-size cap applies to it up front.
     """
 
@@ -250,24 +344,35 @@ class SectorBasis(CompositeBasis):
         fock: FockFactor | None,
         weights: tuple[int, ...],
         quanta: int,
+        symmetric: bool = False,
     ):
         self.weights = tuple(int(w) for w in weights)
         self.quanta = int(quanta)
+        self._tables: list[np.ndarray] | None = None
         if self.quanta < 0 or any(w < 0 for w in self.weights):
             raise ValueError("quanta and site weights must be non-negative")
-        super().__init__(nodes, fock)
+        if symmetric and any(w < 1 for w in self.weights[: len(nodes)]):
+            raise ValueError("symmetric sites must carry at least one quantum per level")
+        super().__init__(nodes, fock, symmetric)
         if self.dim == 0:
             raise BasisMismatch(f"no product state carries {self.quanta} quanta")
         self._codes: np.ndarray | None = None
+
+    def _site_quanta(self) -> list[np.ndarray]:
+        """Quanta of each local state, site by site."""
+        if self._tables is None:
+            self._tables = [w * self.site_levels(k) for k, w in enumerate(self.weights)]
+        return self._tables
 
     def _count_states(self) -> int:
         if len(self.weights) != len(self.shape):
             raise ValueError("one weight per site required")
         # ways[q]: tuples over the sites seen so far that carry q quanta
         ways = [1] + [0] * self.quanta
-        for d, w in zip(self.shape, self.weights):
+        for table in self._site_quanta():
+            table = table.tolist()
             ways = [
-                sum(ways[q - w * n] for n in range(d) if q - w * n >= 0)
+                sum(ways[q - s] for s in table if q - s >= 0)
                 for q in range(self.quanta + 1)
             ]
         return ways[self.quanta]
@@ -275,12 +380,13 @@ class SectorBasis(CompositeBasis):
     def _enumerate(self) -> np.ndarray:
         # grow prefixes site by site, keeping those that can still total
         # exactly ``quanta``; np.nonzero keeps them in lexicographic order
-        room = [(d - 1) * w for d, w in zip(self.shape, self.weights)]
+        tables = self._site_quanta()
+        room = [int(table.max()) for table in tables]
         later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
         prefixes = np.zeros((1, 0), dtype=np.int64)
         used = np.zeros(1, dtype=np.int64)
-        for (d, w), rest in zip(zip(self.shape, self.weights), later):
-            total = used[:, None] + w * np.arange(d)
+        for table, rest in zip(tables, later):
+            total = used[:, None] + table
             keep = (total <= self.quanta) & (total + rest >= self.quanta)
             prefix, level = np.nonzero(keep)
             prefixes = np.column_stack([prefixes[prefix], level])
@@ -305,7 +411,10 @@ class SectorBasis(CompositeBasis):
         return found
 
     def holds(self, occupations: tuple[int, ...]) -> bool:
-        return sum(w * n for w, n in zip(self.weights, occupations)) == self.quanta
+        tables = self._site_quanta()
+        if not all(0 <= n < len(t) for n, t in zip(occupations, tables)):
+            return False
+        return sum(int(t[n]) for n, t in zip(occupations, tables)) == self.quanta
 
 
 def build_microscopic_basis(nodes, fock: FockFactor | None = None) -> CompositeBasis:
@@ -379,12 +488,21 @@ def atom_phases(basis: CompositeBasis, wave_vector) -> np.ndarray:
     """Plane-wave phase e^(i k.r_j) of every atomic site of the basis.
 
     All phases are 1 when ``wave_vector`` is None; otherwise it must be a
-    finite 3-vector (ValueError).
+    finite 3-vector (ValueError). A symmetric site is a whole node, whose
+    Dicke states carry no per-atom phase: on that layout any nonzero wave
+    vector raises BasisMismatch.
     """
     phases = np.ones(basis.n_atomic_sites, dtype=complex)
     if wave_vector is None:
         return phases
     k = _finite_vectors(wave_vector, (3,), "wave vector")
+    if basis.symmetric:
+        if k.any():
+            raise BasisMismatch(
+                f"the symmetric layout takes no wave vector, got {wave_vector!r}: "
+                "plane-wave phases differ from atom to atom"
+            )
+        return phases
     for m, node in enumerate(basis.nodes):
         for site, r in zip(basis.node_sites(m), node.atom_positions()):
             phases[site] = np.exp(1j * (r @ k))
@@ -398,7 +516,9 @@ def _dicke_pattern(basis: CompositeBasis, excitations, phases):
     factor of a node with N atoms is C(N, count)^(-1/2) times the sum, over
     each choice of ``count`` of its atoms, of the product of their
     ``phases`` times the state with those atoms at ``level``. Every site
-    not chosen stays at 0, so an empty list gives the all-ground state.
+    not chosen stays at 0, so an empty list gives the all-ground state. On
+    the symmetric layout that factor is one local state of the node's site,
+    so the pattern is one row of amplitude 1 (its phases are all 1).
     """
     if len({m for m, _, _ in excitations}) != len(excitations):
         raise BasisMismatch("product excitations need distinct nodes")
@@ -411,6 +531,12 @@ def _dicke_pattern(basis: CompositeBasis, excitations, phases):
             raise BasisMismatch(f"{count} excitations need at least {count} atoms")
         if count == 0:
             continue  # the node's factor is its ground state, amplitude 1
+        if basis.symmetric:
+            # the node's site holds the Dicke state itself, amplitude 1
+            counts = [node.atom_count - count] + [0] * (node.level_count - 1)
+            counts[level] += count
+            occs[0][node_index] = basis.local_index(node_index, counts)
+            continue
         norm = np.sqrt(math.comb(node.atom_count, count))
         terms = [
             (chosen, math.prod(phases[site] for site in chosen) / norm)

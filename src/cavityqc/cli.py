@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits, dynamics, gates
-from .basis import NodeSpec
+from .basis import BYTES_PER_AMPLITUDE, DENSE_BYTES_CAP, NodeSpec
 from .errors import (
     ParseError,
     ResonanceSingularity,
@@ -137,7 +137,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "list[int]",
             False,
             [2, 3, 4],
-            "control counts to verify",
+            "control counts to verify; dense 2^(t+1)-state matrices must fit "
+            "the byte cap (t <= 12)",
             minimum=2,
         ),
         Field(
@@ -153,6 +154,9 @@ NORMALIZED_PAIRS = {
     "pair-evolution": (("alpha1", "beta1"), ("alpha2", "beta2")),
     "transistor": (("alpha", "beta"),),
 }
+
+# Largest log2 of the entry count of a dense complex matrix under the cap.
+DENSE_LOG2_ENTRIES = (DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE).bit_length() - 1
 
 # Rates of a scenario that must be nonzero, per kind: with nothing
 # exchanged, every check passes on the unchanged initial state.
@@ -205,6 +209,13 @@ def _finite(field: Field, value) -> float:
 def _integer(field: Field, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError
+    # the one number rule again: every count is a finite float too
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"field {field.name!r} must be finite, got an integer past the float range"
+        ) from None
     if field.minimum is not None and value < field.minimum:
         raise ValidationError(
             f"field {field.name!r} must be >= {field.minimum}, got {value}"
@@ -273,6 +284,14 @@ def validate_params(kind: str, raw: dict) -> dict:
                 f"(assert_factor {params['assert_factor']:g})"
             )
         _window(params["periods"], "periods")
+    if kind == "verify-circuits":
+        # the reference and the logical matrix are dense over 2^(t+1) states
+        for t in params["t_values"]:
+            if 2 * (t + 1) > DENSE_LOG2_ENTRIES:
+                raise ValidationError(
+                    f"field 't_values' holds t = {t}, whose dense 2^{t + 1}-state "
+                    f"matrices exceed the cap of {DENSE_BYTES_CAP:.3e} bytes"
+                )
     return params
 
 

@@ -222,11 +222,13 @@ def analytic_pair_amplitudes(
                + e^(-2 i w t) b1 b2 [cos(2wt)|11> - i sin(2wt)|2+>],
 
     with w = swap_rate * n_atoms. Returns the collective-basis amplitudes
-    at every one of ``times``, shape times.shape + (6,).
+    at every one of ``times``, shape times.shape + (6,). A NaN, infinite
+    or complex ``swap_rate`` raises ValueError.
     """
     message = "each node amplitude pair must be normalized"
     for alpha, beta in ((alpha1, beta1), (alpha2, beta2)):
         require_normalized(alpha, beta, ValueError, message)
+    swap_rate = real_rate(swap_rate, "pair closed form needs a finite real swap_rate")
     t = np.asarray(times, dtype=float)
     w = swap_rate * n_atoms
     c1, s1 = np.cos(w * t), np.sin(w * t)
@@ -315,12 +317,22 @@ def blockade_solution(
 
     with dressed frequencies wt_m = w_m + 2 n W_m; the constants obey
     C1 = -C2 = -sqrt(N1 N2) Ws / (r1 - r2). The stored energies are the
-    bare-frequency diagonal values (symmetric in the two nodes).
+    bare-frequency diagonal values (symmetric in the two nodes). A NaN,
+    infinite or complex rate or frequency raises ValueError.
     """
     ws = real_rate(rates.swap_rate, "blockade closed form assumes a real exchange rate")
-    w1, w2 = rates.shift_rate_1, rates.shift_rate_2
-    wt1 = rates.transition_freq_1 + 2.0 * n_photons * w1
-    wt2 = rates.transition_freq_2 + 2.0 * n_photons * w2
+    message = "blockade closed form needs finite real shift rates and frequencies"
+    w1, w2, f1, f2 = (
+        real_rate(value, message)
+        for value in (
+            rates.shift_rate_1,
+            rates.shift_rate_2,
+            rates.transition_freq_1,
+            rates.transition_freq_2,
+        )
+    )
+    wt1 = f1 + 2.0 * n_photons * w1
+    wt2 = f2 + 2.0 * n_photons * w2
 
     def diagonal(f1, f2):
         """(E2, E3) at node frequencies (f1, f2)."""
@@ -330,7 +342,7 @@ def blockade_solution(
         )
 
     diag_2, diag_3 = diagonal(wt1, wt2)
-    energy_2, energy_3 = diagonal(rates.transition_freq_1, rates.transition_freq_2)
+    energy_2, energy_3 = diagonal(f1, f2)
     exchange = np.sqrt(n1 * n2) * ws
     disc = np.sqrt((wt2 - wt1 + n2 * w2 - n1 * w1) ** 2 + 4.0 * n1 * n2 * ws**2)
     mean = 0.5 * (diag_2 + diag_3)
@@ -380,9 +392,11 @@ def transistor_amplitudes(
                - i sin(sqrt(N) W t) |ctrl0>(alpha|02> + beta|20>).
 
     Returns the TransistorBasis amplitudes at every one of ``times``,
-    shape times.shape + (4,).
+    shape times.shape + (4,). A NaN, infinite or complex ``rate`` raises
+    ValueError.
     """
     require_normalized(alpha, beta, ValueError, "target amplitudes must be normalized")
+    rate = real_rate(rate, "transistor closed form needs a finite real rate")
     arg = np.sqrt(n_atoms) * rate * np.asarray(times, dtype=float)
     c, s = np.cos(arg), np.sin(arg)
     return np.stack([alpha * c, beta * c, -1j * alpha * s, -1j * beta * s], axis=-1)
@@ -415,7 +429,8 @@ def transistor_oracle(
     projector rows are the four reachable collective states in
     TransistorBasis order; projecting a propagated microscopic state onto
     them yields amplitudes directly comparable to transistor_evolution.
-    All three live on the two-quanta sector that holds the initial state.
+    All three live on the two-quanta sector that holds the initial state,
+    with one symmetric site per node: nine Dicke states at any atom count.
     """
     # ctrl1|01 and ctrl1|10: one control and one target excitation, which
     # fixes the excitation sector everything below is built on
@@ -428,6 +443,7 @@ def transistor_oracle(
         detunings,
         include_target_upper_swap=include_target_upper_swap,
         quanta=quanta,
+        symmetric=True,
     )
     mb = h.basis
     states = np.array(
@@ -473,12 +489,14 @@ def effective_model_error(
     For each detuning the same initial state (one collective excitation on
     node 1, photon vacuum) is propagated under (a) the microscopic
     Hamiltonian with one cavity mode at frequency gap - delta, built on the
-    one-quantum sector that holds the initial state, and (b) the
+    one-quantum sector that holds the initial state with one symmetric
+    site per node (three states at any atom count), and (b) the
     collective swap Hamiltonian with rate |g|^2/delta, over ``swap_periods``
     full swap periods pi / (sqrt(N1 N2) rate). The report carries, per
     delta, the maximum projected infidelity and the maximum leakage out of
     the zero-photon collective subspace. A detuning within the resonance
-    floor (see check_detuning) raises ResonanceSingularity.
+    floor (see check_detuning) raises ResonanceSingularity; a zero
+    coupling, under which neither model moves, raises ValueError.
     """
     nodes = tuple(nodes)
     # refuses anything but a pair of two-level nodes
@@ -490,6 +508,11 @@ def effective_model_error(
     g = couplings.coupling(0, 0)
     if couplings.coupling(0, 1) != g:
         raise ValueError("error study assumes equal couplings")
+    if g == 0:
+        raise ValueError(
+            "error study needs a nonzero coupling: without one neither model "
+            "moves and every error reads 0"
+        )
 
     n1, n2 = (node.atom_count for node in nodes)
     # one collective excitation on node 1, photon vacuum: its sector is
@@ -504,7 +527,9 @@ def effective_model_error(
     # the coupling part, the order in which a fresh build sums them. The
     # one-quantum sector holds at most one photon, whatever the truncation.
     layout = FockFactor((Mode(frequency=0.0),), (1,))
-    basis, atomic, coupling = microscopic_parts(nodes, couplings, layout, quanta)
+    basis, atomic, coupling = microscopic_parts(
+        nodes, couplings, layout, quanta, symmetric=True
+    )
     atomic_energy = np.diag(atomic)
     photons = basis.occupations[:, basis.mode_site(0)]
     isometry = pair_isometry(basis)
@@ -516,10 +541,7 @@ def effective_model_error(
         rates = EffectiveRates.from_couplings(nodes, g, g, delta, delta)
         # equal couplings: the swap rate is each node's self rate |g|^2/delta
         swap_rate = rates.shift_rate_1
-        if swap_rate != 0.0:
-            period = np.pi / (np.sqrt(n1 * n2) * abs(swap_rate))
-        else:
-            period = np.pi  # arbitrary finite window for uncoupled nodes
+        period = np.pi / (np.sqrt(n1 * n2) * abs(swap_rate))
         times = np.linspace(0.0, swap_periods * period, grid_points)
 
         static = np.diag(atomic_energy + (gap - delta) * photons)

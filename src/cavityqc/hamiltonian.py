@@ -14,18 +14,17 @@ Hamiltonians built here: the general photon-dressed form, the photon-free
 exchange form, the two-level swap special case, the photon-number
 (Lamb-shift) blockade form, and the cross-transition transistor coupling.
 
-Collective-basis builders offer two ladder conventions for the doubly
-excited block: "bosonic" (large-ensemble limit, sqrt(N n) amplitudes) and
-"exact" (finite-N Dicke combinatorics, sqrt(2(N-1)) for the second
-excitation). The two agree on the single-excitation sector; "bosonic" is
-the default because the closed-form pair evolution and its
-doubled-frequency sector are exact under it at any N, which is the
-convention the rest of the suite is specified against.
+The six-state collective pair builders use the large-ensemble ("bosonic")
+ladder, sqrt(N n) amplitudes, under which the closed-form pair evolution
+and its doubled-frequency sector are exact at any N. Finite-N Dicke
+combinatorics come from the microscopic builders on the symmetric site
+layout (basis.CompositeBasis), whose states are the nodes' Dicke states.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,6 @@ from .basis import (
     PAIR_OCCUPATIONS,
     SectorBasis,
     atom_phases,
-    build_microscopic_basis,
 )
 from .errors import (
     BasisMismatch,
@@ -212,6 +210,9 @@ class HamiltonianMatrix:
 # Local operators are lists of (to, from, amplitude) triples with at most one
 # triple per ``from`` level; a term is (coeff, factors) with factors
 # (site, local operator) on distinct sites, standing for coeff * prod O_site.
+# Generators write one-atom operators. On the symmetric layout a site is a
+# whole node: each factor stands for its operator summed over the node's
+# atoms, and factors on one site multiply in order (see _collective_factors).
 
 
 def _transition(upper: int, lower: int):
@@ -238,6 +239,50 @@ def _number(n_levels: int):
     return [(n, n, float(n)) for n in range(n_levels)]
 
 
+def _collective(basis: CompositeBasis, site: int, entries):
+    """A one-atom operator summed over the atoms of a symmetric site.
+
+    On the site's Dicke states, labelled by level counts n, a diagonal
+    operator gives sum_f a_f n_f, and one transition a |t><f| moves an atom
+    from f to t with amplitude a sqrt(n_f (n_t + 1)). An image the sector
+    caps away is dropped: it carries more quanta than the whole sector.
+    """
+    counts = basis.level_counts(site)
+    if all(t == f for t, f, _ in entries):
+        return [(i, i, sum(a * n[f] for _, f, a in entries)) for i, n in enumerate(counts)]
+    [(t, f, a)] = entries
+    lifted = []
+    for i, n in enumerate(counts):
+        if n[f] == 0:
+            continue
+        image = list(n)
+        image[f] -= 1
+        image[t] += 1
+        j = basis.local_index(site, image)
+        if j < basis.shape[site]:
+            lifted.append((j, i, a * math.sqrt(n[f] * (n[t] + 1))))
+    return lifted
+
+
+def _collective_factors(basis: CompositeBasis, factors):
+    """A term's factors as collective operators, one per site of the symmetric layout.
+
+    Each atomic factor becomes its _collective operator; factors on one site
+    multiply in order, the last acting first.
+    """
+    merged: dict = {}
+    for site, entries in factors:
+        if site < basis.n_atomic_sites:
+            entries = _collective(basis, site, entries)
+        if site in merged:
+            outer = {fr: (to, a) for to, fr, a in merged[site]}
+            entries = [
+                (outer[t][0], fr, outer[t][1] * a) for t, fr, a in entries if t in outer
+            ]
+        merged[site] = entries
+    return tuple(merged.items())
+
+
 def _families(basis: CompositeBasis, terms) -> dict:
     """Terms grouped by their local operators and local dimensions.
 
@@ -250,6 +295,8 @@ def _families(basis: CompositeBasis, terms) -> dict:
     for position, (coeff, factors) in enumerate(terms):
         if coeff == 0:
             continue
+        if basis.symmetric:
+            factors = _collective_factors(basis, factors)
         key = tuple((tuple(entries), basis.shape[site]) for site, entries in factors)
         family = families.setdefault(key, ([], [], []))
         family[0].append(position)
@@ -327,16 +374,16 @@ def check_detuning(delta: float, nodes, context: str):
 
 
 def excitation_weights(
-    nodes, couplings: CouplingSet, fock: FockFactor | None = None
+    atomic_sites: int, couplings: CouplingSet, fock: FockFactor | None = None
 ) -> tuple[int, ...]:
-    """Quanta per unit occupation of each site of the product basis.
+    """Quanta per unit level sum or photon of each site of a product basis.
 
-    Atoms count their level index (the top level carries two quanta);
-    photons count 1 quantum per photon on transitions 0 and 1 and 2 quanta
-    on the direct 2<->0 transition, matching the photon cost of the level
-    they create.
+    Atoms count their level index (the top level carries two quanta), on
+    a per-atom site and summed over a symmetric one; photons count 1
+    quantum per photon on transitions 0 and 1 and 2 quanta on the direct
+    2<->0 transition, matching the photon cost of the level they create.
     """
-    weights = [1] * sum(node.atom_count for node in nodes)
+    weights = [1] * atomic_sites
     if fock is not None:
         slot_of = _mode_slots(couplings, fock)
         for t in sorted(slot_of, key=slot_of.get):
@@ -345,15 +392,22 @@ def excitation_weights(
     return tuple(weights)
 
 
-def _product_basis(nodes, couplings, fock, quanta) -> CompositeBasis:
-    """Full product basis, or with ``quanta`` its sector of that many quanta."""
+def _product_basis(nodes, couplings, fock, quanta, symmetric=False) -> CompositeBasis:
+    """Full product basis, or with ``quanta`` its sector of that many quanta.
+
+    The one place the site layout is chosen: one site per atom, or with
+    ``symmetric`` one site per node holding its Dicke states.
+    """
+    nodes = tuple(nodes)
     if quanta is None:
-        return build_microscopic_basis(nodes, fock)
-    return SectorBasis(nodes, fock, excitation_weights(nodes, couplings, fock), quanta)
+        return CompositeBasis(nodes, fock, symmetric)
+    sites = len(nodes) if symmetric else sum(node.atom_count for node in nodes)
+    weights = excitation_weights(sites, couplings, fock)
+    return SectorBasis(nodes, fock, weights, quanta, symmetric)
 
 
 def _bare_terms(basis: CompositeBasis):
-    """Level energies of every atom and photon energies of every mode."""
+    """Level energies of every atomic site and photon energies of every mode."""
     for m, node in enumerate(basis.nodes):
         for site in basis.node_sites(m):
             yield 1.0, ((site, _levels(node.level_energies)),)
@@ -364,13 +418,14 @@ def _bare_terms(basis: CompositeBasis):
             yield 1.0, ((site, _levels(energies)),)
 
 
-def _exchange(i: int, j: int, coeff: complex, raise_i, lower_j):
+def _exchange(i: int, j: int, coeff: complex, raise_i, lower_j, symmetric=False):
     """coeff S(raise_i)_i S(lower_j)_j with S(a, b) = |a><b| on one site.
 
-    On a single site (i == j, the transition and its reverse) the product
-    is the projector on the upper level.
+    On a single atom (i == j, the transition and its reverse) the product
+    is the projector on the upper level. A ``symmetric`` site is a whole
+    node, whose two collective factors the assembler multiplies.
     """
-    if i == j:
+    if i == j and not symmetric:
         return coeff, ((i, _projector(raise_i[0])),)
     return coeff, ((i, _transition(*raise_i)), (j, _transition(*lower_j)))
 
@@ -420,16 +475,17 @@ def _pair_rate(g_a, g_b, delta_a: float, delta_b: float):
     return 0.5 * (1.0 / delta_a + 1.0 / delta_b) * g_a * np.conj(g_b)
 
 
-def _exchange_terms(channels, pairs):
+def _exchange_terms(channels, pairs, symmetric=False):
     """Second-order exchange between atomic transitions (James & Jerke 2007).
 
-    A channel is (sites, transition, phases): some atoms driven on one
-    transition, with the plane-wave phase of every atomic site. ``pairs``
-    maps each pair (a, b) of channel keys to its rate c_ab. Within one
-    channel (a == b) the terms are the double sum over its atoms, self
-    terms included, c_aa phi_i conj(phi_j) S(up)_i S(down)_j; between two
-    channels c_ab phi_i conj(phi_j) S(up_a)_i S(down_b)_j, each followed by
-    its Hermitian conjugate.
+    A channel is (sites, transition, phases): some atomic sites driven on
+    one transition, with the plane-wave phase of every atomic site.
+    ``pairs`` maps each pair (a, b) of channel keys to its rate c_ab.
+    Within one channel (a == b) the terms are the double sum over its
+    sites, self terms included, c_aa phi_i conj(phi_j) S(up)_i S(down)_j;
+    between two channels c_ab phi_i conj(phi_j) S(up_a)_i S(down_b)_j, each
+    followed by its Hermitian conjugate. On ``symmetric`` sites the same
+    sum runs over nodes with collective operators, J_+ J_- on one node.
     """
     for (a, b), rate in pairs.items():
         sites_a, t_a, phases_a = channels[a]
@@ -439,9 +495,9 @@ def _exchange_terms(channels, pairs):
         for i in sites_a:
             for j in sites_b:
                 coeff = rate * phases_a[i] * np.conj(phases_b[j])
-                yield _exchange(i, j, coeff, up_a, down_b)
+                yield _exchange(i, j, coeff, up_a, down_b, symmetric)
                 if a != b:
-                    yield _exchange(j, i, np.conj(coeff), up_b, down_a)
+                    yield _exchange(j, i, np.conj(coeff), up_b, down_a, symmetric)
 
 
 def _transition_pairs(t: int, couplings: CouplingSet, deltas: dict) -> dict:
@@ -472,7 +528,8 @@ def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
         deltas = _driven_deltas(t, basis.nodes, deltas_of)
         phases = atom_phases(basis, slot_wave_vectors.get(t))
         channels = {m: (basis.node_sites(m), t, phases) for m in deltas}
-        yield from _exchange_terms(channels, _transition_pairs(t, couplings, deltas))
+        pairs = _transition_pairs(t, couplings, deltas)
+        yield from _exchange_terms(channels, pairs, basis.symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +537,19 @@ def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
 # ---------------------------------------------------------------------------
 
 
-def microscopic_parts(nodes, couplings: CouplingSet, fock: FockFactor, quanta=None):
+def microscopic_parts(
+    nodes, couplings: CouplingSet, fock: FockFactor, quanta=None, symmetric=False
+):
     """(basis, static part, interaction part) of the microscopic model.
 
     The static part carries atomic level energies and photon energies; the
     interaction part carries the rotating-wave atom-photon couplings. With
-    ``quanta`` everything is built on that excitation sector only.
+    ``quanta`` everything is built on that excitation sector only. With
+    ``symmetric`` each node is one site holding its Dicke states, which the
+    model never leaves (couplings are uniform within a node); any nonzero
+    mode wave vector is then refused (see basis.atom_phases).
     """
-    basis = _product_basis(nodes, couplings, fock, quanta)
+    basis = _product_basis(nodes, couplings, fock, quanta, symmetric)
     h0 = _assemble(basis, _bare_terms(basis))
     h1 = _assemble(basis, _photon_exchange_terms(basis, couplings, fock))
     return basis, h0, h1
@@ -511,10 +573,13 @@ def total_excitation_operator(
 ) -> np.ndarray:
     """Diagonal quanta counter that commutes with the microscopic model.
 
-    Weights per site are those of excitation_weights.
+    Weights per site are those of excitation_weights, times each site's
+    level sum or photon number.
     """
-    weights = excitation_weights(basis.nodes, couplings, basis.fock)
-    return np.diag((basis.occupations @ np.asarray(weights)).astype(complex))
+    weights = excitation_weights(basis.n_atomic_sites, couplings, basis.fock)
+    occ = basis.occupations
+    quanta = sum(w * basis.site_levels(k)[occ[:, k]] for k, w in enumerate(weights))
+    return np.diag(quanta.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +779,7 @@ def swap_hamiltonian_microscopic(
     basis = _product_basis(nodes, None, None, quanta)
     # every atom of both nodes in one channel: one double sum at one rate
     atoms = (range(basis.n_atomic_sites), 0, atom_phases(basis, wave_vector))
-    exchange = _exchange_terms({0: atoms}, {(0, 0): swap_rate})
+    exchange = _exchange_terms({0: atoms}, {(0, 0): swap_rate}, basis.symmetric)
     bare = () if rotating_frame else _bare_terms(basis)
     h = _assemble(basis, itertools.chain(bare, exchange))
     return HamiltonianMatrix(h, basis)
@@ -725,17 +790,12 @@ def swap_hamiltonian_microscopic(
 # ---------------------------------------------------------------------------
 
 
-def _ladder_amp(node: NodeSpec, n_from: int, ladder: str) -> float:
-    """Amplitude of J_- taking the collective state |n_from> to |n_from - 1>."""
-    n_atoms = node.atom_count
+def _ladder_amp(node: NodeSpec, n_from: int) -> float:
+    """Bosonic amplitude sqrt(N n_from) of J_- taking |n_from> to |n_from - 1>."""
     if n_from == 1:
-        return np.sqrt(n_atoms)
+        return np.sqrt(node.atom_count)
     if n_from == 2:
-        if ladder == "bosonic":
-            return np.sqrt(2.0 * n_atoms)
-        if ladder == "exact":
-            return np.sqrt(2.0 * max(n_atoms - 1, 0))
-        raise ValueError(f"unknown ladder convention: {ladder!r}")
+        return np.sqrt(2.0 * node.atom_count)
     return 0.0
 
 
@@ -745,7 +805,6 @@ def collective_pair_hamiltonian(
     shift_rates: tuple[float, float],
     n_photons: int = 0,
     rotating_frame: bool = False,
-    ladder: str = "bosonic",
 ) -> HamiltonianMatrix:
     """Two-node collective Hamiltonian on the six-state pair basis.
 
@@ -770,7 +829,7 @@ def collective_pair_hamiltonian(
                     node.atom_count - n_m
                 ) * node.level_energies[0]
             diag += shift_rates[m] * (2 * n_m - node.atom_count) * n_photons
-            diag += shift_rates[m] * _ladder_amp(node, n_m, ladder) ** 2
+            diag += shift_rates[m] * _ladder_amp(node, n_m) ** 2
         h[a, a] = diag
         # inter-node exchange: (n1, n2) -> (n1 + 1, n2 - 1)
         target = (n1 + 1, n2 - 1)
@@ -778,8 +837,8 @@ def collective_pair_hamiltonian(
             b = occ.index(target)
             amp = (
                 swap_rate
-                * _ladder_amp(nodes[0], n1 + 1, ladder)
-                * _ladder_amp(nodes[1], n2, ladder)
+                * _ladder_amp(nodes[0], n1 + 1)
+                * _ladder_amp(nodes[1], n2)
             )
             h[b, a] += amp
             h[a, b] += np.conj(amp)
@@ -792,16 +851,16 @@ def two_level_swap_hamiltonian(
     nodes,
     swap_rate: float,
     rotating_frame: bool = False,
-    ladder: str = "bosonic",
 ) -> HamiltonianMatrix:
     """Equal-rate collective swap Hamiltonian on the six-state pair basis.
 
     The single-excitation block is exact for any atom number: diagonal
-    shifts N_m * swap_rate, off-diagonal sqrt(N1 N2) * swap_rate. In the
-    doubly-excited block the default "bosonic" ladder uses the
-    large-ensemble amplitudes (coupling 2 N swap_rate for equal nodes),
-    under which the closed-form pair evolution holds exactly; "exact"
-    instead uses finite-N Dicke combinatorics, 2 sqrt(N(N-1)) swap_rate.
+    shifts N_m * swap_rate, off-diagonal sqrt(N1 N2) * swap_rate. The
+    doubly-excited block uses the large-ensemble ladder (coupling
+    2 N swap_rate for equal nodes), under which the closed-form pair
+    evolution holds exactly. The finite-N Dicke value, 2 sqrt(N(N-1))
+    swap_rate, is what the microscopic swap gives on the symmetric site
+    layout (basis.CompositeBasis).
     """
     rate = real_rate(swap_rate, "swap_rate must be real for the equal-coupling form")
     return collective_pair_hamiltonian(
@@ -810,7 +869,6 @@ def two_level_swap_hamiltonian(
         shift_rates=(rate, rate),
         n_photons=0,
         rotating_frame=rotating_frame,
-        ladder=ladder,
     )
 
 
@@ -820,7 +878,6 @@ def lamb_shift_hamiltonian(
     detunings: DetuningSet,
     n_photons: int,
     rotating_frame: bool = False,
-    ladder: str = "bosonic",
 ) -> HamiltonianMatrix:
     """Photon-number dependent pair Hamiltonian with per-node couplings.
 
@@ -838,7 +895,6 @@ def lamb_shift_hamiltonian(
         shift_rates=(rates[0, 0], rates[1, 1]),
         n_photons=n_photons,
         rotating_frame=rotating_frame,
-        ladder=ladder,
     )
 
 
@@ -864,6 +920,7 @@ def transistor_hamiltonian(
     include_target_upper_swap: bool = False,
     rotating_frame: bool = True,
     quanta=None,
+    symmetric: bool = False,
 ) -> HamiltonianMatrix:
     """Cross-transition exchange between a control node and two target nodes.
 
@@ -880,14 +937,16 @@ def transistor_hamiltonian(
     default matrix is the pure cross-transition form. The interaction frame
     is used by default; set rotating_frame=False to add bare energies.
     ``quanta`` restricts the build to the sector with that many atomic
-    excitation quanta (level indices summed over all atoms).
+    excitation quanta (level indices summed over all atoms). ``symmetric``
+    builds on one site per node, its Dicke states (see microscopic_parts);
+    it refuses nonzero ``wave_vectors``.
     """
     nodes = (control,) + tuple(targets)
     if len(nodes) != 3:
         raise BasisMismatch("transistor coupling needs one control and two targets")
     if any(node.level_count != 3 for node in nodes[1:]):
         raise BasisMismatch("target nodes must be three-level")
-    basis = _product_basis(nodes, couplings, None, quanta)
+    basis = _product_basis(nodes, couplings, None, quanta, symmetric)
     k_lower, k_upper = wave_vectors if wave_vectors is not None else (None, None)
     phases_lower = atom_phases(basis, k_lower)
     phases_upper = atom_phases(basis, k_upper)
@@ -901,7 +960,8 @@ def transistor_hamiltonian(
         deltas = {m: detunings.value(1, m) for m in (1, 2)}
         pairs.update(_transition_pairs(1, couplings, deltas))
     bare = () if rotating_frame else _bare_terms(basis)
-    h = _assemble(basis, itertools.chain(bare, _exchange_terms(channels, pairs)))
+    exchange = _exchange_terms(channels, pairs, basis.symmetric)
+    h = _assemble(basis, itertools.chain(bare, exchange))
     return HamiltonianMatrix(h, basis)
 
 

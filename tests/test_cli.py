@@ -183,42 +183,59 @@ def test_malformed_json_is_parse_error(tmp_path):
     assert cli.main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
 
 
-def test_propagated_module_error_gives_exit_code_5(tmp_path):
-    # a valid scenario whose 10001-state sector the byte cap refuses downstream
+def test_propagated_module_error_gives_exit_code_5(tmp_path, capsys):
+    # a valid scenario whose rotation synthesis cannot meet its tolerance:
+    # the library's DecompositionFailure propagates to the runner
     scenario = _write(
         tmp_path,
-        "capped.json",
-        {
-            "kind": "effective-error-sweep",
-            "n_atoms": 5000,
-            "coupling": 0.01,
-            "delta_factors": [30],
-        },
+        "unmet.json",
+        {"kind": "verify-gates", "seed": 3, "samples": 1, "tolerance": 1e-30},
     )
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 5
+    assert "error: recomposition deviates" in capsys.readouterr().err
 
 
-def test_oversized_transistor_exits_5_before_allocating(tmp_path, capsys):
-    # 200 atoms per node: the two-quanta sector alone has 180300 states
+def test_oversized_verify_circuits_exits_3_before_allocating(tmp_path, capsys):
+    # t = 13: the dense reference and the logical matrix are 16384 x 16384,
+    # 4 GiB each, four times the byte cap
     scenario = _write(
         tmp_path,
         "huge.json",
+        {"kind": "verify-circuits", "seed": 3, "t_values": [2, 13], "samples": 1},
+    )
+    outdir = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["run", str(scenario), "-o", str(outdir)]) == 3
+    assert time.perf_counter() - start < 1.0
+    message = capsys.readouterr().err
+    assert "t = 13" in message and "cap" in message
+    assert not (outdir / "report.json").exists()
+
+
+def test_verify_circuits_cap_falls_between_12_and_13():
+    # t = 12 fills the cap exactly (8192^2 x 16 bytes = 1 GiB)
+    cli.validate_params("verify-circuits", {"seed": 3, "t_values": [12]})
+    with pytest.raises(ValidationError, match="t = 13"):
+        cli.validate_params("verify-circuits", {"seed": 3, "t_values": [13]})
+
+
+def test_sweep_runs_at_ten_thousand_atoms_per_node(tmp_path):
+    # one symmetric site per node: the one-quantum sector has three states
+    scenario = _write(
+        tmp_path,
+        "macroscopic.json",
         {
-            "kind": "transistor",
-            "n_atoms": 200,
-            "g21": 0.02,
-            "g32": 0.03,
-            "delta_control": 0.5,
-            "delta_target": 0.7,
-            "alpha": [1.0, 0.0],
-            "beta": [0.0, 0.0],
+            "kind": "effective-error-sweep",
+            "n_atoms": 10**4,
+            "coupling": 0.01,
+            "delta_factors": [10, 30, 100],
         },
     )
     start = time.perf_counter()
-    assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 5
+    assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 0
     assert time.perf_counter() - start < 1.0
-    message = capsys.readouterr().err
-    assert "180300" in message and "cap" in message
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is True
 
 
 def test_failed_assertion_gives_exit_code_4(tmp_path):
@@ -406,6 +423,17 @@ def test_non_finite_values_and_too_few_points_exit_3(
         # an empty list drops every case it drives: with no t_values the
         # run passed on the two fixed Toffoli cases alone
         ("verify-circuits", "t_values", []),
+        # the same rule for counts past the float range (exit 5
+        # before, a numpy ufunc error)
+        pytest.param(
+            "effective-error-sweep", "n_atoms", 10**400, id="sweep-n_atoms-10**400"
+        ),
+        pytest.param("transistor", "n_atoms", 10**400, id="transistor-n_atoms-10**400"),
+        pytest.param(
+            "pair-evolution", "n_atoms", 10**400, id="pair-n_atoms-10**400"
+        ),
+        pytest.param("blockade", "n_1", 10**400, id="blockade-n_1-10**400"),
+        pytest.param("blockade", "n_2", 10**400, id="blockade-n_2-10**400"),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):

@@ -1,5 +1,6 @@
 """Hamiltonian builders against brute-force and perturbation-theory oracles."""
 
+import functools
 import itertools
 import tracemalloc
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavityqc import (
+    CollectiveBasis,
     CouplingSet,
     DetuningSet,
     EffectiveRates,
@@ -22,6 +24,7 @@ from cavityqc import (
     effective_model_error,
     lamb_shift_hamiltonian,
     microscopic_hamiltonian,
+    pair_isometry,
     photon_free_effective_hamiltonian,
     schrieffer_wolff_hamiltonian,
     sw_coefficients,
@@ -39,7 +42,7 @@ from cavityqc.errors import (
     ResonanceSingularity,
 )
 from cavityqc import hamiltonian
-from cavityqc.basis import atom_phases
+from cavityqc.basis import PAIR_OCCUPATIONS, atom_phases
 from cavityqc.hamiltonian import microscopic_parts
 
 THREE_LEVELS = (0.0, 1.0, 2.1)
@@ -397,6 +400,20 @@ def test_zero_photon_block_equals_photon_free_form():
 # --- collective two-level swap --------------------------------------------------
 
 
+def symmetric_site_swap(nodes, rate, rotating_frame=True):
+    """The microscopic swap on one symmetric site per node, in the pair basis.
+
+    _product_basis is the one place the site layout is chosen, so patching
+    it builds swap_hamiltonian_microscopic on the nodes' Dicke states.
+    """
+    symmetric = functools.partial(hamiltonian._product_basis, symmetric=True)
+    with mock.patch.object(hamiltonian, "_product_basis", symmetric):
+        h = swap_hamiltonian_microscopic(nodes, rate, rotating_frame=rotating_frame)
+    assert h.basis.symmetric
+    rows = pair_isometry(h.basis)
+    return rows.conj() @ h.matrix @ rows.T
+
+
 @pytest.mark.parametrize("n_atoms", [2, 3])
 def test_single_excitation_element_equals_brute_force(n_atoms):
     rate = 0.7
@@ -407,10 +424,10 @@ def test_single_excitation_element_equals_brute_force(n_atoms):
     assert element == pytest.approx(n_atoms * rate, abs=1e-12)
 
     nodes = (NodeSpec(n_atoms), NodeSpec(n_atoms))
-    for ladder in ("bosonic", "exact"):
-        h = two_level_swap_hamiltonian(nodes, rate, rotating_frame=True, ladder=ladder)
-        assert h.matrix[2, 1] == pytest.approx(element, abs=1e-12)
-        assert h.matrix[1, 1] == pytest.approx(n_atoms * rate, abs=1e-12)
+    h = two_level_swap_hamiltonian(nodes, rate, rotating_frame=True)
+    for matrix in (h.matrix, symmetric_site_swap(nodes, rate)):
+        assert matrix[2, 1] == pytest.approx(element, abs=1e-12)
+        assert matrix[1, 1] == pytest.approx(n_atoms * rate, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_atoms", [2, 3])
@@ -427,8 +444,7 @@ def test_doubly_excited_element_conventions(n_atoms):
     element = plus.conj() @ interaction @ psi4
     expected_exact = 2.0 * np.sqrt(n_atoms * (n_atoms - 1)) * rate
     assert element == pytest.approx(expected_exact, abs=1e-12)
-    h_exact = two_level_swap_hamiltonian(nodes, rate, rotating_frame=True, ladder="exact")
-    assert h_exact.matrix[4, 3] == pytest.approx(element, abs=1e-12)
+    assert symmetric_site_swap(nodes, rate)[4, 3] == pytest.approx(element, abs=1e-12)
 
     # large-ensemble convention carries the doubled-frequency coupling 2 N rate
     h = two_level_swap_hamiltonian(nodes, rate, rotating_frame=True)
@@ -447,12 +463,28 @@ def test_antisymmetric_doubly_excited_state_is_decoupled():
     # the node-exchange-odd combination is an eigenstate of the swap
     n_atoms, rate = 3, 0.7
     nodes = (NodeSpec(n_atoms), NodeSpec(n_atoms))
-    for ladder in ("bosonic", "exact"):
-        h = two_level_swap_hamiltonian(nodes, rate, rotating_frame=True, ladder=ladder)
-        assert abs(h.matrix[5, 3]) < 1e-15
-        assert abs(h.matrix[5, 4]) < 1e-15
     h = two_level_swap_hamiltonian(nodes, rate, rotating_frame=True)
+    for matrix in (h.matrix, symmetric_site_swap(nodes, rate)):
+        assert abs(matrix[5, 3]) < 1e-15
+        assert abs(matrix[5, 4]) < 1e-15
     assert h.matrix[5, 5] == pytest.approx(2 * n_atoms * rate, abs=1e-12)
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (4, 3)])
+def test_symmetric_site_swap_equals_brute_force_in_pair_basis(n1, n2):
+    # every entry of the finite-N pair model, bare energies included, from
+    # Kronecker products over the atoms projected on the six pair states
+    rate, energies = 0.7, (0.1, 1.3)
+    nodes = (NodeSpec(n1, 2, energies), NodeSpec(n2, 2, energies))
+    bare = sum(
+        atom_op(n1 + n2, j, np.diag(energies)) for j in range(n1 + n2)
+    )
+    brute = bare + rate * brute_swap_interaction(n1, n2)
+    states = [brute_pair_state(n1, n2, *counts) for counts in PAIR_OCCUPATIONS]
+    rows = CollectiveBasis.occupation_rotation() @ np.array(states)
+    expected = rows.conj() @ brute @ rows.T
+    model = symmetric_site_swap(nodes, rate, rotating_frame=False)
+    assert np.abs(model - expected).max() <= 1e-12
 
 
 def test_swap_microscopic_matches_collective_single_sector():

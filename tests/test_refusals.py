@@ -31,9 +31,11 @@ from cavityqc import (
 )
 from cavityqc.cli import load_scenario
 from cavityqc.dynamics import analytic_pair_amplitudes, transistor_amplitudes
+from cavityqc.hamiltonian import microscopic_parts
 from cavityqc.errors import (
     BasisMismatch,
     DecompositionFailure,
+    DimensionCap,
     MissingCoupling,
     ParseError,
     ResonanceSingularity,
@@ -160,14 +162,6 @@ REFUSALS = [
         ),
     ),
     _case(
-        "pair-unknown-ladder",
-        ValueError,
-        "unknown ladder",
-        lambda _: collective_pair_hamiltonian(
-            (TWO, TWO), 0.1, (0.1, 0.1), ladder="fermionic"
-        ),
-    ),
-    _case(
         "swap-complex-rate",
         ValueError,
         "must be real",
@@ -194,6 +188,42 @@ REFUSALS = [
         ),
     ),
     _case(
+        "blockade-nan-shift-rate",
+        ValueError,
+        "finite real shift rates",
+        lambda _: blockade_solution(EffectiveRates(0.1, np.nan, 0.2), 1, 1, 0),
+    ),
+    _case(
+        "blockade-inf-frequency",
+        ValueError,
+        "finite real shift rates and frequencies",
+        lambda _: blockade_solution(EffectiveRates(0.1, 0.1, 0.2, np.inf), 1, 1, 0),
+    ),
+    _case(
+        "pair-nan-rate",
+        ValueError,
+        "finite real swap_rate",
+        lambda _: analytic_pair_amplitudes(0.6, 0.8, 1.0, 0.0, np.nan, 2, [0.5]),
+    ),
+    _case(
+        "pair-inf-rate",
+        ValueError,
+        "finite real swap_rate",
+        lambda _: analytic_pair_amplitudes(0.6, 0.8, 1.0, 0.0, -np.inf, 2, [0.5]),
+    ),
+    _case(
+        "transistor-nan-rate",
+        ValueError,
+        "finite real rate",
+        lambda _: transistor_amplitudes(0.6, 0.8, 1, np.nan, [0.5]),
+    ),
+    _case(
+        "transistor-inf-rate",
+        ValueError,
+        "finite real rate",
+        lambda _: transistor_amplitudes(0.6, 0.8, 1, np.inf, [0.5]),
+    ),
+    _case(
         "transistor-unnormalized",
         ValueError,
         "normalized",
@@ -217,6 +247,38 @@ REFUSALS = [
         "transition frequency",
         lambda _: effective_model_error(
             (TWO, NodeSpec(1, 2, (0.0, 1.1))), CouplingSet(g21=0.01), [0.3]
+        ),
+    ),
+    _case(
+        "sweep-zero-coupling",
+        ValueError,
+        "nonzero coupling",
+        lambda _: effective_model_error((TWO, TWO), CouplingSet(g21=0.0), [0.3]),
+    ),
+    _case(
+        "symmetric-site-too-large",
+        DimensionCap,
+        "more than 8192 states",
+        lambda _: CompositeBasis((NodeSpec(10**6, 3, (0.0, 1.0, 2.0)),), symmetric=True),
+    ),
+    _case(
+        "symmetric-mode-wave-vector",
+        BasisMismatch,
+        "symmetric layout takes no wave vector",
+        lambda _: microscopic_parts(
+            (TWO, TWO),
+            CouplingSet(g21=0.01),
+            FockFactor((Mode(1.0, (0.0, 0.0, 0.5)),), (1,)),
+            symmetric=True,
+        ),
+    ),
+    _case(
+        "symmetric-transistor-wave-vectors",
+        BasisMismatch,
+        "symmetric layout takes no wave vector",
+        lambda _: transistor_hamiltonian(
+            THREE, (THREE, THREE), *TRANSISTOR, ((0.0,) * 3, (0.2, 0.0, 0.0)),
+            quanta=2, symmetric=True,
         ),
     ),
     _case(
