@@ -56,11 +56,25 @@ class Field:
     default: object = None
     help: str = ""
     minimum: int | None = None  # lower bound of an int field or list[int] item
+    maximum: int | None = None  # upper bound of the same
+
+
+# Largest atom count per node. The product of two counts, which the runners
+# and closed forms take square roots of, then stays a 64-bit integer; numpy
+# has no square root for a Python int past that range.
+MAX_ATOMS = 2**31
 
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
     "pair-evolution": (
-        Field("n_atoms", "int", True, help="atoms per node (equal nodes)", minimum=1),
+        Field(
+            "n_atoms",
+            "int",
+            True,
+            help="atoms per node (equal nodes)",
+            minimum=1,
+            maximum=MAX_ATOMS,
+        ),
         Field("swap_rate", "float", True, help="inter-node exchange rate [rad/time]"),
         Field("alpha1", "complex", True, help="node-1 ground amplitude [re, im]"),
         Field("beta1", "complex", True, help="node-1 excited amplitude [re, im]"),
@@ -71,8 +85,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
     ),
     "blockade": (
-        Field("n_1", "int", True, help="atoms in node 1", minimum=1),
-        Field("n_2", "int", True, help="atoms in node 2", minimum=1),
+        Field("n_1", "int", True, help="atoms in node 1", minimum=1, maximum=MAX_ATOMS),
+        Field("n_2", "int", True, help="atoms in node 2", minimum=1, maximum=MAX_ATOMS),
         Field("n_photons", "int", True, help="real cavity photons", minimum=0),
         Field("shift_rate_1", "float", True, help="|g1|^2/Delta1 [rad/time]"),
         Field("shift_rate_2", "float", True, help="|g2|^2/Delta2 [rad/time]"),
@@ -91,7 +105,9 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("max_c3_sq_below", "float", False, None, "optional blocking bound"),
     ),
     "transistor": (
-        Field("n_atoms", "int", True, help="atoms per node", minimum=1),
+        Field(
+            "n_atoms", "int", True, help="atoms per node", minimum=1, maximum=MAX_ATOMS
+        ),
         Field("g21", "float", True, help="lower-transition coupling"),
         Field("g32", "float", True, help="upper-transition coupling"),
         Field("delta_control", "float", True, help="control lower-transition detuning"),
@@ -103,7 +119,14 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
     ),
     "effective-error-sweep": (
-        Field("n_atoms", "int", True, help="atoms per node (equal nodes)", minimum=1),
+        Field(
+            "n_atoms",
+            "int",
+            True,
+            help="atoms per node (equal nodes)",
+            minimum=1,
+            maximum=MAX_ATOMS,
+        ),
         Field("coupling", "float", True, help="atom-mode coupling g"),
         Field(
             "delta_factors",
@@ -219,6 +242,10 @@ def _integer(field: Field, value) -> int:
     if field.minimum is not None and value < field.minimum:
         raise ValidationError(
             f"field {field.name!r} must be >= {field.minimum}, got {value}"
+        )
+    if field.maximum is not None and value > field.maximum:
+        raise ValidationError(
+            f"field {field.name!r} must be <= {field.maximum}, got {value}"
         )
     return value
 

@@ -26,10 +26,14 @@ from .hamiltonian import (
     DetuningSet,
     EffectiveRates,
     HamiltonianMatrix,
+    _transition_pairs,
+    check_detuning,
+    collective_pair_matrices,
+    eigendecomposition,
     microscopic_parts,
     real_rate,
+    require_hermitian,
     transistor_hamiltonian,
-    two_level_swap_hamiltonian,
 )
 from .state import StateVector, require_same_basis
 
@@ -62,6 +66,19 @@ def require_normalized(
         raise error(message.format(norm=norm))
 
 
+def _require_finite(times) -> np.ndarray:
+    """``times`` as a float array; ValueError unless every one is finite."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("propagation time must be finite")
+    return times
+
+
+def _coefficients(v: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """v^H psi0: the state's weight on each eigenvector, per slice of a stack."""
+    return np.swapaxes(v.conj(), -1, -2) @ amplitudes
+
+
 def _spectral_expansion(h: HamiltonianMatrix, psi0: StateVector, times):
     """Checked eigen-expansion (w, v, v^H psi0) of psi0 under h.
 
@@ -69,10 +86,36 @@ def _spectral_expansion(h: HamiltonianMatrix, psi0: StateVector, times):
     must be finite; the state must live on the Hamiltonian's basis.
     """
     require_same_basis(psi0, h)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("propagation time must be finite")
+    _require_finite(times)
     w, v = h.eigensystem()
-    return w, v, v.conj().T @ psi0.amplitudes
+    return w, v, _coefficients(v, psi0.amplitudes)
+
+
+def _expand(w, v, coeffs, times) -> np.ndarray:
+    """psi(t) = v @ (exp(-i w t) * coeffs) at every one of ``times``.
+
+    One eigensystem (w (d,), v (d, d), coeffs (d,), times (T,)) gives a
+    (T, d) array; a stack of K ((K, d), (K, d, d), (K, d), (K, T)) gives
+    (K, T, d). Each step is one numpy call that runs slice by slice (the
+    product with v^T one BLAS call per slice), so every slice of a stack
+    equals its own one-system expansion bit for bit.
+    """
+    phases = np.exp(-1j * (times[..., :, None] * w[..., None, :]))
+    return (phases * coeffs[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def _evolve_stack(matrices: np.ndarray, amplitudes: np.ndarray, times) -> np.ndarray:
+    """(K, T, d) amplitudes of one initial state under a (K, d, d) stack.
+
+    Slice k of ``times`` (K, T), which must be finite, is the grid of
+    matrix k. The stack gets HamiltonianMatrix's Hermiticity rule and one
+    eigendecomposition, so slice k equals evolve_on_grid of matrix k on its
+    grid bit for bit.
+    """
+    require_hermitian(matrices)
+    times = _require_finite(times)
+    w, v = eigendecomposition(matrices)
+    return _expand(w, v, _coefficients(v, amplitudes), times)
 
 
 def propagate(h: HamiltonianMatrix, psi0: StateVector, t: float) -> StateVector:
@@ -84,11 +127,13 @@ def propagate(h: HamiltonianMatrix, psi0: StateVector, t: float) -> StateVector:
 def evolve_on_grid(
     h: HamiltonianMatrix, psi0: StateVector, times: np.ndarray
 ) -> np.ndarray:
-    """(len(times), dim) array of propagated amplitudes."""
+    """(len(times), dim) array of propagated amplitudes.
+
+    The one-matrix case of the stacked expansion the error sweep runs on
+    all its detunings at once; the eigendecomposition is h's cached one.
+    """
     times = np.asarray(times, dtype=float)
-    w, v, coeffs = _spectral_expansion(h, psi0, times)
-    phases = np.exp(-1j * np.outer(times, w))
-    return (phases * coeffs) @ v.T
+    return _expand(*_spectral_expansion(h, psi0, times), times)
 
 
 def _population_derivatives(amps: np.ndarray, w: np.ndarray, t: float):
@@ -497,6 +542,12 @@ def effective_model_error(
     the zero-photon collective subspace. A detuning within the resonance
     floor (see check_detuning) raises ResonanceSingularity; a zero
     coupling, under which neither model moves, raises ValueError.
+
+    All K detunings go through one stacked call: their rates, periods and
+    time grids are arrays, each model is one (K, d, d) stack with one
+    Hermiticity check, one eigendecomposition and one propagation, and the
+    metric is one pass over the (K, T) grid. Every number equals that of a
+    separate one-detuning call bit for bit.
     """
     nodes = tuple(nodes)
     # refuses anything but a pair of two-level nodes
@@ -513,6 +564,9 @@ def effective_model_error(
             "error study needs a nonzero coupling: without one neither model "
             "moves and every error reads 0"
         )
+    deltas = np.array(deltas, dtype=float)
+    for delta in deltas:
+        check_detuning(delta, nodes, "lower transition, node 0")
 
     n1, n2 = (node.atom_count for node in nodes)
     # one collective excitation on node 1, photon vacuum: its sector is
@@ -530,39 +584,34 @@ def effective_model_error(
     basis, atomic, coupling = microscopic_parts(
         nodes, couplings, layout, quanta, symmetric=True
     )
-    atomic_energy = np.diag(atomic)
     photons = basis.occupations[:, basis.mode_site(0)]
     isometry = pair_isometry(basis)
-    psi_full0 = StateVector(isometry[start], basis)
-    psi_eff0 = StateVector(isometry.conj() @ psi_full0.amplitudes, collective)
+    psi_full0 = isometry[start]
+    psi_eff0 = isometry.conj() @ psi_full0
 
-    max_inf, max_leak = [], []
-    for delta in deltas:
-        rates = EffectiveRates.from_couplings(nodes, g, g, delta, delta)
-        # equal couplings: the swap rate is each node's self rate |g|^2/delta
-        swap_rate = rates.shift_rate_1
-        period = np.pi / (np.sqrt(n1 * n2) * abs(swap_rate))
-        times = np.linspace(0.0, swap_periods * period, grid_points)
+    # equal couplings: the swap rate is each node's self rate |g|^2/delta
+    swap_rates = _transition_pairs(0, couplings, {0: deltas})[0, 0]
+    periods = np.pi / (np.sqrt(n1 * n2) * np.abs(swap_rates))
+    times = np.linspace(0.0, swap_periods * periods, grid_points, axis=1)
 
-        static = np.diag(atomic_energy + (gap - delta) * photons)
-        h_full = HamiltonianMatrix(static + coupling, basis)
-        h_eff = two_level_swap_hamiltonian(nodes, swap_rate)
+    diagonal = np.diag(atomic) + (gap - deltas)[:, None] * photons
+    h_full = np.zeros(diagonal.shape + (basis.dim,), dtype=diagonal.dtype)
+    h_full[:, range(basis.dim), range(basis.dim)] = diagonal
+    h_full += coupling
+    h_eff = collective_pair_matrices(nodes, swap_rates, (swap_rates, swap_rates))
 
-        full = evolve_on_grid(h_full, psi_full0, times)
-        eff = evolve_on_grid(h_eff, psi_eff0, times)
+    full = _evolve_stack(h_full, psi_full0, times)
+    eff = _evolve_stack(h_eff, psi_eff0, times)
 
-        projected = full @ isometry.conj().T
-        proj_norm_sq = np.sum(np.abs(projected) ** 2, axis=1)
-        overlap = np.abs(np.sum(np.conj(eff) * projected, axis=1)) ** 2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            infidelity = 1.0 - np.where(proj_norm_sq > 0, overlap / proj_norm_sq, 0.0)
-        leakage = 1.0 - proj_norm_sq
-
-        max_inf.append(float(np.clip(infidelity, 0.0, 1.0).max()))
-        max_leak.append(float(np.clip(leakage, 0.0, 1.0).max()))
+    projected = full @ isometry.conj().T
+    proj_norm_sq = np.sum(np.abs(projected) ** 2, axis=-1)
+    overlap = np.abs(np.sum(np.conj(eff) * projected, axis=-1)) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        infidelity = 1.0 - np.where(proj_norm_sq > 0, overlap / proj_norm_sq, 0.0)
+    leakage = 1.0 - proj_norm_sq
 
     return ErrorReport(
-        deltas=tuple(float(d) for d in deltas),
-        max_infidelity=tuple(max_inf),
-        max_leakage=tuple(max_leak),
+        deltas=tuple(deltas.tolist()),
+        max_infidelity=tuple(np.clip(infidelity, 0.0, 1.0).max(axis=-1).tolist()),
+        max_leakage=tuple(np.clip(leakage, 0.0, 1.0).max(axis=-1).tolist()),
     )

@@ -165,6 +165,32 @@ class EffectiveRates:
         )
 
 
+def require_hermitian(matrices: np.ndarray) -> None:
+    """ValueError unless the matrix, or every matrix of a (..., d, d) stack,
+    is Hermitian to HERMITICITY_TOL x max(1, its largest |entry|)."""
+    scale = np.maximum(1.0, np.abs(matrices).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(matrices - np.swapaxes(matrices.conj(), -1, -2)).max(
+        axis=(-2, -1), initial=0.0
+    )
+    # written so that a NaN deviation fails too
+    failed = ~(dev <= HERMITICITY_TOL * scale)
+    if failed.any():
+        raise ValueError(f"matrix is not Hermitian (deviation {dev[failed][0]:.3e})")
+
+
+def eigendecomposition(matrices: np.ndarray):
+    """np.linalg.eigh of a Hermitian matrix or (..., d, d) stack.
+
+    A stack is one LAPACK call per matrix inside one numpy call, so each
+    slice's (values, vectors) equal those of its own call bit for bit. A
+    LAPACK failure raises EigenFailure.
+    """
+    try:
+        return np.linalg.eigh(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
 @dataclass
 class HamiltonianMatrix:
     """Dense Hermitian matrix tagged with its basis."""
@@ -182,11 +208,7 @@ class HamiltonianMatrix:
                 f"matrix of dimension {self.matrix.shape[0]} does not fit basis "
                 f"of dimension {self.basis.dim}"
             )
-        scale = max(1.0, float(np.abs(self.matrix).max(initial=0.0)))
-        dev = float(np.abs(self.matrix - self.matrix.conj().T).max(initial=0.0))
-        # written so that a NaN deviation fails too
-        if not dev <= HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+        require_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -195,10 +217,7 @@ class HamiltonianMatrix:
     def eigensystem(self):
         """Cached eigendecomposition (values, vectors)."""
         if self._eig is None:
-            try:
-                w, v = np.linalg.eigh(self.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise EigenFailure(str(exc)) from exc
+            w, v = eigendecomposition(self.matrix)
             self._eig = (w, v)
         return self._eig
 
@@ -799,6 +818,57 @@ def _ladder_amp(node: NodeSpec, n_from: int) -> float:
     return 0.0
 
 
+def collective_pair_matrices(
+    nodes,
+    swap_rates,
+    shift_rates,
+    n_photons: int = 0,
+    rotating_frame: bool = False,
+) -> np.ndarray:
+    """(K, 6, 6) stack of collective pair matrices, one per rate entry.
+
+    ``swap_rates`` and each of the two ``shift_rates`` are length-K rate
+    vectors. The table runs each entry's scalar arithmetic, in the same
+    order, elementwise over the rates and the six rows, so slice k does not
+    depend on the other rates: it is collective_pair_hamiltonian at the
+    k-th rates bit for bit. The matrices are not checked here;
+    collective_pair_hamiltonian and the error sweep check them.
+    """
+    nodes = tuple(nodes)
+    # refuses anything but a pair of two-level nodes
+    CollectiveBasis(nodes)
+    if n_photons < 0:
+        raise ValueError("photon number must be non-negative")
+    occ = PAIR_OCCUPATIONS
+    # each row's diagonal sums the terms of node 1, then node 2, in order
+    diag = 0.0
+    for m, (node, shift) in enumerate(zip(nodes, shift_rates)):
+        n_m = [n[m] for n in occ]
+        shift = np.asarray(shift)[..., None]
+        if not rotating_frame:
+            lower, upper = node.level_energies[0], node.level_energies[1]
+            diag = diag + np.array(
+                [n * upper + (node.atom_count - n) * lower for n in n_m]
+            )
+        diag = diag + shift * [2 * n - node.atom_count for n in n_m] * n_photons
+        diag = diag + shift * [_ladder_amp(node, n) ** 2 for n in n_m]
+    # inter-node exchange: row src (n1, n2) -> row dst (n1 + 1, n2 - 1)
+    src = [a for a, (n1, n2) in enumerate(occ) if (n1 + 1, n2 - 1) in occ]
+    dst = [occ.index((occ[a][0] + 1, occ[a][1] - 1)) for a in src]
+    amp = (
+        np.asarray(swap_rates)[..., None]
+        * [_ladder_amp(nodes[0], occ[a][0] + 1) for a in src]
+        * [_ladder_amp(nodes[1], occ[a][1]) for a in src]
+    )
+    h = np.zeros(amp.shape[:-1] + (6, 6), dtype=complex)
+    h[..., range(6), range(6)] = diag
+    h[..., dst, src] += amp
+    h[..., src, dst] += np.conj(amp)
+
+    rot = CollectiveBasis.occupation_rotation()
+    return rot @ h @ rot.T
+
+
 def collective_pair_hamiltonian(
     nodes,
     swap_rate: complex,
@@ -811,40 +881,18 @@ def collective_pair_hamiltonian(
     Diagonal: bare energies, the intra-node exchange shifts
     shift_m * (J_+ J_-)_m and the photon-number level shifts
     shift_m (2 n_m - N_m) n_photons. Off-diagonal: the inter-node exchange
-    swap_rate J_+^(1) J_-^(2) + h.c.
+    swap_rate J_+^(1) J_-^(2) + h.c. The one-rate case of
+    collective_pair_matrices.
     """
     nodes = tuple(nodes)
-    basis = CollectiveBasis(nodes)
-    if n_photons < 0:
-        raise ValueError("photon number must be non-negative")
-
-    occ = PAIR_OCCUPATIONS
-    h = np.zeros((6, 6), dtype=complex)
-    for a, (n1, n2) in enumerate(occ):
-        diag = 0.0
-        for m, n_m in enumerate((n1, n2)):
-            node = nodes[m]
-            if not rotating_frame:
-                diag += n_m * node.level_energies[1] + (
-                    node.atom_count - n_m
-                ) * node.level_energies[0]
-            diag += shift_rates[m] * (2 * n_m - node.atom_count) * n_photons
-            diag += shift_rates[m] * _ladder_amp(node, n_m) ** 2
-        h[a, a] = diag
-        # inter-node exchange: (n1, n2) -> (n1 + 1, n2 - 1)
-        target = (n1 + 1, n2 - 1)
-        if target in occ:
-            b = occ.index(target)
-            amp = (
-                swap_rate
-                * _ladder_amp(nodes[0], n1 + 1)
-                * _ladder_amp(nodes[1], n2)
-            )
-            h[b, a] += amp
-            h[a, b] += np.conj(amp)
-
-    rot = CollectiveBasis.occupation_rotation()
-    return HamiltonianMatrix(rot @ h @ rot.T, basis)
+    matrices = collective_pair_matrices(
+        nodes,
+        [swap_rate],
+        [[rate] for rate in shift_rates],
+        n_photons,
+        rotating_frame,
+    )
+    return HamiltonianMatrix(matrices[0], CollectiveBasis(nodes))
 
 
 def two_level_swap_hamiltonian(

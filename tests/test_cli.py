@@ -434,10 +434,40 @@ def test_non_finite_values_and_too_few_points_exit_3(
         ),
         pytest.param("blockade", "n_1", 10**400, id="blockade-n_1-10**400"),
         pytest.param("blockade", "n_2", 10**400, id="blockade-n_2-10**400"),
+        # counts within the float range whose product of two is past the
+        # 64-bit integers, where numpy has no square root (exit 5 before)
+        pytest.param(
+            "effective-error-sweep", "n_atoms", 2**62, id="sweep-n_atoms-2**62"
+        ),
+        pytest.param(
+            "effective-error-sweep", "n_atoms", 2**70, id="sweep-n_atoms-2**70"
+        ),
+        pytest.param("transistor", "n_atoms", 2**70, id="transistor-n_atoms-2**70"),
+        pytest.param("pair-evolution", "n_atoms", 2**70, id="pair-n_atoms-2**70"),
+        pytest.param("blockade", "n_1", 2**70, id="blockade-n_1-2**70"),
+        pytest.param("blockade", "n_2", 2**70, id="blockade-n_2-2**70"),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):
     _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("effective-error-sweep", "n_atoms"),
+        ("transistor", "n_atoms"),
+        ("pair-evolution", "n_atoms"),
+        ("blockade", "n_1"),
+        ("blockade", "n_2"),
+    ],
+)
+def test_atom_count_cap_falls_between_max_and_one_more(tmp_path, capsys, kind, field):
+    scenario = _write(tmp_path, "max.json", {**_VALID[kind], field: cli.MAX_ATOMS})
+    # runs to a verdict: a pass, or (a blockade far off resonance) a failed check
+    assert cli.main(["run", str(scenario), "-o", str(tmp_path / "max")]) in (0, 4)
+    capsys.readouterr()
+    _assert_refused(tmp_path, capsys, {**_VALID[kind], field: cli.MAX_ATOMS + 1}, field)
 
 
 @pytest.mark.parametrize("kind", sorted(_VALID))

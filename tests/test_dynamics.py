@@ -40,7 +40,11 @@ from cavityqc.dynamics import (
     transistor_oracle,
 )
 from cavityqc.errors import BasisMismatch
-from cavityqc.hamiltonian import HamiltonianMatrix, microscopic_parts
+from cavityqc.hamiltonian import (
+    HamiltonianMatrix,
+    collective_pair_matrices,
+    microscopic_parts,
+)
 
 RATE = 0.7
 
@@ -745,6 +749,96 @@ def test_error_sweep_equals_a_fresh_build_per_detuning_bit_for_bit(n_atoms):
     )
     assert np.array(report.max_infidelity).tobytes() == np.array(infidelity).tobytes()
     assert np.array(report.max_leakage).tobytes() == np.array(leakage).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_atoms=st.integers(1, 10**4),
+    g=st.floats(1e-3, 0.1),
+    factors=st.lists(
+        st.floats(2.0, 300.0).flatmap(lambda f: st.sampled_from((f, -f))),
+        min_size=1,
+        max_size=5,
+    ),
+    swap_periods=st.floats(0.1, 3.0),
+    grid_points=st.integers(1, 300),
+)
+def test_stacked_sweep_equals_one_call_per_detuning_bit_for_bit(
+    n_atoms, g, factors, swap_periods, grid_points
+):
+    nodes = (NodeSpec(n_atoms), NodeSpec(n_atoms))
+    couplings = CouplingSet(g21=g)
+    deltas = [f * np.sqrt(n_atoms) * g for f in factors]
+    grid = dict(swap_periods=swap_periods, grid_points=grid_points)
+    stacked = effective_model_error(nodes, couplings, deltas, **grid)
+    for k, delta in enumerate(deltas):
+        one = effective_model_error(nodes, couplings, [delta], **grid)
+        assert one.deltas == (stacked.deltas[k],)
+        assert np.array(one.max_infidelity).tobytes() == np.array(
+            stacked.max_infidelity[k]
+        ).tobytes()
+        assert np.array(one.max_leakage).tobytes() == np.array(
+            stacked.max_leakage[k]
+        ).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_1=st.integers(1, 10**4),
+    n_2=st.integers(1, 10**4),
+    rates=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+    rotating_frame=st.booleans(),
+)
+def test_collective_stack_equals_one_swap_build_per_rate_bit_for_bit(
+    n_1, n_2, rates, rotating_frame
+):
+    nodes = (NodeSpec(n_1), NodeSpec(n_2))
+    stack = collective_pair_matrices(
+        nodes, rates, (rates, rates), rotating_frame=rotating_frame
+    )
+    assert stack.shape == (len(rates), 6, 6)
+    for k, rate in enumerate(rates):
+        single = two_level_swap_hamiltonian(nodes, rate, rotating_frame=rotating_frame)
+        assert single.matrix.tobytes() == stack[k].tobytes()
+
+
+@pytest.mark.parametrize("n_deltas", [1, 2, 3, 5, 12])
+def test_error_sweep_makes_two_eigendecompositions_for_any_count(
+    monkeypatch, n_deltas
+):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrices):
+        calls.append(np.shape(matrices))
+        return eigh(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    g = 0.01
+    nodes = (NodeSpec(3), NodeSpec(3))
+    deltas = [f * np.sqrt(3) * g for f in np.geomspace(8.0, 200.0, n_deltas)]
+    effective_model_error(nodes, CouplingSet(g21=g), deltas)
+    # one stack per model: the 3-state sector and the 6-state pair basis
+    assert calls == [(n_deltas, 3, 3), (n_deltas, 6, 6)]
+
+
+def old_evolve_on_grid(h, psi0, times):
+    """The propagation formula before the stacked expansion, as an oracle."""
+    w, v = np.linalg.eigh(h.matrix)
+    coeffs = v.conj().T @ psi0.amplitudes
+    return (np.exp(-1j * np.outer(times, w)) * coeffs) @ v.T
+
+
+def test_evolve_on_grid_equals_the_old_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for dim in range(2, 65):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = HamiltonianMatrix(a + a.conj().T, None)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi0 = StateVector(amps / np.linalg.norm(amps), None)
+        times = rng.uniform(-20.0, 20.0, size=int(rng.integers(1, 200)))
+        expected = old_evolve_on_grid(h, psi0, times)
+        assert evolve_on_grid(h, psi0, times).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2])
