@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * hbar = 1, all energies are angular frequencies;
 * atomic levels are indexed 0, 1, 2 from the ground state up;
 * a "node" is an ensemble of identical atoms acting as one collective site;
-* a product basis lays a node out either atom by atom (one site per atom,
-  the default) or as one symmetric site whose local states are the node's
-  permutation-symmetric (Dicke) states, labelled by level counts;
+* a product basis splits each node into sites, groups of its atoms whose
+  local states are level counts: one site per atom (the default) or one
+  symmetric site per node, whose local states are the node's
+  permutation-symmetric (Dicke) states;
 * collective node states |0>, |1>, |2> are the permutation-symmetric
   superpositions with 0, 1 or 2 excited atoms (Dicke states), truncated at
   two excitations per node pair;
@@ -32,6 +33,8 @@ BYTES_PER_AMPLITUDE = 16
 # Dense bytes (dim^2 x 16) of the largest matrix any build may allocate;
 # larger problems raise DimensionCap before allocating.
 DENSE_BYTES_CAP = 1 << 30
+# Most local states of one site: the dimension of the largest such matrix.
+MAX_SITE_STATES = math.isqrt(DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE)
 
 Vector3 = tuple[float, float, float]
 
@@ -139,91 +142,154 @@ def _excited_counts(n_atoms: int, top: int, cap: int | None):
         n_top += 1
 
 
-def _level_counts(node: NodeSpec, cap: int | None) -> tuple[tuple[int, ...], ...]:
-    """Level counts (n_0, ..., n_top) of a node's Dicke states, one per local state.
+def _level_counts(
+    atoms: int, levels: int, cap: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """Level counts (n_0, ..., n_top) of ``atoms`` atoms on ``levels`` levels.
 
-    Every way of putting the node's atoms on its levels whose level sum
-    n_1 + 2 n_2 is at most ``cap`` (every way, for None), ordered so that a
-    one-atom node's state k is its level k. Counts are Python integers, so
-    no atom count overflows them. Raises DimensionCap, before listing more,
+    Every way of putting the atoms on the levels whose level sum
+    n_1 + 2 n_2 is at most ``cap`` (every way, for None), ordered so that
+    one atom's state k is its level k. Counts are Python integers, so no
+    atom count overflows them. Raises DimensionCap, before listing more,
     once the states alone outgrow any matrix under DENSE_BYTES_CAP.
     """
-    limit = math.isqrt(DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE)
     rows = []
-    for excited in _excited_counts(node.atom_count, node.level_count - 1, cap):
-        if len(rows) == limit:
+    for excited in _excited_counts(atoms, levels - 1, cap):
+        if len(rows) == MAX_SITE_STATES:
             raise DimensionCap(
-                f"a symmetric site of {node.atom_count} atoms has more than "
-                f"{limit} states, above the cap of {DENSE_BYTES_CAP:.3e} bytes"
+                f"a site of {atoms} atoms has more than {MAX_SITE_STATES} states, "
+                f"above the cap of {DENSE_BYTES_CAP:.3e} bytes"
             )
-        rows.append((node.atom_count - sum(excited),) + excited)
+        rows.append((atoms - sum(excited),) + excited)
     return tuple(rows)
 
 
-class CompositeBasis:
-    """Full product basis: the atomic sites, then one site per photon mode.
+def site_groups(nodes, symmetric: bool = False) -> tuple[tuple[int, int], ...]:
+    """(node index, atom count) of each atomic site of a product basis.
 
-    The atomic sites take one of two layouts. Per atom (the default), each
-    atom is a site whose local state is its level. Symmetric, each node is
-    one site whose local states are its permutation-symmetric (Dicke)
-    states, labelled by level counts (see level_counts). A per-atom site is
-    the symmetric site of a group of one atom. The symmetric layout is exact
+    A site is a group of one node's atoms: each atom alone, or with
+    ``symmetric`` the whole node.
+    """
+    if symmetric:
+        return tuple((m, node.atom_count) for m, node in enumerate(nodes))
+    return tuple((m, 1) for m, node in enumerate(nodes) for _ in range(node.atom_count))
+
+
+def _row_codes(occupations: np.ndarray) -> np.ndarray:
+    """Each occupation row as one opaque code; codes sort like the tuples.
+
+    The row is written as big-endian 16-bit digits (no site has more than
+    MAX_SITE_STATES < 2^16 states) and compared bytewise, so no
+    product-space size can overflow the code.
+    """
+    rows = np.ascontiguousarray(occupations, dtype=">u2")
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+class CompositeBasis:
+    """Product basis: the atomic sites, then one site per photon mode.
+
+    An atomic site is a group of one node's atoms (see site_groups) whose
+    local states are level counts (n_0, ..., n_top) summing to its atom
+    count (see level_counts): each atom alone by default, whose state k is
+    its level k, or with ``symmetric`` the whole node, whose local states
+    are its permutation-symmetric (Dicke) states. A per-atom site is the
+    symmetric site of a group of one atom. The symmetric layout is exact
     for couplings uniform within each node and no plane-wave phase (see
-    atom_phases); its cost does not grow with the atom count once a sector
-    caps the level sums.
+    atom_phases).
+
+    ``weights`` (one per site) and ``quanta`` select an excitation sector:
+    the occupation tuples whose quanta, sum_k weights[k] times the level
+    sum (or photon number) of site k's local state, equal ``quanta``. The
+    full space is the 0-quanta sector under zero weights, the default. A
+    site of several atoms keeps only the level counts of at most
+    quanta // weight level sum (all of them at weight 0), so its cost does
+    not grow with the atom count; a one-atom site keeps all its levels.
 
     Index order is lexicographic over the occupation tuple with the last
-    site varying fastest, so indices are stable across runs. Building a
-    basis whose dense complex matrices would exceed DENSE_BYTES_CAP raises
-    DimensionCap before anything of that size is allocated.
+    site varying fastest, so indices are stable across runs. The states
+    are counted before any is listed: a basis whose dense complex matrices
+    would exceed DENSE_BYTES_CAP raises DimensionCap before anything of
+    that size is allocated, and an empty sector raises BasisMismatch.
     """
-
-    # largest level sum of a symmetric site's states; a sector sets it
-    quanta: int | None = None
 
     def __init__(
         self,
         nodes: tuple[NodeSpec, ...],
         fock: FockFactor | None = None,
         symmetric: bool = False,
+        weights: tuple[int, ...] | None = None,
+        quanta: int = 0,
     ):
         self.nodes = tuple(nodes)
         self.fock = fock
         self.symmetric = bool(symmetric)
-        if self.symmetric:
-            self._counts = tuple(_level_counts(n, self.quanta) for n in self.nodes)
-            self._count_index = tuple(
-                {c: i for i, c in enumerate(counts)} for counts in self._counts
+        groups = site_groups(self.nodes, self.symmetric)
+        photons = () if fock is None else fock.n_max
+        sites = len(groups) + len(photons)
+        if weights is None:
+            weights = (0,) * sites
+        self.weights = tuple(int(w) for w in weights)
+        self.quanta = int(quanta)
+        if self.quanta < 0 or any(w < 0 for w in self.weights):
+            raise ValueError("quanta and site weights must be non-negative")
+        if len(self.weights) != sites:
+            raise ValueError("one weight per site required")
+        # a one-atom site keeps all its levels, so one-atom operators act on
+        # it as written; at weight 0 the sector caps no site
+        self._counts = tuple(
+            _level_counts(
+                atoms,
+                self.nodes[m].level_count,
+                None if atoms == 1 or w == 0 else self.quanta // w,
             )
-            self._level_sums = tuple(
-                np.array([sum(k * n for k, n in enumerate(c)) for c in counts])
-                for counts in self._counts
+            for (m, atoms), w in zip(groups, self.weights)
+        )
+        self._count_index = tuple(
+            {c: i for i, c in enumerate(counts)} for counts in self._counts
+        )
+        if any(n_max >= MAX_SITE_STATES for n_max in photons):
+            raise DimensionCap(
+                f"a mode truncation of {max(photons)} photons gives more than "
+                f"{MAX_SITE_STATES} states, above the cap of "
+                f"{DENSE_BYTES_CAP:.3e} bytes"
             )
-            shape = [len(counts) for counts in self._counts]
-        else:
-            shape = [n.level_count for n in self.nodes for _ in range(n.atom_count)]
-        if fock is not None:
-            shape += [nmax + 1 for nmax in fock.n_max]
-        self.shape = tuple(shape)
-        self.dim = self._count_states()
+        self._levels = tuple(
+            np.array([sum(k * n for k, n in enumerate(c)) for c in counts])
+            for counts in self._counts
+        ) + tuple(np.arange(n_max + 1) for n_max in photons)
+        self.shape = tuple(len(levels) for levels in self._levels)
+        # quanta of each local state, site by site
+        self._tables = [w * levels for w, levels in zip(self.weights, self._levels)]
+        owners = [m for m, _ in groups]
+        self._node_sites = tuple(
+            range(owners.index(m), owners.index(m) + owners.count(m))
+            for m in range(len(self.nodes))
+        )
+        # ways[q]: tuples over the sites seen so far that carry q quanta
+        ways = [1] + [0] * self.quanta
+        for table in self._tables:
+            table = table.tolist()
+            ways = [
+                sum(ways[q - s] for s in table if q - s >= 0)
+                for q in range(self.quanta + 1)
+            ]
+        self.dim = ways[self.quanta]
         dense_bytes = BYTES_PER_AMPLITUDE * self.dim**2
         if dense_bytes > DENSE_BYTES_CAP:
             raise DimensionCap(
                 f"{self!r}: a dense matrix would take {dense_bytes:.3e} bytes, "
                 f"above the cap of {DENSE_BYTES_CAP:.3e}"
             )
+        if self.dim == 0:
+            raise BasisMismatch(f"no product state carries {self.quanta} quanta")
         self._occupations: np.ndarray | None = None
-
-    def _count_states(self) -> int:
-        return math.prod(self.shape)
-
-    def _enumerate(self) -> np.ndarray:
-        return np.indices(self.shape).reshape(len(self.shape), -1).T
+        self._codes: np.ndarray | None = None
 
     # -- identity ---------------------------------------------------------
 
     def _key(self):
-        return (self.nodes, self.fock, self.shape, self.symmetric)
+        return (self.nodes, self.fock, self.symmetric, self.weights, self.quanta)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -238,15 +304,10 @@ class CompositeBasis:
 
     @property
     def n_atomic_sites(self) -> int:
-        if self.symmetric:
-            return len(self.nodes)
-        return sum(node.atom_count for node in self.nodes)
+        return len(self._counts)
 
     def node_sites(self, node_index: int) -> range:
-        if self.symmetric:
-            return range(node_index, node_index + 1)
-        offset = sum(n.atom_count for n in self.nodes[:node_index])
-        return range(offset, offset + self.nodes[node_index].atom_count)
+        return self._node_sites[node_index]
 
     def mode_site(self, mode_index: int) -> int:
         if self.fock is None:
@@ -254,22 +315,20 @@ class CompositeBasis:
         return self.n_atomic_sites + mode_index
 
     def level_counts(self, site: int) -> tuple[tuple[int, ...], ...]:
-        """Level counts (n_0, ..., n_top) of each local state of a symmetric site."""
+        """Level counts (n_0, ..., n_top) of each local state of an atomic site."""
         return self._counts[site]
 
     def site_levels(self, site: int) -> np.ndarray:
         """Level sum (atoms) or photon number (modes) of each local state of a site."""
-        if self.symmetric and site < self.n_atomic_sites:
-            return self._level_sums[site]
-        return np.arange(self.shape[site])
+        return self._levels[site]
 
-    def local_index(self, node_index: int, counts) -> int:
-        """Local state of a symmetric node site with these level counts.
+    def local_index(self, site: int, counts) -> int:
+        """Local state of an atomic site with these level counts.
 
         A state the sector caps away gets the index one past the site's
         last state, which no basis state holds.
         """
-        return self._count_index[node_index].get(tuple(counts), self.shape[node_index])
+        return self._count_index[site].get(tuple(counts), self.shape[site])
 
     # -- indexing ---------------------------------------------------------
 
@@ -277,20 +336,49 @@ class CompositeBasis:
     def occupations(self) -> np.ndarray:
         """(dim, sites) integer array: row i is the occupation tuple of index i."""
         if self._occupations is None:
-            self._occupations = self._enumerate()
+            # grow prefixes site by site, keeping those that can still total
+            # exactly ``quanta``; np.nonzero keeps them in lexicographic order
+            room = [int(table.max()) for table in self._tables]
+            later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
+            prefixes = np.zeros((1, 0), dtype=np.int64)
+            used = np.zeros(1, dtype=np.int64)
+            for table, rest in zip(self._tables, later):
+                total = used[:, None] + table
+                keep = (total <= self.quanta) & (total + rest >= self.quanta)
+                prefix, level = np.nonzero(keep)
+                prefixes = np.column_stack([prefixes[prefix], level])
+                used = total[prefix, level]
+            self._occupations = prefixes
         return self._occupations
 
     def rows(self, occupations: np.ndarray) -> np.ndarray:
         """Basis index of each row of an occupation array."""
-        return np.ravel_multi_index(np.asarray(occupations).T, self.shape)
+        if self._codes is None:
+            self._codes = _row_codes(self.occupations)
+        codes = _row_codes(occupations)
+        found = np.searchsorted(self._codes, codes)
+        inside = found < self.dim
+        inside[inside] = self._codes[found[inside]] == codes[inside]
+        if not inside.all():
+            outside = tuple(int(x) for x in np.asarray(occupations)[~inside][0])
+            raise BasisMismatch(
+                f"occupation {outside} lies outside the {self.quanta}-quanta sector"
+            )
+        return found
 
     def holds(self, occupations: tuple[int, ...]) -> bool:
         """Whether the product state with these occupations is a basis state."""
-        return True
+        if len(occupations) != len(self.shape):
+            return False
+        if not all(0 <= n < size for n, size in zip(occupations, self.shape)):
+            return False
+        return sum(int(t[n]) for n, t in zip(occupations, self._tables)) == self.quanta
 
     def index(self, occupations: tuple[int, ...]) -> int:
-        if len(occupations) != len(self.shape):
-            raise ValueError("occupation tuple length mismatch")
+        if not self.holds(occupations):
+            raise BasisMismatch(
+                f"occupation {tuple(occupations)} is no state of {self!r}"
+            )
         return int(self.rows(np.array([occupations]))[0])
 
     def occupation(self, index: int) -> tuple[int, ...]:
@@ -313,108 +401,6 @@ class CompositeBasis:
             raise BasisMismatch("basis carries no photon modes")
         photons = self.occupations[:, self.n_atomic_sites :]
         return np.flatnonzero((photons == np.asarray(mode_occupations)).all(axis=1))
-
-
-def _row_codes(occupations: np.ndarray) -> np.ndarray:
-    """Each occupation row as one opaque code; codes sort like the tuples.
-
-    The row is written as big-endian 16-bit digits and compared bytewise,
-    so no product-space size can overflow the code.
-    """
-    rows = np.ascontiguousarray(occupations, dtype=">u2")
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
-class SectorBasis(CompositeBasis):
-    """The product states of one conserved excitation sector.
-
-    Keeps the site layout of the full CompositeBasis over the same nodes and
-    modes but only the occupation tuples whose quanta, sum_k weights[k]
-    times the level sum (or photon number) of site k's local state, equal
-    ``quanta``, in the same lexicographic order. The weights are the
-    per-site quanta of the model's excitation counter; a symmetric site
-    keeps only the Dicke states of level sum at most ``quanta``, so its
-    atomic weights must be at least 1. The sector size is counted before
-    any state is enumerated, so the dense-size cap applies to it up front.
-    """
-
-    def __init__(
-        self,
-        nodes: tuple[NodeSpec, ...],
-        fock: FockFactor | None,
-        weights: tuple[int, ...],
-        quanta: int,
-        symmetric: bool = False,
-    ):
-        self.weights = tuple(int(w) for w in weights)
-        self.quanta = int(quanta)
-        self._tables: list[np.ndarray] | None = None
-        if self.quanta < 0 or any(w < 0 for w in self.weights):
-            raise ValueError("quanta and site weights must be non-negative")
-        if symmetric and any(w < 1 for w in self.weights[: len(nodes)]):
-            raise ValueError("symmetric sites must carry at least one quantum per level")
-        super().__init__(nodes, fock, symmetric)
-        if self.dim == 0:
-            raise BasisMismatch(f"no product state carries {self.quanta} quanta")
-        self._codes: np.ndarray | None = None
-
-    def _site_quanta(self) -> list[np.ndarray]:
-        """Quanta of each local state, site by site."""
-        if self._tables is None:
-            self._tables = [w * self.site_levels(k) for k, w in enumerate(self.weights)]
-        return self._tables
-
-    def _count_states(self) -> int:
-        if len(self.weights) != len(self.shape):
-            raise ValueError("one weight per site required")
-        # ways[q]: tuples over the sites seen so far that carry q quanta
-        ways = [1] + [0] * self.quanta
-        for table in self._site_quanta():
-            table = table.tolist()
-            ways = [
-                sum(ways[q - s] for s in table if q - s >= 0)
-                for q in range(self.quanta + 1)
-            ]
-        return ways[self.quanta]
-
-    def _enumerate(self) -> np.ndarray:
-        # grow prefixes site by site, keeping those that can still total
-        # exactly ``quanta``; np.nonzero keeps them in lexicographic order
-        tables = self._site_quanta()
-        room = [int(table.max()) for table in tables]
-        later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
-        prefixes = np.zeros((1, 0), dtype=np.int64)
-        used = np.zeros(1, dtype=np.int64)
-        for table, rest in zip(tables, later):
-            total = used[:, None] + table
-            keep = (total <= self.quanta) & (total + rest >= self.quanta)
-            prefix, level = np.nonzero(keep)
-            prefixes = np.column_stack([prefixes[prefix], level])
-            used = total[prefix, level]
-        return prefixes
-
-    def _key(self):
-        return super()._key() + (self.weights, self.quanta)
-
-    def rows(self, occupations: np.ndarray) -> np.ndarray:
-        if self._codes is None:
-            self._codes = _row_codes(self.occupations)
-        codes = _row_codes(occupations)
-        found = np.searchsorted(self._codes, codes)
-        inside = found < self.dim
-        inside[inside] = self._codes[found[inside]] == codes[inside]
-        if not inside.all():
-            outside = tuple(int(x) for x in np.asarray(occupations)[~inside][0])
-            raise BasisMismatch(
-                f"occupation {outside} lies outside the {self.quanta}-quanta sector"
-            )
-        return found
-
-    def holds(self, occupations: tuple[int, ...]) -> bool:
-        tables = self._site_quanta()
-        if not all(0 <= n < len(t) for n, t in zip(occupations, tables)):
-            return False
-        return sum(int(t[n]) for n, t in zip(occupations, tables)) == self.quanta
 
 
 def build_microscopic_basis(nodes, fock: FockFactor | None = None) -> CompositeBasis:
@@ -607,7 +593,7 @@ def pair_isometry(basis: CompositeBasis, wave_vector=None) -> np.ndarray:
     PAIR_OCCUPATIONS states mixed by CollectiveBasis.occupation_rotation().
     States the basis cannot hold come out as zero rows, so projections onto
     them simply vanish: doubly-excited one-node states of single-atom
-    nodes, and on a SectorBasis every state of another excitation count.
+    nodes, and on a sector every state of another excitation count.
     """
     collective = CollectiveBasis(basis.nodes)
     phases = atom_phases(basis, wave_vector)

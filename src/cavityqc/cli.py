@@ -45,7 +45,6 @@ from .hamiltonian import (
     check_detuning,
     transistor_rate,
 )
-from .state import StateVector, fidelity
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,16 @@ class Field:
 MAX_ATOMS = 2**31
 
 
+# Help of the fields that several kinds share.
+GRID_HELP = (
+    "time grid size; one complex amplitude per point must fit the byte cap "
+    "(points <= 2^26)"
+)
+FIDELITY_TOLERANCE_HELP = (
+    "closed-form agreement bound; below 1, as fidelities lie in [0, 1]"
+)
+UNITARY_HELP = "below 2, the largest deviation between two unitaries"
+
 SCHEMAS: dict[str, tuple[Field, ...]] = {
     "pair-evolution": (
         Field(
@@ -81,8 +90,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha2", "complex", True, help="node-2 ground amplitude [re, im]"),
         Field("beta2", "complex", True, help="node-2 excited amplitude [re, im]"),
         Field("t_max", "float", False, None, "time window; default two swap periods"),
-        Field("points", "int", False, 100, "time grid size", minimum=2),
-        Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
+        Field("points", "int", False, 100, GRID_HELP, minimum=2),
+        Field("tolerance", "float", False, 1e-9, FIDELITY_TOLERANCE_HELP),
     ),
     "blockade": (
         Field("n_1", "int", True, help="atoms in node 1", minimum=1, maximum=MAX_ATOMS),
@@ -101,8 +110,14 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "resonance freq_2 - freq_1 + N2 shift_2 - N1 shift_1 = 0",
         ),
         Field("t_max", "float", False, None, "time window; default two transfer periods"),
-        Field("points", "int", False, 200, "time grid size", minimum=2),
-        Field("max_c3_sq_below", "float", False, None, "optional blocking bound"),
+        Field("points", "int", False, 200, GRID_HELP, minimum=2),
+        Field(
+            "max_c3_sq_below",
+            "float",
+            False,
+            None,
+            "optional blocking bound; at most 1, as |c3|^2 is",
+        ),
     ),
     "transistor": (
         Field(
@@ -115,8 +130,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha", "complex", True, help="target |01> amplitude [re, im]"),
         Field("beta", "complex", True, help="target |10> amplitude [re, im]"),
         Field("periods", "float", False, 1.0, "transfer periods to cover"),
-        Field("points", "int", False, 100, "time grid size", minimum=2),
-        Field("tolerance", "float", False, 1e-9, "closed-form agreement bound"),
+        Field("points", "int", False, 100, GRID_HELP, minimum=2),
+        Field("tolerance", "float", False, 1e-9, FIDELITY_TOLERANCE_HELP),
     ),
     "effective-error-sweep": (
         Field(
@@ -136,9 +151,24 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "assert_factor",
         ),
         Field("periods", "float", False, 1.0, "swap periods per point"),
-        Field("points", "int", False, 200, "time grid size", minimum=2),
+        Field(
+            "points",
+            "int",
+            False,
+            200,
+            "time grid size; one complex amplitude per point and detuning "
+            "must fit the byte cap (points x detunings <= 2^26)",
+            minimum=2,
+        ),
         Field("assert_factor", "float", False, 30.0, "factor carrying the error bound"),
-        Field("assert_below", "float", False, 1e-3, "infidelity bound at that factor"),
+        Field(
+            "assert_below",
+            "float",
+            False,
+            1e-3,
+            "infidelity bound at that factor; at most 1, as the clipped "
+            "infidelity is",
+        ),
         Field("check_monotone", "bool", False, True, "assert envelope decrease"),
     ),
     "verify-gates": (
@@ -151,7 +181,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "random unitaries for synthesis checks",
             minimum=1,
         ),
-        Field("tolerance", "float", False, 1e-10, "deviation bound"),
+        Field("tolerance", "float", False, 1e-10, f"deviation bound; {UNITARY_HELP}"),
     ),
     "verify-circuits": (
         Field("seed", "int", True, help="random seed (mandatory)", minimum=0),
@@ -167,7 +197,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field(
             "samples", "int", False, 10, "random unitaries per control count", minimum=1
         ),
-        Field("tolerance", "float", False, 1e-9, "equivalence bound"),
+        Field("tolerance", "float", False, 1e-9, f"equivalence bound; {UNITARY_HELP}"),
     ),
 }
 SCENARIO_KINDS = tuple(SCHEMAS)
@@ -187,6 +217,19 @@ NONZERO_FIELDS = {
     "pair-evolution": ("swap_rate",),
     "blockade": ("swap_rate",),
     "effective-error-sweep": ("coupling",),
+}
+
+# Bounds under which a check can no longer fail, per kind: each field is
+# refused at (">=") or past (">") the value from which every result
+# passes. Fidelities lie in [0, 1], as do the clipped infidelity and
+# |c3|^2, and a deviation between two unitaries is at most 2.
+VACUOUS_BOUNDS = {
+    "pair-evolution": (("tolerance", ">=", 1.0),),
+    "blockade": (("max_c3_sq_below", ">", 1.0),),
+    "transistor": (("tolerance", ">=", 1.0),),
+    "effective-error-sweep": (("assert_below", ">", 1.0),),
+    "verify-gates": (("tolerance", ">=", 2.0),),
+    "verify-circuits": (("tolerance", ">=", 2.0),),
 }
 
 
@@ -302,6 +345,22 @@ def validate_params(kind: str, raw: dict) -> dict:
     for name in NONZERO_FIELDS.get(kind, ()):
         if params[name] == 0.0:
             raise ValidationError(f"field {name!r} must be nonzero")
+    for name, refused, limit in VACUOUS_BOUNDS.get(kind, ()):
+        value = params[name]
+        if value is not None and (value > limit or value == limit and refused == ">="):
+            raise ValidationError(
+                f"field {name!r} = {value!r} is {refused} {limit:g}, "
+                "under which the check can no longer fail"
+            )
+    if "points" in params:
+        # one complex amplitude per time point, per detuning for the sweep
+        entries = params["points"] * len(params.get("delta_factors", [0]))
+        if entries * BYTES_PER_AMPLITUDE > DENSE_BYTES_CAP:
+            raise ValidationError(
+                f"field 'points' = {params['points']} gives per-point complex "
+                f"arrays of {entries * BYTES_PER_AMPLITUDE:.3e} bytes, above the "
+                f"cap of {DENSE_BYTES_CAP:.3e}"
+            )
     if kind == "effective-error-sweep":
         # the sweep's headline bound must not drop out of the report, nor
         # pass on a run that has no time to evolve
@@ -423,21 +482,23 @@ def _run_pair_evolution(p: dict):
     grid = dynamics.evolve_on_grid(h, psi0, times)
     closed = dynamics.analytic_pair_amplitudes(a1, b1, a2, b2, rate, n, times)
     probabilities = np.abs(grid) ** 2
+    # state.fidelity per point, in one pass: <numeric|closed> as batched
+    # 1 x 6 by 6 x 1 products, |.|^2 as _abs_squares, clipped into [0, 1]
+    overlaps = (grid.conj()[:, None, :] @ closed[:, :, None])[:, 0, 0]
+    fidelities = [min(max(f, 0.0), 1.0) for f in _abs_squares(overlaps)]
 
-    rows = []
-    for t, numeric, exact, probs in zip(times, grid, closed, probabilities):
-        f = fidelity(StateVector(numeric, h.basis), StateVector(exact, h.basis))
-        rows.append(
-            {
-                "t": float(t),
-                "p_00": float(probs[0]),
-                "p_10": float(probs[1]),
-                "p_01": float(probs[2]),
-                "p_11": float(probs[3]),
-                "p_2plus": float(probs[4]),
-                "closed_form_fidelity": f,
-            }
-        )
+    rows = [
+        {
+            "t": float(t),
+            "p_00": float(probs[0]),
+            "p_10": float(probs[1]),
+            "p_01": float(probs[2]),
+            "p_11": float(probs[3]),
+            "p_2plus": float(probs[4]),
+            "closed_form_fidelity": f,
+        }
+        for t, probs, f in zip(times, probabilities, fidelities)
+    ]
     # np.min, unlike a running min(), lets a NaN fidelity fail the check
     worst = float(np.min([row["closed_form_fidelity"] for row in rows]))
     assertions = [

@@ -17,8 +17,9 @@ exchange form, the two-level swap special case, the photon-number
 The six-state collective pair builders use the large-ensemble ("bosonic")
 ladder, sqrt(N n) amplitudes, under which the closed-form pair evolution
 and its doubled-frequency sector are exact at any N. Finite-N Dicke
-combinatorics come from the microscopic builders on the symmetric site
-layout (basis.CompositeBasis), whose states are the nodes' Dicke states.
+combinatorics come from the microscopic builders with ``symmetric=True``,
+where each node is one site of basis.CompositeBasis whose local states
+are the node's Dicke states.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .basis import (
     FockFactor,
     NodeSpec,
     PAIR_OCCUPATIONS,
-    SectorBasis,
     atom_phases,
+    site_groups,
 )
 from .errors import (
     BasisMismatch,
@@ -229,9 +230,9 @@ class HamiltonianMatrix:
 # Local operators are lists of (to, from, amplitude) triples with at most one
 # triple per ``from`` level; a term is (coeff, factors) with factors
 # (site, local operator) on distinct sites, standing for coeff * prod O_site.
-# Generators write one-atom operators. On the symmetric layout a site is a
-# whole node: each factor stands for its operator summed over the node's
-# atoms, and factors on one site multiply in order (see _collective_factors).
+# Generators write one-atom operators. An atomic site is a group of atoms:
+# each atomic factor stands for its operator summed over the group's atoms,
+# and factors on one site multiply in order (see _collective_factors).
 
 
 def _transition(upper: int, lower: int):
@@ -259,12 +260,13 @@ def _number(n_levels: int):
 
 
 def _collective(basis: CompositeBasis, site: int, entries):
-    """A one-atom operator summed over the atoms of a symmetric site.
+    """A one-atom operator summed over the atoms of a site.
 
-    On the site's Dicke states, labelled by level counts n, a diagonal
+    On the site's local states, labelled by level counts n, a diagonal
     operator gives sum_f a_f n_f, and one transition a |t><f| moves an atom
-    from f to t with amplitude a sqrt(n_f (n_t + 1)). An image the sector
-    caps away is dropped: it carries more quanta than the whole sector.
+    from f to t with amplitude a sqrt(n_f (n_t + 1)); on a one-atom site
+    both are the operator as written. An image the sector caps away is
+    dropped: it carries more quanta than the whole sector.
     """
     counts = basis.level_counts(site)
     if all(t == f for t, f, _ in entries):
@@ -284,7 +286,7 @@ def _collective(basis: CompositeBasis, site: int, entries):
 
 
 def _collective_factors(basis: CompositeBasis, factors):
-    """A term's factors as collective operators, one per site of the symmetric layout.
+    """A term's factors as collective operators, one per site.
 
     Each atomic factor becomes its _collective operator; factors on one site
     multiply in order, the last acting first.
@@ -314,8 +316,7 @@ def _families(basis: CompositeBasis, terms) -> dict:
     for position, (coeff, factors) in enumerate(terms):
         if coeff == 0:
             continue
-        if basis.symmetric:
-            factors = _collective_factors(basis, factors)
+        factors = _collective_factors(basis, factors)
         key = tuple((tuple(entries), basis.shape[site]) for site, entries in factors)
         family = families.setdefault(key, ([], [], []))
         family[0].append(position)
@@ -397,8 +398,8 @@ def excitation_weights(
 ) -> tuple[int, ...]:
     """Quanta per unit level sum or photon of each site of a product basis.
 
-    Atoms count their level index (the top level carries two quanta), on
-    a per-atom site and summed over a symmetric one; photons count 1
+    Atoms count their level index (the top level carries two quanta),
+    summed over the atoms of a site; photons count 1
     quantum per photon on transitions 0 and 1 and 2 quanta on the direct
     2<->0 transition, matching the photon cost of the level they create.
     """
@@ -420,9 +421,9 @@ def _product_basis(nodes, couplings, fock, quanta, symmetric=False) -> Composite
     nodes = tuple(nodes)
     if quanta is None:
         return CompositeBasis(nodes, fock, symmetric)
-    sites = len(nodes) if symmetric else sum(node.atom_count for node in nodes)
+    sites = len(site_groups(nodes, symmetric))
     weights = excitation_weights(sites, couplings, fock)
-    return SectorBasis(nodes, fock, weights, quanta, symmetric)
+    return CompositeBasis(nodes, fock, symmetric, weights, quanta)
 
 
 def _bare_terms(basis: CompositeBasis):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from cavityqc import (
     CollectiveBasis,
+    CompositeBasis,
     CouplingSet,
+    DetuningSet,
     FockFactor,
     Mode,
     NodeSpec,
-    SectorBasis,
     StateVector,
     build_microscopic_basis,
     collective_excitation_state,
@@ -23,10 +24,13 @@ from cavityqc import (
     product_excitation_state,
     swap_hamiltonian_microscopic,
     symmetrize,
+    transistor_hamiltonian,
 )
+from cavityqc import hamiltonian
 from cavityqc.basis import atom_phases
 from cavityqc.dynamics import evolve_on_grid
 from cavityqc.errors import BasisMismatch, DimensionCap
+from cavityqc.hamiltonian import microscopic_parts
 
 
 # --- independent brute-force oracle -----------------------------------------
@@ -172,9 +176,9 @@ def test_sector_is_the_sorted_slice_of_the_full_basis(atoms, n_max, mode_weights
     expected = full.occupations[carried == quanta]
     if len(expected) == 0:
         with pytest.raises(BasisMismatch):
-            SectorBasis(nodes, fock, weights, quanta)
+            CompositeBasis(nodes, fock, weights=weights, quanta=quanta)
         return
-    sector = SectorBasis(nodes, fock, weights, quanta)
+    sector = CompositeBasis(nodes, fock, weights=weights, quanta=quanta)
     assert sector.dim == len(expected)
     assert np.array_equal(sector.occupations, expected)
     for i in range(sector.dim):
@@ -189,9 +193,9 @@ def test_sector_is_the_sorted_slice_of_the_full_basis(atoms, n_max, mode_weights
 def test_sector_basis_is_a_distinct_basis():
     nodes = (NodeSpec(2), NodeSpec(2))
     fock = FockFactor((Mode(1.0),), (2,))
-    one = SectorBasis(nodes, fock, (1,) * 5, 1)
-    assert one == SectorBasis(nodes, fock, (1,) * 5, 1)
-    assert one != SectorBasis(nodes, fock, (1,) * 5, 2)
+    one = CompositeBasis(nodes, fock, weights=(1,) * 5, quanta=1)
+    assert one == CompositeBasis(nodes, fock, weights=(1,) * 5, quanta=1)
+    assert one != CompositeBasis(nodes, fock, weights=(1,) * 5, quanta=2)
     assert one != build_microscopic_basis(nodes, fock)
     assert one.dim == 2 * 2 + 1
 
@@ -205,7 +209,7 @@ def test_collective_states_on_a_sector_equal_the_full_ones():
     # rest: 2), so the sector isometries add up to the full one
     embedded = np.zeros((6, full.dim), dtype=complex)
     for quanta in (0, 1, 2):
-        sector = SectorBasis(nodes, fock, (1,) * 6, quanta)
+        sector = CompositeBasis(nodes, fock, weights=(1,) * 6, quanta=quanta)
         rows = pair_isometry(sector)
         held = [r for r in range(6) if np.abs(rows[r]).max() > 0]
         assert held == [r for r in range(6) if (0, 1, 1, 2, 2, 2)[r] == quanta]
@@ -213,8 +217,91 @@ def test_collective_states_on_a_sector_equal_the_full_ones():
     assert np.array_equal(embedded, full_rows)
     both = product_excitation_state(full, [(0, 1), (1, 1)])
     assert np.array_equal(both, full_rows[3])
+    sector = CompositeBasis(nodes, fock, weights=(1,) * 6, quanta=2)
     with pytest.raises(BasisMismatch):
-        collective_excitation_state(SectorBasis(nodes, fock, (1,) * 6, 2), 0)
+        collective_excitation_state(sector, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.booleans(),
+    st.sampled_from([None, 0, 1, 2]),
+    st.data(),
+)
+def test_one_atom_nodes_build_the_same_on_either_layout(levels, photons, quanta, data):
+    # a per-atom site is the symmetric site of a group of one atom: both
+    # layouts list the same states and build the same matrices, bit for bit
+    energies = (0.0, 1.0, 2.1)[:levels]
+    nodes = (NodeSpec(1, levels, energies), NodeSpec(1, levels, energies))
+    coupling = st.complex_numbers(min_magnitude=0.005, max_magnitude=0.05)
+    names = ("g21", "g32")[: levels - 1]
+    couplings = CouplingSet(
+        **{name: (data.draw(coupling), data.draw(coupling)) for name in names}
+    )
+    fock = None
+    if photons:
+        modes = tuple(Mode(data.draw(st.floats(0.5, 1.5))) for _ in names)
+        fock = FockFactor(modes, (2,) * len(modes))
+
+    def layouts(build):
+        try:
+            return [build(symmetric) for symmetric in (False, True)]
+        except BasisMismatch:  # an empty sector, on both layouts
+            with pytest.raises(BasisMismatch):
+                build(True)
+            return None
+
+    bases = layouts(
+        lambda symmetric: hamiltonian._product_basis(
+            nodes, couplings, fock, quanta, symmetric
+        )
+    )
+    if bases is not None:
+        assert np.array_equal(bases[0].occupations, bases[1].occupations)
+    if photons:
+        parts = layouts(
+            lambda symmetric: microscopic_parts(
+                nodes, couplings, fock, quanta, symmetric
+            )
+        )
+        if parts is not None:
+            (atoms, *per_atom), (sites, *symmetric) = parts
+            assert np.array_equal(atoms.occupations, sites.occupations)
+            for a, b in zip(per_atom, symmetric):
+                assert a.tobytes() == b.tobytes()
+    three = NodeSpec(1, 3, (0.0, 1.0, 2.1))
+    transistor = CouplingSet(g21=data.draw(coupling), g32=data.draw(coupling))
+    builds = layouts(
+        lambda symmetric: transistor_hamiltonian(
+            nodes[0], (three, three), transistor,
+            DetuningSet(lower=0.5, upper=(None, 0.7, -0.6)),
+            include_target_upper_swap=True, rotating_frame=False,
+            quanta=quanta, symmetric=symmetric,
+        )
+    )
+    if builds is not None:
+        atoms, sites = builds
+        assert np.array_equal(atoms.basis.occupations, sites.basis.occupations)
+        assert atoms.matrix.tobytes() == sites.matrix.tobytes()
+
+
+@pytest.mark.parametrize("quanta", [None, 1])
+def test_bad_occupations_are_held_by_no_basis(quanta):
+    # a full basis used to hold any tuple, and to index a wrong-length one
+    # with a ValueError; both forms now refuse such a tuple the same way
+    nodes = (NodeSpec(2), NodeSpec(1))
+    fock = FockFactor((Mode(1.0),), (1,))
+    if quanta is None:
+        basis = build_microscopic_basis(nodes, fock)
+    else:
+        basis = CompositeBasis(nodes, fock, weights=(1,) * 4, quanta=quanta)
+    assert basis.holds(basis.occupation(basis.dim - 1))
+    for occupation in ((7, 7), (0,), (0, 0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0),
+                       (0, -1, 0, 0), (7, 7, 7, 7)):
+        assert not basis.holds(occupation)
+        with pytest.raises(BasisMismatch):
+            basis.index(occupation)
 
 
 def test_index_order_is_lexicographic_and_stable():

@@ -446,10 +446,52 @@ def test_non_finite_values_and_too_few_points_exit_3(
         pytest.param("pair-evolution", "n_atoms", 2**70, id="pair-n_atoms-2**70"),
         pytest.param("blockade", "n_1", 2**70, id="blockade-n_1-2**70"),
         pytest.param("blockade", "n_2", 2**70, id="blockade-n_2-2**70"),
+        # bounds under which a check can no longer fail (exit 0 before,
+        # the blockade reporting a full transfer as blocked): fidelities
+        # lie in [0, 1], as do the clipped infidelity and |c3|^2, and a
+        # deviation between two unitaries is at most 2
+        ("pair-evolution", "tolerance", 1.0),
+        ("pair-evolution", "tolerance", 1.5),
+        ("transistor", "tolerance", 1.0),
+        ("effective-error-sweep", "assert_below", 5.0),
+        ("blockade", "max_c3_sq_below", 2.0),
+        ("verify-gates", "tolerance", 2.0),
+        ("verify-circuits", "tolerance", 2.5),
+        # a time grid too big to allocate (exit 5 before, "Unable to
+        # allocate 7.45 GiB" for the blockade)
+        pytest.param("pair-evolution", "points", 10**9, id="pair-points-10**9"),
+        pytest.param("blockade", "points", 10**9, id="blockade-points-10**9"),
+        pytest.param("transistor", "points", 10**9, id="transistor-points-10**9"),
+        pytest.param(
+            "effective-error-sweep", "points", 10**9, id="sweep-points-10**9"
+        ),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):
     _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
+
+
+def test_bounds_and_grids_at_their_limits_are_accepted():
+    # the largest value of each bound that can still fail, and the largest
+    # grid under the byte cap (validation only: nothing is allocated)
+    def valid(kind, **fields):
+        raw = {k: v for k, v in {**_VALID[kind], **fields}.items() if k != "kind"}
+        return cli.validate_params(kind, raw)
+
+    assert valid("effective-error-sweep", assert_below=1.0)["assert_below"] == 1.0
+    assert valid("blockade", max_c3_sq_below=1.0)["max_c3_sq_below"] == 1.0
+    below_one = float(np.nextafter(1.0, 0.0))
+    assert valid("transistor", tolerance=below_one)["tolerance"] == below_one
+    below_two = float(np.nextafter(2.0, 0.0))
+    assert valid("verify-gates", tolerance=below_two)["tolerance"] == below_two
+    cap = cli.DENSE_BYTES_CAP // cli.BYTES_PER_AMPLITUDE
+    assert valid("blockade", points=cap)["points"] == cap
+    with pytest.raises(ValidationError, match="points"):
+        valid("blockade", points=cap + 1)
+    # the sweep's arrays hold one amplitude per point and detuning
+    assert valid("effective-error-sweep", points=cap // 2)["points"] == cap // 2
+    with pytest.raises(ValidationError, match="points"):
+        valid("effective-error-sweep", points=cap // 2 + 1)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from cavityqc import (
     FockFactor,
     Mode,
     NodeSpec,
-    SectorBasis,
     StateVector,
     blockade_solution,
     collective_pair_hamiltonian,
@@ -98,19 +97,19 @@ REFUSALS = [
         "sector-negative-quanta",
         ValueError,
         "non-negative",
-        lambda _: SectorBasis((TWO,), None, (1,), -1),
+        lambda _: CompositeBasis((TWO,), weights=(1,), quanta=-1),
     ),
     _case(
         "sector-weight-count",
         ValueError,
         "one weight per site",
-        lambda _: SectorBasis((TWO,), None, (1, 1), 1),
+        lambda _: CompositeBasis((TWO,), weights=(1, 1), quanta=1),
     ),
     _case(
         "sector-empty",
         BasisMismatch,
         "no product state",
-        lambda _: SectorBasis((TWO,), None, (1,), 2),
+        lambda _: CompositeBasis((TWO,), weights=(1,), quanta=2),
     ),
     _case(
         "dicke-repeated-node",
@@ -260,6 +259,15 @@ REFUSALS = [
         DimensionCap,
         "more than 8192 states",
         lambda _: CompositeBasis((NodeSpec(10**6, 3, (0.0, 1.0, 2.0)),), symmetric=True),
+    ),
+    _case(
+        # refused before a photon-number table of that size is allocated
+        "mode-site-too-large",
+        DimensionCap,
+        "more than 8192 states",
+        lambda _: CompositeBasis(
+            (TWO,), FockFactor((Mode(1.0),), (10**10,)), weights=(1, 1), quanta=1
+        ),
     ),
     _case(
         "symmetric-mode-wave-vector",
