@@ -23,6 +23,7 @@ import datetime as _dt
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -64,11 +65,41 @@ class Field:
 MAX_ATOMS = 2**31
 
 
+# Amplitude pairs of a scenario that must be normalized, per kind.
+NORMALIZED_PAIRS = {
+    "pair-evolution": (("alpha1", "beta1"), ("alpha2", "beta2")),
+    "transistor": (("alpha", "beta"),),
+}
+
+# Complex amplitudes in the widest array a run keeps per time point, per
+# kind: the pair's (points, 6) grid, the transistor's sector grid (at most
+# nine states), the sweep's six-state effective stack per detuning and the
+# blockade's one amplitude.
+POINT_AMPLITUDES = {
+    "pair-evolution": 6,
+    "blockade": 1,
+    "transistor": 9,
+    "effective-error-sweep": 6,
+}
+
+# Largest number of complex amplitudes whose array fits the byte cap.
+MAX_AMPLITUDES = DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE
+
+
+def _grid_help(kind: str) -> str:
+    """Help of a kind's ``points`` field, with its limit under the byte cap."""
+    count = POINT_AMPLITUDES[kind]
+    per, grid = ("point", "points")
+    if kind == "effective-error-sweep":
+        per, grid = ("point and detuning", "points x detunings")
+    amplitudes = f"{count} complex amplitude" + ("s" if count > 1 else "")
+    return (
+        f"time grid size; {amplitudes} per {per} must fit the byte cap "
+        f"({grid} <= {MAX_AMPLITUDES // count})"
+    )
+
+
 # Help of the fields that several kinds share.
-GRID_HELP = (
-    "time grid size; one complex amplitude per point must fit the byte cap "
-    "(points <= 2^26)"
-)
 FIDELITY_TOLERANCE_HELP = (
     "closed-form agreement bound; below 1, as fidelities lie in [0, 1]"
 )
@@ -90,7 +121,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha2", "complex", True, help="node-2 ground amplitude [re, im]"),
         Field("beta2", "complex", True, help="node-2 excited amplitude [re, im]"),
         Field("t_max", "float", False, None, "time window; default two swap periods"),
-        Field("points", "int", False, 100, GRID_HELP, minimum=2),
+        Field("points", "int", False, 100, _grid_help("pair-evolution"), minimum=2),
         Field("tolerance", "float", False, 1e-9, FIDELITY_TOLERANCE_HELP),
     ),
     "blockade": (
@@ -110,7 +141,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "resonance freq_2 - freq_1 + N2 shift_2 - N1 shift_1 = 0",
         ),
         Field("t_max", "float", False, None, "time window; default two transfer periods"),
-        Field("points", "int", False, 200, GRID_HELP, minimum=2),
+        Field("points", "int", False, 200, _grid_help("blockade"), minimum=2),
         Field(
             "max_c3_sq_below",
             "float",
@@ -130,7 +161,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha", "complex", True, help="target |01> amplitude [re, im]"),
         Field("beta", "complex", True, help="target |10> amplitude [re, im]"),
         Field("periods", "float", False, 1.0, "transfer periods to cover"),
-        Field("points", "int", False, 100, GRID_HELP, minimum=2),
+        Field("points", "int", False, 100, _grid_help("transistor"), minimum=2),
         Field("tolerance", "float", False, 1e-9, FIDELITY_TOLERANCE_HELP),
     ),
     "effective-error-sweep": (
@@ -152,13 +183,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         ),
         Field("periods", "float", False, 1.0, "swap periods per point"),
         Field(
-            "points",
-            "int",
-            False,
-            200,
-            "time grid size; one complex amplitude per point and detuning "
-            "must fit the byte cap (points x detunings <= 2^26)",
-            minimum=2,
+            "points", "int", False, 200, _grid_help("effective-error-sweep"), minimum=2
         ),
         Field("assert_factor", "float", False, 30.0, "factor carrying the error bound"),
         Field(
@@ -202,14 +227,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
 }
 SCENARIO_KINDS = tuple(SCHEMAS)
 
-# Amplitude pairs of a scenario that must be normalized, per kind.
-NORMALIZED_PAIRS = {
-    "pair-evolution": (("alpha1", "beta1"), ("alpha2", "beta2")),
-    "transistor": (("alpha", "beta"),),
-}
-
 # Largest log2 of the entry count of a dense complex matrix under the cap.
-DENSE_LOG2_ENTRIES = (DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE).bit_length() - 1
+DENSE_LOG2_ENTRIES = MAX_AMPLITUDES.bit_length() - 1
 
 # Rates of a scenario that must be nonzero, per kind: with nothing
 # exchanged, every check passes on the unchanged initial state.
@@ -353,9 +372,13 @@ def validate_params(kind: str, raw: dict) -> dict:
                 "under which the check can no longer fail"
             )
     if "points" in params:
-        # one complex amplitude per time point, per detuning for the sweep
-        entries = params["points"] * len(params.get("delta_factors", [0]))
-        if entries * BYTES_PER_AMPLITUDE > DENSE_BYTES_CAP:
+        # the widest per-point array, per detuning for the sweep
+        entries = (
+            params["points"]
+            * POINT_AMPLITUDES[kind]
+            * len(params.get("delta_factors", [0]))
+        )
+        if entries > MAX_AMPLITUDES:
             raise ValidationError(
                 f"field 'points' = {params['points']} gives per-point complex "
                 f"arrays of {entries * BYTES_PER_AMPLITUDE:.3e} bytes, above the "
@@ -415,6 +438,24 @@ def _window(window: float, field: str) -> float:
             "which must be positive and finite"
         )
     return window
+
+
+@contextmanager
+def _refuse_overflow(*fields: str):
+    """Refuse, as a validation error naming ``fields``, an overflowing input.
+
+    The closed forms square Python floats (see _abs_squares for why), and
+    a Python float raises OverflowError past the float range where numpy
+    would return inf. ``fields`` are those the failing arithmetic reads.
+    """
+    try:
+        yield
+    except OverflowError as exc:
+        label = "field" if len(fields) == 1 else "fields"
+        names = ", ".join(map(repr, fields))
+        raise ValidationError(
+            f"float arithmetic on {label} {names} overflows: {exc}"
+        ) from exc
 
 
 def _time_grid(window: float, points: int, field: str) -> np.ndarray:
@@ -524,7 +565,12 @@ def _run_blockade(p: dict):
         transition_freq_1=freq_1,
         transition_freq_2=freq_2,
     )
-    sol = dynamics.blockade_solution(rates, n1, n2, n_ph)
+    # every field of the scenario's rates enters the two frequencies
+    with _refuse_overflow(
+        "n_1", "n_2", "n_photons", "shift_rate_1", "shift_rate_2", "swap_rate",
+        "freq_1", "freq_2",
+    ):
+        sol = dynamics.blockade_solution(rates, n1, n2, n_ph)
     t_max = p["t_max"]
     if t_max is None:
         t_max = _default_window(abs(sol.exchange))
@@ -611,13 +657,15 @@ def _run_effective_error_sweep(p: dict):
     deltas = [f * np.sqrt(n) * abs(g) for f in p["delta_factors"]]
     for delta in deltas:
         _check_detuning(delta, nodes, "delta_factors")
-    report = dynamics.effective_model_error(
-        nodes,
-        couplings,
-        deltas,
-        swap_periods=p["periods"],
-        grid_points=p["points"],
-    )
+    # the one Python float square is the swap rate's |g|^2
+    with _refuse_overflow("coupling"):
+        report = dynamics.effective_model_error(
+            nodes,
+            couplings,
+            deltas,
+            swap_periods=p["periods"],
+            grid_points=p["points"],
+        )
     rows = [
         {
             "delta_factor": float(f),

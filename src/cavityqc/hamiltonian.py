@@ -229,10 +229,10 @@ class HamiltonianMatrix:
 
 # Local operators are lists of (to, from, amplitude) triples with at most one
 # triple per ``from`` level; a term is (coeff, factors) with factors
-# (site, local operator) on distinct sites, standing for coeff * prod O_site.
-# Generators write one-atom operators. An atomic site is a group of atoms:
-# each atomic factor stands for its operator summed over the group's atoms,
-# and factors on one site multiply in order (see _collective_factors).
+# (site, local operator), standing for coeff * prod O_site. Generators write
+# one-atom operators. An atomic site is a group of atoms: each atomic factor
+# stands for its operator summed over the group's atoms (see _collective),
+# and factors on one site multiply in order, the last acting first.
 
 
 def _transition(upper: int, lower: int):
@@ -260,111 +260,79 @@ def _number(n_levels: int):
 
 
 def _collective(basis: CompositeBasis, site: int, entries):
-    """A one-atom operator summed over the atoms of a site.
+    """(image, amplitude) arrays of a factor over a site's local states.
 
-    On the site's local states, labelled by level counts n, a diagonal
-    operator gives sum_f a_f n_f, and one transition a |t><f| moves an atom
-    from f to t with amplitude a sqrt(n_f (n_t + 1)); on a one-atom site
-    both are the operator as written. An image the sector caps away is
-    dropped: it carries more quanta than the whole sector.
+    On an atomic site, labelled by level counts n, the one-atom operator is
+    summed over the site's atoms: a diagonal operator gives sum_f a_f n_f,
+    and one transition a |t><f| moves an atom from f to t with amplitude
+    a sqrt(n_f (n_t + 1)); on a one-atom site both are the operator as
+    written. A mode factor is its operator as written. A local state the
+    operator annihilates, or whose image the sector caps away (it carries
+    more quanta than the whole sector), keeps itself as image and gets
+    amplitude 0.
     """
+    image = np.arange(basis.shape[site])
+    amp = np.zeros(basis.shape[site])
+    if site >= basis.n_atomic_sites:
+        for t, f, a in entries:
+            image[f], amp[f] = t, a
+        return image, amp
     counts = basis.level_counts(site)
     if all(t == f for t, f, _ in entries):
-        return [(i, i, sum(a * n[f] for _, f, a in entries)) for i, n in enumerate(counts)]
+        amp[:] = [sum(a * n[f] for _, f, a in entries) for n in counts]
+        return image, amp
     [(t, f, a)] = entries
-    lifted = []
     for i, n in enumerate(counts):
         if n[f] == 0:
             continue
-        image = list(n)
-        image[f] -= 1
-        image[t] += 1
-        j = basis.local_index(site, image)
+        moved = list(n)
+        moved[f] -= 1
+        moved[t] += 1
+        j = basis.local_index(site, moved)
         if j < basis.shape[site]:
-            lifted.append((j, i, a * math.sqrt(n[f] * (n[t] + 1))))
-    return lifted
-
-
-def _collective_factors(basis: CompositeBasis, factors):
-    """A term's factors as collective operators, one per site.
-
-    Each atomic factor becomes its _collective operator; factors on one site
-    multiply in order, the last acting first.
-    """
-    merged: dict = {}
-    for site, entries in factors:
-        if site < basis.n_atomic_sites:
-            entries = _collective(basis, site, entries)
-        if site in merged:
-            outer = {fr: (to, a) for to, fr, a in merged[site]}
-            entries = [
-                (outer[t][0], fr, outer[t][1] * a) for t, fr, a in entries if t in outer
-            ]
-        merged[site] = entries
-    return tuple(merged.items())
-
-
-def _families(basis: CompositeBasis, terms) -> dict:
-    """Terms grouped by their local operators and local dimensions.
-
-    The key holds one (local operator, site dimension) pair per factor;
-    every term of a family differs from the others only in its coefficient
-    and its sites. Each family keeps its terms' positions in the sum, their
-    coefficients and their (terms x factors) site array.
-    """
-    families: dict = {}
-    for position, (coeff, factors) in enumerate(terms):
-        if coeff == 0:
-            continue
-        factors = _collective_factors(basis, factors)
-        key = tuple((tuple(entries), basis.shape[site]) for site, entries in factors)
-        family = families.setdefault(key, ([], [], []))
-        family[0].append(position)
-        family[1].append(complex(coeff))
-        family[2].append([site for site, _ in factors])
-    return families
+            image[i], amp[i] = j, a * math.sqrt(n[f] * (n[t] + 1))
+    return image, amp
 
 
 def _assemble(basis: CompositeBasis, terms) -> np.ndarray:
     """Dense matrix of a sum of terms over a full or sector product basis.
 
-    Every family of terms (see _families) acts on the basis occupation
-    array in one pass: a state's amplitude under a term is coeff times its
-    local amplitudes, its image the state with every factor's site moved to
-    ``to``, located by ``basis.rows``. Each local operator maps distinct
-    levels to distinct levels, so the images of one term are distinct. The
-    contributions of all families are then added in the order of the terms
-    in the sum, so every matrix element is the same sum, in the same order,
-    as one term at a time would give.
+    One term at a time: each factor becomes its _collective arrays, and
+    factors on one site compose by indexing, the last acting first. A
+    state's amplitude under the term is coeff times its local amplitudes,
+    its image the state with every factor's site moved to its local image.
+    Each local operator maps distinct levels to distinct levels, so the
+    images of one term are distinct. The images of all terms are located
+    with one ``basis.rows`` call and added in the order of the sum, source
+    state by source state within a term.
     """
     occ = basis.occupations
-    occ_by_site = np.ascontiguousarray(occ.T)
-    positions, cells, values = [], [], []
-    for key, (family_positions, coeffs, sites) in _families(basis, terms).items():
-        sites = np.array(sites)
-        amp = np.repeat(np.array(coeffs)[:, None], basis.dim, axis=1)
-        moves = []
-        for f, (entries, size) in enumerate(key):
-            to = np.arange(size)
-            local = np.zeros(size)
-            for t, fr, a in entries:
-                to[fr], local[fr] = t, a
-            amp *= local[occ_by_site[sites[:, f]]]
-            moves.append(to)
-        term, src = np.nonzero(amp)
+    images, sources, values = [], [], []
+    for coeff, factors in terms:
+        if coeff == 0:
+            continue
+        local: dict = {}
+        for site, entries in factors:
+            image, amp = _collective(basis, site, entries)
+            if site in local:
+                outer_image, outer_amp = local[site]
+                image, amp = outer_image[image], outer_amp[image] * amp
+            local[site] = image, amp
+        amp = np.full(basis.dim, complex(coeff))
+        for site, (_, site_amp) in local.items():
+            amp *= site_amp[occ[:, site]]
+        src = np.flatnonzero(amp)
         image = occ[src]
-        k = np.arange(src.size)
-        for f, to in enumerate(moves):
-            column = sites[term, f]
-            image[k, column] = to[image[k, column]]
-        positions.append(np.array(family_positions)[term])
-        cells.append(basis.rows(image) * basis.dim + src)
-        values.append(amp[term, src])
+        for site, (site_image, _) in local.items():
+            image[:, site] = site_image[image[:, site]]
+        images.append(image)
+        sources.append(src)
+        values.append(amp[src])
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    if positions:
-        order = np.argsort(np.concatenate(positions), kind="stable")
-        cells, values = np.concatenate(cells)[order], np.concatenate(values)[order]
-        np.add.at(h.reshape(-1), cells, values)
+    if values:
+        rows = basis.rows(np.concatenate(images))
+        cells = rows * basis.dim + np.concatenate(sources)
+        np.add.at(h.reshape(-1), cells, np.concatenate(values))
     return h
 
 

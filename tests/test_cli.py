@@ -465,10 +465,37 @@ def test_non_finite_values_and_too_few_points_exit_3(
         pytest.param(
             "effective-error-sweep", "points", 10**9, id="sweep-points-10**9"
         ),
+        # the largest grid of one amplitude per point, where the pair keeps
+        # six (exit 5 before, "Unable to allocate 3.00 GiB")
+        pytest.param("pair-evolution", "points", 2**26, id="pair-points-2**26"),
+        # finite inputs whose Python float squares overflow (exit 5
+        # before, "(34, 'Numerical result out of range')")
+        pytest.param("blockade", "swap_rate", 1e200, id="blockade-swap_rate-1e200"),
+        pytest.param("blockade", "freq_2", 1e200, id="blockade-freq_2-1e200"),
+        pytest.param(
+            "effective-error-sweep", "coupling", 1e200, id="sweep-coupling-1e200"
+        ),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):
     _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
+
+
+# The blockade's photon number and level shifts enter its discriminant only
+# through the difference of the two nodes' dressed frequencies, which the
+# equal shift rates of the valid blockade cancel; the shipped blocked
+# scenario's unequal ones do not (each exit 5 before, as above).
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("n_photons", 10**155, id="n_photons-10**155"),
+        pytest.param("shift_rate_1", 1e200, id="shift_rate_1-1e200"),
+    ],
+)
+def test_overflowing_blockade_frequencies_exit_3(tmp_path, capsys, field, value):
+    shifts = {"n_photons": 1, "shift_rate_1": 0.05, "shift_rate_2": 0.15}
+    payload = {**_VALID["blockade"], **shifts, field: value}
+    _assert_refused(tmp_path, capsys, payload, field)
 
 
 def test_bounds_and_grids_at_their_limits_are_accepted():
@@ -488,10 +515,15 @@ def test_bounds_and_grids_at_their_limits_are_accepted():
     assert valid("blockade", points=cap)["points"] == cap
     with pytest.raises(ValidationError, match="points"):
         valid("blockade", points=cap + 1)
-    # the sweep's arrays hold one amplitude per point and detuning
-    assert valid("effective-error-sweep", points=cap // 2)["points"] == cap // 2
+    # the sweep's arrays hold six amplitudes per point and detuning
+    assert valid("effective-error-sweep", points=cap // 12)["points"] == cap // 12
     with pytest.raises(ValidationError, match="points"):
-        valid("effective-error-sweep", points=cap // 2 + 1)
+        valid("effective-error-sweep", points=cap // 12 + 1)
+    # the pair's grid holds six amplitudes per point, the transistor's nine
+    for kind, per_point in (("pair-evolution", 6), ("transistor", 9)):
+        assert valid(kind, points=cap // per_point)["points"] == cap // per_point
+        with pytest.raises(ValidationError, match="points"):
+            valid(kind, points=cap // per_point + 1)
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,7 @@ from cavityqc.errors import (
     ResonanceSingularity,
 )
 from cavityqc import hamiltonian
-from cavityqc.basis import PAIR_OCCUPATIONS, atom_phases
+from cavityqc.basis import PAIR_OCCUPATIONS, CompositeBasis, atom_phases
 from cavityqc.hamiltonian import microscopic_parts
 
 THREE_LEVELS = (0.0, 1.0, 2.1)
@@ -978,6 +978,89 @@ def test_family_assembler_keeps_the_order_of_the_sum():
     family = hamiltonian._assemble(basis, terms)
     assert family[state, state] == 1.0 - tiny
     assert np.array_equal(_bits(family), _bits(per_term_assemble(basis, terms)))
+
+
+def _count_row_lookups(build):
+    """(terms, basis.rows calls) of every _assemble call that ``build`` makes."""
+    rows, assemble = CompositeBasis.rows, hamiltonian._assemble
+    lookups, counts = [], []
+
+    def counted_rows(basis, occupations):
+        lookups.append(len(occupations))
+        return rows(basis, occupations)
+
+    def counted_assemble(basis, terms):
+        terms = list(terms)
+        before = len(lookups)
+        h = assemble(basis, terms)
+        counts.append((len(terms), len(lookups) - before))
+        return h
+
+    with mock.patch.object(CompositeBasis, "rows", counted_rows), mock.patch.object(
+        hamiltonian, "_assemble", counted_assemble
+    ):
+        build()
+    return counts
+
+
+def test_assembler_locates_all_images_with_one_row_lookup():
+    # the error sweep's model build: two sums of a few terms on one sector
+    nodes = (NodeSpec(4), NodeSpec(4))
+    layout = FockFactor((Mode(frequency=0.0),), (1,))
+    counts = _count_row_lookups(
+        lambda: microscopic_parts(nodes, CouplingSet(g21=0.02), layout, 1, True)
+    )
+    assert [lookups for _, lookups in counts] == [1, 1]
+    # a per-atom build of many terms: still one lookup for the whole sum
+    node = NodeSpec(2, 3, THREE_LEVELS)
+    fock = FockFactor((Mode(frequency=0.8), Mode(frequency=1.3)), (2, 2))
+    couplings = CouplingSet(g21=0.02, g32=0.03)
+    counts = _count_row_lookups(
+        lambda: effective_hamiltonian_microscopic((node, node), couplings, fock, 2)
+    )
+    [(terms, lookups)] = counts
+    assert terms > 50
+    assert lookups == 1
+
+
+def _one_atom_operators(levels):
+    """A transition |to><from| or a diagonal, with drawn real amplitudes."""
+    amplitude = st.floats(min_value=-2.0, max_value=2.0)
+    transition = st.tuples(
+        st.integers(0, levels - 1), st.integers(0, levels - 1), amplitude
+    ).filter(lambda entry: entry[0] != entry[1])
+    diagonal = st.lists(amplitude, min_size=levels, max_size=levels)
+    return st.one_of(
+        transition.map(lambda entry: [entry]),
+        diagonal.map(lambda values: [(n, n, v) for n, v in enumerate(values)]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2),
+    st.data(),
+)
+def test_factors_on_one_symmetric_site_compose_as_a_matrix_product(
+    levels, atom_counts, data
+):
+    # full space, so no image is capped away: the two-factor term is exactly
+    # the product of the two one-factor builds, the last factor acting first
+    energies = (0.0, 1.0, 2.1)[:levels]
+    nodes = tuple(NodeSpec(n, levels, energies) for n in atom_counts)
+    basis = CompositeBasis(nodes, None, symmetric=True)
+    site = data.draw(st.integers(0, len(nodes) - 1))
+    outer = data.draw(_one_atom_operators(levels))
+    inner = data.draw(_one_atom_operators(levels))
+
+    def build(*operators):
+        return hamiltonian._assemble(basis, [(1.0, [(site, op) for op in operators])])
+
+    product = build(outer) @ build(inner)
+    composed = build(outer, inner)
+    scale = max(1.0, np.abs(product).max())
+    assert np.allclose(composed, product, rtol=0.0, atol=1e-12 * scale)
 
 
 # --- the exchange generator and the cross-term table against the loops they replaced --
