@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,19 @@ DENSE_BYTES_CAP = 1 << 30
 MAX_SITE_STATES = math.isqrt(DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE)
 
 Vector3 = tuple[float, float, float]
+
+
+def _frozen(value):
+    """``value`` with every list or array in it turned into a tuple.
+
+    Specs are hashable and keyed by their repr (see intern_basis), so no
+    field may stay a list, and no array, whose repr elides entries.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
 
 
 def _finite_vectors(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -61,6 +75,7 @@ class NodeSpec:
     positions: tuple[Vector3, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "level_energies", _frozen(self.level_energies))
         if self.atom_count < 1:
             raise ValueError("atom_count must be positive")
         if self.level_count not in (2, 3):
@@ -77,6 +92,7 @@ class NodeSpec:
             raise ValueError("level_energies must be strictly increasing")
         if self.positions is not None:
             _finite_vectors(self.positions, (self.atom_count, 3), "positions")
+            object.__setattr__(self, "positions", _frozen(self.positions))
 
     def atom_positions(self) -> np.ndarray:
         """(atom_count, 3) array; zeros unless positions were supplied."""
@@ -100,6 +116,9 @@ class Mode:
     frequency: float
     wave_vector: Vector3 = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        object.__setattr__(self, "wave_vector", _frozen(self.wave_vector))
+
 
 @dataclass(frozen=True)
 class FockFactor:
@@ -115,6 +134,8 @@ class FockFactor:
     n_max: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", _frozen(self.modes))
+        object.__setattr__(self, "n_max", _frozen(self.n_max))
         if len(self.modes) != len(self.n_max):
             raise ValueError("one truncation per mode required")
         if any(n < 1 for n in self.n_max):
@@ -254,13 +275,18 @@ class CompositeBasis:
                 f"{MAX_SITE_STATES} states, above the cap of "
                 f"{DENSE_BYTES_CAP:.3e} bytes"
             )
-        self._levels = tuple(
-            np.array([sum(k * n for k, n in enumerate(c)) for c in counts])
-            for counts in self._counts
-        ) + tuple(np.arange(n_max + 1) for n_max in photons)
+        self._levels = _read_only(
+            tuple(
+                np.array([sum(k * n for k, n in enumerate(c)) for c in counts])
+                for counts in self._counts
+            )
+            + tuple(np.arange(n_max + 1) for n_max in photons)
+        )
         self.shape = tuple(len(levels) for levels in self._levels)
         # quanta of each local state, site by site
-        self._tables = [w * levels for w, levels in zip(self.weights, self._levels)]
+        self._tables = _read_only(
+            tuple(w * levels for w, levels in zip(self.weights, self._levels))
+        )
         owners = [m for m, _ in groups]
         self._node_sites = tuple(
             range(owners.index(m), owners.index(m) + owners.count(m))
@@ -283,8 +309,37 @@ class CompositeBasis:
             )
         if self.dim == 0:
             raise BasisMismatch(f"no product state carries {self.quanta} quanta")
-        self._occupations: np.ndarray | None = None
-        self._codes: np.ndarray | None = None
+        self._derived: dict = {}
+
+    def derived(self, key, build):
+        """``build()`` on first use of ``key``, after that the same object.
+
+        For tables that depend on the layout alone. Their arrays are made
+        read-only, since every later caller, and every build on an interned
+        basis (see intern_basis), shares them.
+        """
+        table = self._derived.get(key)
+        if table is None:
+            table = self._derived[key] = _read_only(build())
+        return table
+
+    def table_bytes(self) -> int:
+        """Most bytes the basis holds once all its layout tables are built.
+
+        16 KiB for the object itself; per site, 8 KiB for its bookkeeping
+        and the headers and keys of its factor tables (at most ten: one per
+        level energy, transition and projector on an atomic site, fewer on a
+        mode); per local state, 512 for its level counts and 16 per factor
+        table; per state, 96 for the six pair rows and, per site, 10 for the
+        occupation row and its code.
+        """
+        sites = len(self.shape)
+        return (
+            (16 << 10)
+            + (8 << 10) * sites
+            + 512 * sum(self.shape)
+            + self.dim * (96 + 10 * sites)
+        )
 
     # -- identity ---------------------------------------------------------
 
@@ -334,31 +389,31 @@ class CompositeBasis:
 
     @property
     def occupations(self) -> np.ndarray:
-        """(dim, sites) integer array: row i is the occupation tuple of index i."""
-        if self._occupations is None:
-            # grow prefixes site by site, keeping those that can still total
-            # exactly ``quanta``; np.nonzero keeps them in lexicographic order
-            room = [int(table.max()) for table in self._tables]
-            later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
-            prefixes = np.zeros((1, 0), dtype=np.int64)
-            used = np.zeros(1, dtype=np.int64)
-            for table, rest in zip(self._tables, later):
-                total = used[:, None] + table
-                keep = (total <= self.quanta) & (total + rest >= self.quanta)
-                prefix, level = np.nonzero(keep)
-                prefixes = np.column_stack([prefixes[prefix], level])
-                used = total[prefix, level]
-            self._occupations = prefixes
-        return self._occupations
+        """(dim, sites) read-only integer array: row i is the occupation of index i."""
+        return self.derived("occupations", self._list_occupations)
+
+    def _list_occupations(self) -> np.ndarray:
+        # grow prefixes site by site, keeping those that can still total
+        # exactly ``quanta``; np.nonzero keeps them in lexicographic order
+        room = [int(table.max()) for table in self._tables]
+        later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
+        prefixes = np.zeros((1, 0), dtype=np.int64)
+        used = np.zeros(1, dtype=np.int64)
+        for table, rest in zip(self._tables, later):
+            total = used[:, None] + table
+            keep = (total <= self.quanta) & (total + rest >= self.quanta)
+            prefix, level = np.nonzero(keep)
+            prefixes = np.column_stack([prefixes[prefix], level])
+            used = total[prefix, level]
+        return prefixes
 
     def rows(self, occupations: np.ndarray) -> np.ndarray:
         """Basis index of each row of an occupation array."""
-        if self._codes is None:
-            self._codes = _row_codes(self.occupations)
+        table = self.derived("codes", lambda: _row_codes(self.occupations))
         codes = _row_codes(occupations)
-        found = np.searchsorted(self._codes, codes)
+        found = np.searchsorted(table, codes)
         inside = found < self.dim
-        inside[inside] = self._codes[found[inside]] == codes[inside]
+        inside[inside] = table[found[inside]] == codes[inside]
         if not inside.all():
             outside = tuple(int(x) for x in np.asarray(occupations)[~inside][0])
             raise BasisMismatch(
@@ -401,6 +456,65 @@ class CompositeBasis:
             raise BasisMismatch("basis carries no photon modes")
         photons = self.occupations[:, self.n_atomic_sites :]
         return np.flatnonzero((photons == np.asarray(mode_occupations)).all(axis=1))
+
+
+def _read_only(table):
+    """``table``, an array or a tuple of them, with every array made read-only."""
+    for array in table if isinstance(table, tuple) else (table,):
+        array.setflags(write=False)
+    return table
+
+
+# Most layouts intern_basis keeps, and most bytes one of them may hold.
+LAYOUT_TABLE_SIZE = 8
+LAYOUT_BYTES_CAP = 1 << 24
+# Interned bases by layout key, the least recently used first.
+_LAYOUTS: OrderedDict = OrderedDict()
+
+
+def intern_basis(
+    nodes,
+    fock: FockFactor | None = None,
+    symmetric: bool = False,
+    weights=None,
+    quanta: int = 0,
+) -> CompositeBasis:
+    """The one CompositeBasis of a layout in this process, built on first use.
+
+    A layout is (nodes, Fock factor, symmetric, sector weights, quanta),
+    and nothing else: a basis, and every table it derives from the layout
+    alone (occupation rows and codes, the assembler's factor tables, the
+    pair rows), never depends on couplings, detunings, rates or times. So a
+    repeated build re-prices only its coupling. The first build does the
+    same work as a fresh CompositeBasis.
+
+    Specs are keyed by their repr, not by ==: Python equates 1 with 1.0
+    and -0.0 with 0.0 (with equal hashes), but the builders read energies,
+    frequencies and positions from the basis's own specs, so equal specs
+    written differently get bases of their own. A float's repr round-trips
+    it, and the specs hold no lists or arrays (see _frozen).
+
+    The table keeps the LAYOUT_TABLE_SIZE layouts used last, each only if
+    it holds at most LAYOUT_BYTES_CAP: its tables (see
+    CompositeBasis.table_bytes), and 4 bytes per character of its key for
+    the key and the specs it spells out. A larger layout is built fresh on
+    every call. So the table holds at most 8 x 16 MiB = 128 MiB; each
+    layout of the benchmark's workloads holds under 64 KiB.
+    """
+    nodes = tuple(nodes)
+    weights = None if weights is None else tuple(int(w) for w in weights)
+    key = (repr(nodes), repr(fock), bool(symmetric), weights, int(quanta))
+    basis = _LAYOUTS.get(key)
+    if basis is not None:
+        _LAYOUTS.move_to_end(key)
+        return basis
+    basis = CompositeBasis(nodes, fock, symmetric, weights, quanta)
+    spelled = 4 * (len(key[0]) + len(key[1]))
+    if basis.table_bytes() + spelled <= LAYOUT_BYTES_CAP:
+        _LAYOUTS[key] = basis
+        if len(_LAYOUTS) > LAYOUT_TABLE_SIZE:
+            _LAYOUTS.popitem(last=False)
+    return basis
 
 
 def build_microscopic_basis(nodes, fock: FockFactor | None = None) -> CompositeBasis:
@@ -593,8 +707,16 @@ def pair_isometry(basis: CompositeBasis, wave_vector=None) -> np.ndarray:
     PAIR_OCCUPATIONS states mixed by CollectiveBasis.occupation_rotation().
     States the basis cannot hold come out as zero rows, so projections onto
     them simply vanish: doubly-excited one-node states of single-atom
-    nodes, and on a sector every state of another excitation count.
+    nodes, and on a sector every state of another excitation count. With
+    no wave vector the rows depend on the layout alone: each basis builds
+    them once and returns them read-only.
     """
+    if wave_vector is None:
+        return basis.derived("pair_isometry", lambda: _pair_rows(basis, None))
+    return _pair_rows(basis, wave_vector)
+
+
+def _pair_rows(basis: CompositeBasis, wave_vector) -> np.ndarray:
     collective = CollectiveBasis(basis.nodes)
     phases = atom_phases(basis, wave_vector)
     states = np.zeros((6, basis.dim), dtype=complex)

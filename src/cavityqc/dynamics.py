@@ -150,6 +150,25 @@ def _population_derivatives(amps: np.ndarray, w: np.ndarray, t: float):
     )
 
 
+def _require_peak_scale(w: np.ndarray, amps: np.ndarray) -> None:
+    """OverflowError unless _population_derivatives stays finite on (amps, w).
+
+    With M the largest float and K = amps.size * max(1, max|amps|), every
+    product and partial sum the derivatives form (w^2, the rows of A w^2,
+    the two vdots and twice their sum) stays within M / 2 while
+    max|w| <= sqrt(M) / (8 K).
+    """
+    scale = float(np.abs(w).max(initial=0.0))
+    size = max(1, amps.size) * max(1.0, float(np.abs(amps).max(initial=0.0)))
+    limit = np.sqrt(np.finfo(float).max) / (8.0 * size)
+    # written so that a NaN frequency fails too
+    if not scale <= limit:
+        raise OverflowError(
+            f"centred frequencies up to {scale:.3e} exceed {limit:.3e}, past "
+            "which the population derivatives overflow"
+        )
+
+
 def _polish_peak(
     amps: np.ndarray, w: np.ndarray, lo: float, hi: float, t: float
 ) -> float:
@@ -199,7 +218,8 @@ def population_peak_time(
     instead of a bisection down to round-off. The largest of these maxima
     and of the two window ends (read off the scan) wins, the earliest on a
     tie. The scan must resolve the fastest beat max(w) - min(w) over the
-    window (see PEAK_SCAN_POINTS).
+    window (see PEAK_SCAN_POINTS). A centred spectrum so wide that the
+    derivatives would overflow raises OverflowError (see _require_peak_scale).
     """
     t_low, t_high = float(t_low), float(t_high)
     w, v, coeffs = _spectral_expansion(h, psi0, (t_low, t_high))
@@ -209,6 +229,7 @@ def population_peak_time(
     # derivative sums free of a large common frequency
     w = w - 0.5 * (w.max() + w.min())
     amps = (np.asarray(rows) @ v) * coeffs
+    _require_peak_scale(w, amps)
     grid = np.linspace(t_low, t_high, PEAK_SCAN_POINTS)
     scan = np.exp(-1j * np.outer(grid, w)) @ np.concatenate([amps, -1j * w * amps]).T
     a, da = np.split(scan, 2, axis=1)

@@ -37,6 +37,7 @@ from .basis import (
     NodeSpec,
     PAIR_OCCUPATIONS,
     atom_phases,
+    intern_basis,
     site_groups,
 )
 from .errors import (
@@ -270,7 +271,18 @@ def _collective(basis: CompositeBasis, site: int, entries):
     operator annihilates, or whose image the sector caps away (it carries
     more quanta than the whole sector), keeps itself as image and gets
     amplitude 0.
+
+    The arrays depend on the layout alone, so each basis builds them once
+    per (site, operator) and shares them read-only. They are keyed by
+    value: every operator the builders pass is a constant or reads the
+    basis's own specs, which intern_basis keys exactly.
     """
+    return basis.derived(
+        ("factor", site, tuple(entries)), lambda: _factor_table(basis, site, entries)
+    )
+
+
+def _factor_table(basis: CompositeBasis, site: int, entries):
     image = np.arange(basis.shape[site])
     amp = np.zeros(basis.shape[site])
     if site >= basis.n_atomic_sites:
@@ -384,14 +396,15 @@ def _product_basis(nodes, couplings, fock, quanta, symmetric=False) -> Composite
     """Full product basis, or with ``quanta`` its sector of that many quanta.
 
     The one place the site layout is chosen: one site per atom, or with
-    ``symmetric`` one site per node holding its Dicke states.
+    ``symmetric`` one site per node holding its Dicke states. Each layout
+    gets its one interned basis (see basis.intern_basis).
     """
     nodes = tuple(nodes)
     if quanta is None:
-        return CompositeBasis(nodes, fock, symmetric)
+        return intern_basis(nodes, fock, symmetric)
     sites = len(site_groups(nodes, symmetric))
     weights = excitation_weights(sites, couplings, fock)
-    return CompositeBasis(nodes, fock, symmetric, weights, quanta)
+    return intern_basis(nodes, fock, symmetric, weights, quanta)
 
 
 def _bare_terms(basis: CompositeBasis):

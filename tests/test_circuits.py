@@ -355,6 +355,17 @@ def test_equivalence_rejects_different_operators():
     assert not res.equal
 
 
+@pytest.mark.parametrize("factor, equal", [(2.0, False), (0.5, True)])
+def test_equivalence_holds_deviations_to_tol(factor, equal):
+    # one entry off the phase multiple by factor x tol, the pivot exact
+    tol = 1e-10
+    a = np.eye(2, dtype=complex)
+    a[1, 0] = factor * tol
+    res = equivalence_up_to_global_phase(a, np.eye(2, dtype=complex), tol=tol)
+    assert res.max_deviation == factor * tol
+    assert res.equal is equal
+
+
 def test_equivalence_against_an_all_zero_reference_fails():
     res = equivalence_up_to_global_phase(np.eye(2), np.zeros((2, 2)))
     assert not res.equal

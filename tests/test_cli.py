@@ -83,6 +83,26 @@ def test_run_verify_circuits(tmp_path):
     assert len(cases) == 2 + 2 * 2 * 2
 
 
+def test_verify_circuits_fails_a_case_whose_count_is_wrong(monkeypatch):
+    # every matrix stays equal; only the counted operations are one too many
+    counts = cli.circuits.gate_counts
+    monkeypatch.setattr(
+        cli.circuits,
+        "gate_counts",
+        lambda circuit: {kind: n + 1 for kind, n in counts(circuit).items()},
+    )
+    params = cli.validate_params(
+        "verify-circuits", {"seed": 42, "t_values": [2], "samples": 1}
+    )
+    tables, assertions = cli.RUNNERS["verify-circuits"](params)
+    powers = [case for case in tables["cases"] if case["case"].startswith("controlled")]
+    assert len(powers) == 2
+    for case in powers:
+        assert case["deviation"] <= params["tolerance"]
+        assert (case["count_ok"], case["passed"]) == (False, False)
+    assert assertions[0]["passed"] is False
+
+
 def test_run_blockade_with_block_bound(tmp_path):
     swap = 1e-4
     gap = float(np.sqrt(1e6) * swap)
@@ -475,10 +495,38 @@ def test_non_finite_values_and_too_few_points_exit_3(
         pytest.param(
             "effective-error-sweep", "coupling", 1e200, id="sweep-coupling-1e200"
         ),
+        # a spectrum whose square overflows in the transfer-time locator
+        # (exit 5 under the warning policy before, "overflow encountered in
+        # square"; 1e200 exited 0 only with warnings off)
+        pytest.param("transistor", "g21", 1e160, id="transistor-g21-1e160"),
+        pytest.param("transistor", "g21", 1e200, id="transistor-g21-1e200"),
     ],
 )
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):
     _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
+
+
+def test_transistor_coupling_just_under_the_locator_bound_runs(tmp_path, capsys):
+    # bisect g21 to the refusal edge: the largest accepted value still runs
+    # and passes under the warning policy (pyproject makes a RuntimeWarning
+    # an error, which would exit 5)
+    def exit_code(g21):
+        payload = {**_VALID["transistor"], "g21": g21}
+        scenario = _write(tmp_path, "edge.json", payload)
+        code = cli.main(["run", str(scenario), "-o", str(tmp_path / "out")])
+        capsys.readouterr()
+        return code
+
+    accepted, refused = 1e150, 1e160
+    assert (exit_code(accepted), exit_code(refused)) == (0, 3)
+    while refused / accepted > 1.0 + 1e-9:
+        middle = np.sqrt(accepted) * np.sqrt(refused)
+        code = exit_code(middle)
+        assert code in (0, 3)
+        if code == 0:
+            accepted = middle
+        else:
+            refused = middle
 
 
 # The blockade's photon number and level shifts enter its discriminant only

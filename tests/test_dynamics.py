@@ -37,6 +37,7 @@ from cavityqc import (
 from cavityqc.dynamics import (
     PEAK_SCAN_POINTS,
     _population_derivatives,
+    transistor_amplitudes,
     transistor_oracle,
 )
 from cavityqc.errors import BasisMismatch
@@ -168,6 +169,17 @@ def test_pair_evolution_doubled_frequency_sector():
 def test_pair_evolution_requires_normalized_inputs():
     with pytest.raises(ValueError):
         analytic_pair_evolution(1.0, 1.0, 1.0, 0.0, RATE, 2, 0.0)
+
+
+@pytest.mark.parametrize("excess, refused", [(2e-9, True), (5e-10, False)])
+def test_transistor_amplitudes_hold_the_norm_to_norm_tol(excess, refused):
+    # |alpha|^2 + |beta|^2 = 1 + excess against NORM_TOL = 1e-9
+    alpha = np.sqrt(1.0 + excess)
+    if refused:
+        with pytest.raises(ValueError, match="normalized"):
+            transistor_amplitudes(alpha, 0.0, 1, 0.1, [0.0])
+    else:
+        assert transistor_amplitudes(alpha, 0.0, 1, 0.1, [0.0])[0, 0] == alpha
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])

@@ -10,7 +10,9 @@ OLD_SRC and NEW_SRC are directories that hold a ``cavityqc`` package (the
 benchmark workload at one seed, read from ``perfbench/workloads.py``, and
 one fixed verify-circuits scenario at t = 5 and 6, wider than any of
 those (they reach t <= 4). Each
-tree runs all of them in its own subprocess. The tool prints how many
+tree runs all of them in its own subprocess, NEW_SRC in reverse order, so a
+report that depends on what ran before it in the process differs even
+between two runs of one tree. The tool prints how many
 ``report.json`` files are byte-identical, every exit code that differs,
 and, per report field, the largest absolute and relative difference and
 the number of differing values. It then prints how many per-table CSV
@@ -133,9 +135,10 @@ def main(argv=None) -> int:
         indir.mkdir()
         for name, text in texts.items():
             (indir / f"{name}.json").write_text(text, encoding="utf-8")
-        codes = {}
-        for side, src in (("old", args.old_src), ("new", args.new_src)):
-            codes[side] = run_tree(src.resolve(), names, indir, tmp / side)
+        codes = {
+            "old": run_tree(args.old_src.resolve(), names, indir, tmp / "old"),
+            "new": run_tree(args.new_src.resolve(), names[::-1], indir, tmp / "new"),
+        }
 
         identical = 0
         fields = defaultdict(lambda: {"count": 0, "abs": 0.0, "rel": 0.0})
