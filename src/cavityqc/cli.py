@@ -611,6 +611,15 @@ def _run_transistor(p: dict):
     node = NodeSpec(n, 3, (0.0, 1.0, 2.0))
     for name in ("delta_control", "delta_target"):
         _check_detuning(p[name], (node,), name)
+    # the cross rate's factors in the order hamiltonian._pair_rate multiplies
+    # them: past the float range its complex product meets inf x 0, which
+    # warns before any check
+    size = 0.5 * (1.0 / p["delta_control"] + 1.0 / p["delta_target"])
+    if not np.isfinite(size * abs(p["g21"]) * abs(p["g32"])):
+        raise ValidationError(
+            "fields 'g21', 'g32', 'delta_control' and 'delta_target' give a "
+            "transfer rate past the float range"
+        )
     couplings = CouplingSet(g21=p["g21"], g32=p["g32"])
     detunings = DetuningSet(lower=p["delta_control"], upper=p["delta_target"])
     rate = transistor_rate((node,), couplings, detunings)
@@ -798,7 +807,7 @@ def _run_verify_circuits(p: dict):
     for t in p["t_values"]:
         for sample in range(p["samples"]):
             u = gates.haar_random_unitary(rng)
-            reference = circuits.controlled_power_matrix(t, u)
+            reference = gates.controlled_power_matrix(t, u)
             for name, builder in (
                 ("standard", circuits.controlled_power_standard),
                 ("improved", circuits.controlled_power_improved),

@@ -28,11 +28,9 @@ from .hamiltonian import (
     HamiltonianMatrix,
     _transition_pairs,
     check_detuning,
-    collective_pair_matrices,
-    eigendecomposition,
+    collective_pair_hamiltonian,
     microscopic_parts,
     real_rate,
-    require_hermitian,
     transistor_hamiltonian,
 )
 from .state import StateVector, require_same_basis
@@ -66,29 +64,24 @@ def require_normalized(
         raise error(message.format(norm=norm))
 
 
-def _require_finite(times) -> np.ndarray:
-    """``times`` as a float array; ValueError unless every one is finite."""
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("propagation time must be finite")
-    return times
-
-
-def _coefficients(v: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """v^H psi0: the state's weight on each eigenvector, per slice of a stack."""
-    return np.swapaxes(v.conj(), -1, -2) @ amplitudes
-
-
 def _spectral_expansion(h: HamiltonianMatrix, psi0: StateVector, times):
     """Checked eigen-expansion (w, v, v^H psi0) of psi0 under h.
 
     psi(t) = v @ (exp(-i w t) * coeffs) at every one of ``times``, which
-    must be finite; the state must live on the Hamiltonian's basis.
+    must be finite; the state must live on the Hamiltonian's basis. On a
+    (K, d, d) stack each of w, v and v^H psi0 is one per slice.
     """
     require_same_basis(psi0, h)
-    _require_finite(times)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("propagation time must be finite")
     w, v = h.eigensystem()
-    return w, v, _coefficients(v, psi0.amplitudes)
+    return w, v, np.swapaxes(v.conj(), -1, -2) @ psi0.amplitudes
+
+
+def _require_one_matrix(h: HamiltonianMatrix, caller: str) -> None:
+    """ValueError unless ``h`` holds one matrix, not a stack."""
+    if h.matrix.ndim != 2:
+        raise ValueError(f"{caller} takes one matrix, not a stack of {len(h.matrix)}")
 
 
 def _expand(w, v, coeffs, times) -> np.ndarray:
@@ -104,22 +97,12 @@ def _expand(w, v, coeffs, times) -> np.ndarray:
     return (phases * coeffs[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _evolve_stack(matrices: np.ndarray, amplitudes: np.ndarray, times) -> np.ndarray:
-    """(K, T, d) amplitudes of one initial state under a (K, d, d) stack.
-
-    Slice k of ``times`` (K, T), which must be finite, is the grid of
-    matrix k. The stack gets HamiltonianMatrix's Hermiticity rule and one
-    eigendecomposition, so slice k equals evolve_on_grid of matrix k on its
-    grid bit for bit.
-    """
-    require_hermitian(matrices)
-    times = _require_finite(times)
-    w, v = eigendecomposition(matrices)
-    return _expand(w, v, _coefficients(v, amplitudes), times)
-
-
 def propagate(h: HamiltonianMatrix, psi0: StateVector, t: float) -> StateVector:
-    """psi(t) = exp(-i H t) psi(0): ``evolve_on_grid`` at t, an exact copy at t = 0."""
+    """psi(t) = exp(-i H t) psi(0): ``evolve_on_grid`` at t, an exact copy at t = 0.
+
+    ``h`` must hold one matrix; a stack raises ValueError.
+    """
+    _require_one_matrix(h, "propagate")
     amps = evolve_on_grid(h, psi0, [t])[0]
     return StateVector(psi0.amplitudes.copy() if t == 0.0 else amps, psi0.basis)
 
@@ -129,8 +112,10 @@ def evolve_on_grid(
 ) -> np.ndarray:
     """(len(times), dim) array of propagated amplitudes.
 
-    The one-matrix case of the stacked expansion the error sweep runs on
-    all its detunings at once; the eigendecomposition is h's cached one.
+    On a (K, d, d) stack ``times`` is one (T,) grid or a (K, T) grid per
+    matrix, and the result is (K, T, d); each slice equals the one-matrix
+    call on its own grid bit for bit (see _expand). The eigendecomposition
+    is h's cached one.
     """
     times = np.asarray(times, dtype=float)
     return _expand(*_spectral_expansion(h, psi0, times), times)
@@ -219,8 +204,10 @@ def population_peak_time(
     and of the two window ends (read off the scan) wins, the earliest on a
     tie. The scan must resolve the fastest beat max(w) - min(w) over the
     window (see PEAK_SCAN_POINTS). A centred spectrum so wide that the
-    derivatives would overflow raises OverflowError (see _require_peak_scale).
+    derivatives would overflow raises OverflowError (see _require_peak_scale),
+    and a stacked ``h`` raises ValueError.
     """
+    _require_one_matrix(h, "population_peak_time")
     t_low, t_high = float(t_low), float(t_high)
     w, v, coeffs = _spectral_expansion(h, psi0, (t_low, t_high))
     if t_low > t_high:
@@ -565,10 +552,10 @@ def effective_model_error(
     coupling, under which neither model moves, raises ValueError.
 
     All K detunings go through one stacked call: their rates, periods and
-    time grids are arrays, each model is one (K, d, d) stack with one
-    Hermiticity check, one eigendecomposition and one propagation, and the
-    metric is one pass over the (K, T) grid. Every number equals that of a
-    separate one-detuning call bit for bit.
+    time grids are arrays, each model is one (K, d, d) HamiltonianMatrix
+    stack with one Hermiticity check, one eigendecomposition and one
+    evolve_on_grid call, and the metric is one pass over the (K, T) grid.
+    Every number equals that of a separate one-detuning call bit for bit.
     """
     nodes = tuple(nodes)
     # refuses anything but a pair of two-level nodes
@@ -607,8 +594,8 @@ def effective_model_error(
     )
     photons = basis.occupations[:, basis.mode_site(0)]
     isometry = pair_isometry(basis)
-    psi_full0 = isometry[start]
-    psi_eff0 = isometry.conj() @ psi_full0
+    psi_full0 = StateVector(isometry[start], basis)
+    psi_eff0 = StateVector(isometry.conj() @ psi_full0.amplitudes, collective)
 
     # equal couplings: the swap rate is each node's self rate |g|^2/delta
     swap_rates = _transition_pairs(0, couplings, {0: deltas})[0, 0]
@@ -619,10 +606,11 @@ def effective_model_error(
     h_full = np.zeros(diagonal.shape + (basis.dim,), dtype=diagonal.dtype)
     h_full[:, range(basis.dim), range(basis.dim)] = diagonal
     h_full += coupling
-    h_eff = collective_pair_matrices(nodes, swap_rates, (swap_rates, swap_rates))
+    h_full = HamiltonianMatrix(h_full, basis)
+    h_eff = collective_pair_hamiltonian(nodes, swap_rates, (swap_rates, swap_rates))
 
-    full = _evolve_stack(h_full, psi_full0, times)
-    eff = _evolve_stack(h_eff, psi_eff0, times)
+    full = evolve_on_grid(h_full, psi_full0, times)
+    eff = evolve_on_grid(h_eff, psi_eff0, times)
 
     projected = full @ isometry.conj().T
     proj_norm_sq = np.sum(np.abs(projected) ** 2, axis=-1)

@@ -180,22 +180,14 @@ def require_hermitian(matrices: np.ndarray) -> None:
         raise ValueError(f"matrix is not Hermitian (deviation {dev[failed][0]:.3e})")
 
 
-def eigendecomposition(matrices: np.ndarray):
-    """np.linalg.eigh of a Hermitian matrix or (..., d, d) stack.
-
-    A stack is one LAPACK call per matrix inside one numpy call, so each
-    slice's (values, vectors) equal those of its own call bit for bit. A
-    LAPACK failure raises EigenFailure.
-    """
-    try:
-        return np.linalg.eigh(matrices)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-
-
 @dataclass
 class HamiltonianMatrix:
-    """Dense Hermitian matrix tagged with its basis."""
+    """Dense Hermitian matrix, or (K, d, d) stack of them, tagged with its basis.
+
+    Every matrix of a stack lives on the one basis. Its eigensystem is one
+    LAPACK call per matrix inside one numpy call, so each slice's (values,
+    vectors) equal those of its own HamiltonianMatrix bit for bit.
+    """
 
     matrix: np.ndarray
     basis: object = field(repr=False)
@@ -203,23 +195,26 @@ class HamiltonianMatrix:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("Hamiltonian must be a square matrix")
-        if self.basis is not None and self.matrix.shape[0] != self.basis.dim:
+        if self.matrix.ndim not in (2, 3) or self.matrix.shape[-2] != self.dim:
+            raise ValueError("Hamiltonian must be a square matrix or a stack of them")
+        if self.basis is not None and self.dim != self.basis.dim:
             raise BasisMismatch(
-                f"matrix of dimension {self.matrix.shape[0]} does not fit basis "
+                f"matrix of dimension {self.dim} does not fit basis "
                 f"of dimension {self.basis.dim}"
             )
         require_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def eigensystem(self):
-        """Cached eigendecomposition (values, vectors)."""
+        """Cached eigendecomposition (values, vectors); EigenFailure if LAPACK fails."""
         if self._eig is None:
-            w, v = eigendecomposition(self.matrix)
+            try:
+                w, v = np.linalg.eigh(self.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise EigenFailure(str(exc)) from exc
             self._eig = (w, v)
         return self._eig
 
@@ -749,40 +744,15 @@ def photon_free_effective_hamiltonian(
 
     Bare level energies plus the intra- and inter-node exchange terms of
     every enabled transition; equals the zero-photon block of the general
-    photon-dressed form. ``quanta`` restricts it to that excitation sector.
+    photon-dressed form. On two-level nodes at equal couplings g and equal
+    detunings Delta it is the microscopic two-level swap at rate |g|^2/Delta.
+    ``quanta`` restricts it to that excitation sector.
     """
     nodes = tuple(nodes)
     basis = _product_basis(nodes, couplings, None, quanta)
     bare = () if rotating_frame else _bare_terms(basis)
     swap = _swap_terms(basis, couplings, detunings.value, wave_vectors or {})
     h = _assemble(basis, itertools.chain(bare, swap))
-    return HamiltonianMatrix(h, basis)
-
-
-def swap_hamiltonian_microscopic(
-    nodes,
-    swap_rate: float,
-    wave_vector=None,
-    rotating_frame: bool = False,
-    quanta=None,
-) -> HamiltonianMatrix:
-    """Two-level swap Hamiltonian over the full product basis.
-
-    Bare energies plus swap_rate * Jtilde_+ Jtilde_- where Jtilde_+ is the
-    phase-threaded collective raising operator over all atoms of both
-    nodes; the double sum includes the self terms. Equal couplings and
-    detunings are assumed (the equal-rate special case of the photon-free
-    form). ``quanta`` restricts it to that excitation sector.
-    """
-    nodes = tuple(nodes)
-    if any(node.level_count != 2 for node in nodes):
-        raise BasisMismatch("swap Hamiltonian requires two-level nodes")
-    basis = _product_basis(nodes, None, None, quanta)
-    # every atom of both nodes in one channel: one double sum at one rate
-    atoms = (range(basis.n_atomic_sites), 0, atom_phases(basis, wave_vector))
-    exchange = _exchange_terms({0: atoms}, {(0, 0): swap_rate}, basis.symmetric)
-    bare = () if rotating_frame else _bare_terms(basis)
-    h = _assemble(basis, itertools.chain(bare, exchange))
     return HamiltonianMatrix(h, basis)
 
 
@@ -800,25 +770,29 @@ def _ladder_amp(node: NodeSpec, n_from: int) -> float:
     return 0.0
 
 
-def collective_pair_matrices(
+def collective_pair_hamiltonian(
     nodes,
-    swap_rates,
+    swap_rate,
     shift_rates,
     n_photons: int = 0,
     rotating_frame: bool = False,
-) -> np.ndarray:
-    """(K, 6, 6) stack of collective pair matrices, one per rate entry.
+) -> HamiltonianMatrix:
+    """Two-node collective Hamiltonian on the six-state pair basis.
 
-    ``swap_rates`` and each of the two ``shift_rates`` are length-K rate
-    vectors. The table runs each entry's scalar arithmetic, in the same
-    order, elementwise over the rates and the six rows, so slice k does not
-    depend on the other rates: it is collective_pair_hamiltonian at the
-    k-th rates bit for bit. The matrices are not checked here;
-    collective_pair_hamiltonian and the error sweep check them.
+    Diagonal: bare energies, the intra-node exchange shifts
+    shift_m * (J_+ J_-)_m and the photon-number level shifts
+    shift_m (2 n_m - N_m) n_photons. Off-diagonal: the inter-node exchange
+    swap_rate J_+^(1) J_-^(2) + h.c.
+
+    ``swap_rate`` and each of the two ``shift_rates`` are one rate, giving
+    one matrix, or K rates, giving a (K, 6, 6) stack. The table runs each
+    entry's scalar arithmetic, in the same order, elementwise over the
+    rates and the six rows, so slice k does not depend on the other rates:
+    it is the one-rate build at the k-th rates bit for bit.
     """
     nodes = tuple(nodes)
     # refuses anything but a pair of two-level nodes
-    CollectiveBasis(nodes)
+    basis = CollectiveBasis(nodes)
     if n_photons < 0:
         raise ValueError("photon number must be non-negative")
     occ = PAIR_OCCUPATIONS
@@ -838,7 +812,7 @@ def collective_pair_matrices(
     src = [a for a, (n1, n2) in enumerate(occ) if (n1 + 1, n2 - 1) in occ]
     dst = [occ.index((occ[a][0] + 1, occ[a][1] - 1)) for a in src]
     amp = (
-        np.asarray(swap_rates)[..., None]
+        np.asarray(swap_rate)[..., None]
         * [_ladder_amp(nodes[0], occ[a][0] + 1) for a in src]
         * [_ladder_amp(nodes[1], occ[a][1]) for a in src]
     )
@@ -848,33 +822,7 @@ def collective_pair_matrices(
     h[..., src, dst] += np.conj(amp)
 
     rot = CollectiveBasis.occupation_rotation()
-    return rot @ h @ rot.T
-
-
-def collective_pair_hamiltonian(
-    nodes,
-    swap_rate: complex,
-    shift_rates: tuple[float, float],
-    n_photons: int = 0,
-    rotating_frame: bool = False,
-) -> HamiltonianMatrix:
-    """Two-node collective Hamiltonian on the six-state pair basis.
-
-    Diagonal: bare energies, the intra-node exchange shifts
-    shift_m * (J_+ J_-)_m and the photon-number level shifts
-    shift_m (2 n_m - N_m) n_photons. Off-diagonal: the inter-node exchange
-    swap_rate J_+^(1) J_-^(2) + h.c. The one-rate case of
-    collective_pair_matrices.
-    """
-    nodes = tuple(nodes)
-    matrices = collective_pair_matrices(
-        nodes,
-        [swap_rate],
-        [[rate] for rate in shift_rates],
-        n_photons,
-        rotating_frame,
-    )
-    return HamiltonianMatrix(matrices[0], CollectiveBasis(nodes))
+    return HamiltonianMatrix(rot @ h @ rot.T, basis)
 
 
 def two_level_swap_hamiltonian(

@@ -21,8 +21,8 @@ from cavityqc import (
     double_excitation_state,
     microscopic_hamiltonian,
     pair_isometry,
+    photon_free_effective_hamiltonian,
     product_excitation_state,
-    swap_hamiltonian_microscopic,
     symmetrize,
     transistor_hamiltonian,
 )
@@ -361,7 +361,9 @@ def test_wave_vectors_must_be_finite_3_vectors():
         with pytest.raises(ValueError):
             pair_isometry(micro, wave_vector=k)
         with pytest.raises(ValueError):
-            swap_hamiltonian_microscopic(nodes, 0.3, wave_vector=k)
+            photon_free_effective_hamiltonian(
+                nodes, CouplingSet(g21=1.0), DetuningSet(lower=1.0 / 0.3), {0: k}
+            )
     fock = FockFactor((Mode(1.0, wave_vector=(nan, 0.0, 0.0)),), (1,))
     with pytest.raises(ValueError):
         microscopic_hamiltonian(nodes, CouplingSet(g21=0.1), fock)
@@ -416,7 +418,10 @@ def test_swap_evolution_preserves_symmetric_subspace():
     # permutation symmetry of the collective swap keeps leakage at zero
     nodes = (NodeSpec(3), NodeSpec(3))
     micro = build_microscopic_basis(nodes)
-    h = swap_hamiltonian_microscopic(nodes, 0.4)
+    # the two-level swap at rate 0.4: the photon-free form at equal couplings
+    h = photon_free_effective_hamiltonian(
+        nodes, CouplingSet(g21=1.0), DetuningSet(lower=1.0 / 0.4)
+    )
     psi0 = StateVector(collective_excitation_state(micro, 0), micro)
     times = np.linspace(0.0, 20.0, 40)
     grid = evolve_on_grid(h, psi0, times)

@@ -192,6 +192,21 @@ def test_ancilla_not_ground_detected():
         logical_matrix(CircuitBundle(and_gate(0, 1, 0), 2, 1))
 
 
+@pytest.mark.parametrize("weight, refused", [(2e-10, True), (5e-11, False)])
+def test_ancilla_weight_is_refused_past_one_part_in_ten_billion(weight, refused):
+    # ET(theta) moves sin^2(theta/2) of q0.a's excitation onto the ancilla;
+    # the documented bound (ANCILLA_TOL) is 1e-10
+    theta = 2.0 * np.arcsin(np.sqrt(weight))
+    leak = Circuit((Operation(kind="ET", params=(theta,), targets=("q0.a", "anc0")),))
+    bundle = CircuitBundle(leak, 1, 1)
+    if refused:
+        with pytest.raises(AncillaNotGround, match="ancilla weight"):
+            logical_matrix(bundle)
+    else:
+        _, report = logical_matrix(bundle)
+        assert report.max_ancilla_residual == pytest.approx(weight, rel=1e-6)
+
+
 def test_scratch_pair_not_ground_detected():
     # a full transfer leaves the scratch pair q1 in |1_L>, outside |0_L>
     flip = Circuit((Operation(kind="ET", params=(np.pi,), targets=("q1",)),))

@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -383,127 +384,142 @@ def test_non_finite_values_and_too_few_points_exit_3(
 # or negative photons in the blockade, zero samples, a fractional control
 # count run as its floor, a sweep without its headline factor dropping its
 # 1e-3 assertion).
-@pytest.mark.parametrize(
-    "kind, field, value",
-    [
-        ("pair-evolution", "n_atoms", 0),
-        ("transistor", "n_atoms", 0),
-        ("effective-error-sweep", "n_atoms", 0),
-        ("blockade", "n_1", 0),
-        ("blockade", "n_2", 0),
-        ("blockade", "n_photons", -1),
-        ("verify-gates", "samples", 0),
-        ("verify-gates", "seed", -1),
-        ("verify-circuits", "samples", 0),
-        ("verify-circuits", "t_values", [2.9]),
-        ("verify-circuits", "t_values", [1]),
-        ("effective-error-sweep", "delta_factors", [10, 100]),
-        ("effective-error-sweep", "delta_factors", []),
-        # inf only after the multiplication, which warns in no numpy call
-        ("transistor", "periods", 1e305),
-        # no transfer at all: the period would be infinite
-        ("transistor", "g21", 0.0),
-        ("transistor", "g32", 0.0),
-        # invalid physics: a detuning at resonance or unnormalized
-        # amplitudes (exit 5, reported as an internal error, without the
-        # checks), an empty or reversed time window or a sweep without
-        # coupling, whose infidelity is 4e-16 (a pass that checked nothing)
-        ("transistor", "delta_control", 0.0),
-        ("transistor", "delta_target", 0.0),
-        ("transistor", "delta_control", 1e-12),
-        ("transistor", "delta_target", -1e-12),
-        ("transistor", "alpha", [0.8, 0.0]),
-        ("transistor", "beta", [0.0, 0.6]),
-        ("pair-evolution", "alpha1", [0.5, 0.0]),
-        ("pair-evolution", "beta2", [0.0, 0.5]),
-        ("transistor", "periods", 0.0),
-        ("transistor", "periods", -1.0),
-        ("pair-evolution", "t_max", -1.0),
-        ("blockade", "t_max", 0.0),
-        ("effective-error-sweep", "periods", 0.0),
-        ("effective-error-sweep", "coupling", 0.0),
-        # a sweep detuning within the resonance floor, where the dispersive
-        # model does not hold: reported as a small error without the check
-        ("effective-error-sweep", "delta_factors", [0, 30]),
-        ("effective-error-sweep", "delta_factors", [1e-300, 30]),
-        # nothing exchanged: every closed-form check passes vacuously
-        ("pair-evolution", "swap_rate", 0.0),
-        ("blockade", "swap_rate", 0.0),
-        # one number rule: a string or a boolean is no number, in a list
-        # or a [re, im] pair as in a float field (each of these ran, as
-        # [10, 30], [1, 30], 0.6 and 0.8), and an integer past the float
-        # range is no finite number (exit 5 before)
-        ("effective-error-sweep", "delta_factors", ["10", "30"]),
-        ("effective-error-sweep", "delta_factors", [True, 30]),
-        ("transistor", "alpha", ["0.6", 0.0]),
-        ("transistor", "beta", [0.8, False]),
-        pytest.param(
-            "effective-error-sweep", "coupling", 10**400, id="coupling-10**400"
-        ),
-        # an empty list drops every case it drives: with no t_values the
-        # run passed on the two fixed Toffoli cases alone
-        ("verify-circuits", "t_values", []),
-        # the same rule for counts past the float range (exit 5
-        # before, a numpy ufunc error)
-        pytest.param(
-            "effective-error-sweep", "n_atoms", 10**400, id="sweep-n_atoms-10**400"
-        ),
-        pytest.param("transistor", "n_atoms", 10**400, id="transistor-n_atoms-10**400"),
-        pytest.param(
-            "pair-evolution", "n_atoms", 10**400, id="pair-n_atoms-10**400"
-        ),
-        pytest.param("blockade", "n_1", 10**400, id="blockade-n_1-10**400"),
-        pytest.param("blockade", "n_2", 10**400, id="blockade-n_2-10**400"),
-        # counts within the float range whose product of two is past the
-        # 64-bit integers, where numpy has no square root (exit 5 before)
-        pytest.param(
-            "effective-error-sweep", "n_atoms", 2**62, id="sweep-n_atoms-2**62"
-        ),
-        pytest.param(
-            "effective-error-sweep", "n_atoms", 2**70, id="sweep-n_atoms-2**70"
-        ),
-        pytest.param("transistor", "n_atoms", 2**70, id="transistor-n_atoms-2**70"),
-        pytest.param("pair-evolution", "n_atoms", 2**70, id="pair-n_atoms-2**70"),
-        pytest.param("blockade", "n_1", 2**70, id="blockade-n_1-2**70"),
-        pytest.param("blockade", "n_2", 2**70, id="blockade-n_2-2**70"),
-        # bounds under which a check can no longer fail (exit 0 before,
-        # the blockade reporting a full transfer as blocked): fidelities
-        # lie in [0, 1], as do the clipped infidelity and |c3|^2, and a
-        # deviation between two unitaries is at most 2
-        ("pair-evolution", "tolerance", 1.0),
-        ("pair-evolution", "tolerance", 1.5),
-        ("transistor", "tolerance", 1.0),
-        ("effective-error-sweep", "assert_below", 5.0),
-        ("blockade", "max_c3_sq_below", 2.0),
-        ("verify-gates", "tolerance", 2.0),
-        ("verify-circuits", "tolerance", 2.5),
-        # a time grid too big to allocate (exit 5 before, "Unable to
-        # allocate 7.45 GiB" for the blockade)
-        pytest.param("pair-evolution", "points", 10**9, id="pair-points-10**9"),
-        pytest.param("blockade", "points", 10**9, id="blockade-points-10**9"),
-        pytest.param("transistor", "points", 10**9, id="transistor-points-10**9"),
-        pytest.param(
-            "effective-error-sweep", "points", 10**9, id="sweep-points-10**9"
-        ),
-        # the largest grid of one amplitude per point, where the pair keeps
-        # six (exit 5 before, "Unable to allocate 3.00 GiB")
-        pytest.param("pair-evolution", "points", 2**26, id="pair-points-2**26"),
-        # finite inputs whose Python float squares overflow (exit 5
-        # before, "(34, 'Numerical result out of range')")
-        pytest.param("blockade", "swap_rate", 1e200, id="blockade-swap_rate-1e200"),
-        pytest.param("blockade", "freq_2", 1e200, id="blockade-freq_2-1e200"),
-        pytest.param(
-            "effective-error-sweep", "coupling", 1e200, id="sweep-coupling-1e200"
-        ),
-        # a spectrum whose square overflows in the transfer-time locator
-        # (exit 5 under the warning policy before, "overflow encountered in
-        # square"; 1e200 exited 0 only with warnings off)
-        pytest.param("transistor", "g21", 1e160, id="transistor-g21-1e160"),
-        pytest.param("transistor", "g21", 1e200, id="transistor-g21-1e200"),
-    ],
-)
+_OUT_OF_RANGE = [
+    ("pair-evolution", "n_atoms", 0),
+    ("transistor", "n_atoms", 0),
+    ("effective-error-sweep", "n_atoms", 0),
+    ("blockade", "n_1", 0),
+    ("blockade", "n_2", 0),
+    ("blockade", "n_photons", -1),
+    ("verify-gates", "samples", 0),
+    ("verify-gates", "seed", -1),
+    ("verify-circuits", "samples", 0),
+    ("verify-circuits", "t_values", [2.9]),
+    ("verify-circuits", "t_values", [1]),
+    ("effective-error-sweep", "delta_factors", [10, 100]),
+    ("effective-error-sweep", "delta_factors", []),
+    # inf only after the multiplication, which warns in no numpy call
+    ("transistor", "periods", 1e305),
+    # no transfer at all: the period would be infinite
+    ("transistor", "g21", 0.0),
+    ("transistor", "g32", 0.0),
+    # invalid physics: a detuning at resonance or unnormalized
+    # amplitudes (exit 5, reported as an internal error, without the
+    # checks), an empty or reversed time window or a sweep without
+    # coupling, whose infidelity is 4e-16 (a pass that checked nothing)
+    ("transistor", "delta_control", 0.0),
+    ("transistor", "delta_target", 0.0),
+    ("transistor", "delta_control", 1e-12),
+    ("transistor", "delta_target", -1e-12),
+    ("transistor", "alpha", [0.8, 0.0]),
+    ("transistor", "beta", [0.0, 0.6]),
+    ("pair-evolution", "alpha1", [0.5, 0.0]),
+    ("pair-evolution", "beta2", [0.0, 0.5]),
+    ("transistor", "periods", 0.0),
+    ("transistor", "periods", -1.0),
+    ("pair-evolution", "t_max", -1.0),
+    ("blockade", "t_max", 0.0),
+    ("effective-error-sweep", "periods", 0.0),
+    ("effective-error-sweep", "coupling", 0.0),
+    # a sweep detuning within the resonance floor, where the dispersive
+    # model does not hold: reported as a small error without the check
+    ("effective-error-sweep", "delta_factors", [0, 30]),
+    ("effective-error-sweep", "delta_factors", [1e-300, 30]),
+    # nothing exchanged: every closed-form check passes vacuously
+    ("pair-evolution", "swap_rate", 0.0),
+    ("blockade", "swap_rate", 0.0),
+    # one number rule: a string or a boolean is no number, in a list
+    # or a [re, im] pair as in a float field (each of these ran, as
+    # [10, 30], [1, 30], 0.6 and 0.8), and an integer past the float
+    # range is no finite number (exit 5 before)
+    ("effective-error-sweep", "delta_factors", ["10", "30"]),
+    ("effective-error-sweep", "delta_factors", [True, 30]),
+    ("transistor", "alpha", ["0.6", 0.0]),
+    ("transistor", "beta", [0.8, False]),
+    pytest.param(
+        "effective-error-sweep", "coupling", 10**400, id="coupling-10**400"
+    ),
+    # an empty list drops every case it drives: with no t_values the
+    # run passed on the two fixed Toffoli cases alone
+    ("verify-circuits", "t_values", []),
+    # the same rule for counts past the float range (exit 5
+    # before, a numpy ufunc error)
+    pytest.param(
+        "effective-error-sweep", "n_atoms", 10**400, id="sweep-n_atoms-10**400"
+    ),
+    pytest.param("transistor", "n_atoms", 10**400, id="transistor-n_atoms-10**400"),
+    pytest.param(
+        "pair-evolution", "n_atoms", 10**400, id="pair-n_atoms-10**400"
+    ),
+    pytest.param("blockade", "n_1", 10**400, id="blockade-n_1-10**400"),
+    pytest.param("blockade", "n_2", 10**400, id="blockade-n_2-10**400"),
+    # counts within the float range whose product of two is past the
+    # 64-bit integers, where numpy has no square root (exit 5 before)
+    pytest.param(
+        "effective-error-sweep", "n_atoms", 2**62, id="sweep-n_atoms-2**62"
+    ),
+    pytest.param(
+        "effective-error-sweep", "n_atoms", 2**70, id="sweep-n_atoms-2**70"
+    ),
+    pytest.param("transistor", "n_atoms", 2**70, id="transistor-n_atoms-2**70"),
+    pytest.param("pair-evolution", "n_atoms", 2**70, id="pair-n_atoms-2**70"),
+    pytest.param("blockade", "n_1", 2**70, id="blockade-n_1-2**70"),
+    pytest.param("blockade", "n_2", 2**70, id="blockade-n_2-2**70"),
+    # bounds under which a check can no longer fail (exit 0 before,
+    # the blockade reporting a full transfer as blocked): fidelities
+    # lie in [0, 1], as do the clipped infidelity and |c3|^2, and a
+    # deviation between two unitaries is at most 2
+    ("pair-evolution", "tolerance", 1.0),
+    ("pair-evolution", "tolerance", 1.5),
+    ("transistor", "tolerance", 1.0),
+    ("effective-error-sweep", "assert_below", 5.0),
+    ("blockade", "max_c3_sq_below", 2.0),
+    ("verify-gates", "tolerance", 2.0),
+    ("verify-circuits", "tolerance", 2.5),
+    # a time grid too big to allocate (exit 5 before, "Unable to
+    # allocate 7.45 GiB" for the blockade)
+    pytest.param("pair-evolution", "points", 10**9, id="pair-points-10**9"),
+    pytest.param("blockade", "points", 10**9, id="blockade-points-10**9"),
+    pytest.param("transistor", "points", 10**9, id="transistor-points-10**9"),
+    pytest.param(
+        "effective-error-sweep", "points", 10**9, id="sweep-points-10**9"
+    ),
+    # the largest grid of one amplitude per point, where the pair keeps
+    # six (exit 5 before, "Unable to allocate 3.00 GiB")
+    pytest.param("pair-evolution", "points", 2**26, id="pair-points-2**26"),
+    # finite inputs whose Python float squares overflow (exit 5
+    # before, "(34, 'Numerical result out of range')")
+    pytest.param("blockade", "swap_rate", 1e200, id="blockade-swap_rate-1e200"),
+    pytest.param("blockade", "freq_2", 1e200, id="blockade-freq_2-1e200"),
+    pytest.param(
+        "effective-error-sweep", "coupling", 1e200, id="sweep-coupling-1e200"
+    ),
+    # a spectrum whose square overflows in the transfer-time locator
+    # (exit 5 under the warning policy before, "overflow encountered in
+    # square"; 1e200 exited 0 only with warnings off)
+    pytest.param("transistor", "g21", 1e160, id="transistor-g21-1e160"),
+    pytest.param("transistor", "g21", 1e200, id="transistor-g21-1e200"),
+    # a cross rate past the float range: numpy's complex product met
+    # inf x 0 (exit 5 under the warning policy, "invalid value
+    # encountered in scalar multiply"; exit 3 on a zero window without it)
+    pytest.param("transistor", "g21", 1.7e308, id="transistor-g21-1.7e308"),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", _OUT_OF_RANGE)
 def test_out_of_range_values_exit_3(tmp_path, capsys, kind, field, value):
     _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
+
+
+@pytest.mark.parametrize("kind, field, value", _OUT_OF_RANGE)
+def test_out_of_range_values_exit_3_with_runtime_warnings_ignored(
+    tmp_path, capsys, kind, field, value
+):
+    # the exit code must not depend on the warning policy: pyproject makes
+    # a RuntimeWarning an error, and here numpy's warnings are dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
 
 
 def test_transistor_coupling_just_under_the_locator_bound_runs(tmp_path, capsys):

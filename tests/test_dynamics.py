@@ -43,7 +43,7 @@ from cavityqc.dynamics import (
 from cavityqc.errors import BasisMismatch
 from cavityqc.hamiltonian import (
     HamiltonianMatrix,
-    collective_pair_matrices,
+    collective_pair_hamiltonian,
     microscopic_parts,
 )
 
@@ -120,6 +120,65 @@ def test_propagation_rejects_non_finite_times(bad):
         evolve_on_grid(h, psi0, [0.0, bad])
     with pytest.raises(ValueError, match="finite"):
         population_peak_time(h, psi0, np.eye(h.dim)[2:3], 0.0, bad)
+
+
+# --- stacked Hamiltonians --------------------------------------------------------
+
+
+def _hermitian_stack(rng, k, d):
+    a = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    return a + np.swapaxes(a.conj(), -1, -2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    d=st.integers(1, 12),
+    points=st.integers(1, 40),
+    per_slice_grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_evolve_on_grid_equals_one_call_per_slice_bit_for_bit(
+    k, d, points, per_slice_grid, seed
+):
+    rng = np.random.default_rng(seed)
+    matrices = _hermitian_stack(rng, k, d)
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi0 = StateVector(amps / np.linalg.norm(amps), None)
+    shape = (k, points) if per_slice_grid else (points,)
+    times = rng.uniform(-20.0, 20.0, size=shape)
+    stacked = evolve_on_grid(HamiltonianMatrix(matrices, None), psi0, times)
+    assert stacked.shape == (k, points, d)
+    for j in range(k):
+        grid = times[j] if per_slice_grid else times
+        one = evolve_on_grid(HamiltonianMatrix(matrices[j], None), psi0, grid)
+        assert one.tobytes() == stacked[j].tobytes()
+
+
+def test_stack_with_one_non_hermitian_slice_is_refused():
+    matrices = _hermitian_stack(np.random.default_rng(3), 4, 5)
+    matrices[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HamiltonianMatrix(matrices, None)
+
+
+def test_stack_whose_dimension_misses_the_basis_is_refused():
+    matrices = _hermitian_stack(np.random.default_rng(4), 3, 5)
+    with pytest.raises(BasisMismatch):
+        HamiltonianMatrix(matrices, CollectiveBasis())
+    for shape in ((6,), (3, 6, 5), (2, 3, 6, 6)):
+        with pytest.raises(ValueError, match="square"):
+            HamiltonianMatrix(np.zeros(shape), None)
+
+
+def test_propagate_and_peak_locator_refuse_a_stack():
+    stack = HamiltonianMatrix(np.stack([_swap_pair(2).matrix] * 2), CollectiveBasis())
+    psi0 = _basis_state(stack, 1)
+    with pytest.raises(ValueError, match="stack"):
+        propagate(stack, psi0, 1.0)
+    # r == K, where the projection would broadcast against the stack
+    with pytest.raises(ValueError, match="stack"):
+        population_peak_time(stack, psi0, np.eye(6)[1:3], 0.0, 1.0)
 
 
 def test_fidelity_examples():
@@ -425,8 +484,7 @@ def test_transistor_upper_swap_channel_degrades_closed_form():
 def test_position_phases_do_not_change_transfer_probabilities():
     # the swap algebra is position independent once the collective states
     # absorb their plane-wave phases
-    from cavityqc import collective_excitation_state
-    from cavityqc.hamiltonian import swap_hamiltonian_microscopic
+    from cavityqc import collective_excitation_state, photon_free_effective_hamiltonian
 
     n_atoms = 2
     k = (1.3, -0.4, 0.8)
@@ -436,7 +494,10 @@ def test_position_phases_do_not_change_transfer_probabilities():
         NodeSpec(n_atoms, positions=positions),
     )
     micro = build_microscopic_basis(nodes)
-    h = swap_hamiltonian_microscopic(nodes, RATE, wave_vector=k, rotating_frame=True)
+    # the two-level swap at RATE: the photon-free form at equal couplings
+    h = photon_free_effective_hamiltonian(
+        nodes, CouplingSet(g21=1.0), DetuningSet(lower=1.0 / RATE), {0: k}, True
+    )
     psi0 = StateVector(collective_excitation_state(micro, 0, wave_vector=k), micro)
     target = pair_isometry(micro, wave_vector=k)[2]
     for t in np.linspace(0.0, 4.0, 25):
@@ -805,9 +866,9 @@ def test_collective_stack_equals_one_swap_build_per_rate_bit_for_bit(
     n_1, n_2, rates, rotating_frame
 ):
     nodes = (NodeSpec(n_1), NodeSpec(n_2))
-    stack = collective_pair_matrices(
+    stack = collective_pair_hamiltonian(
         nodes, rates, (rates, rates), rotating_frame=rotating_frame
-    )
+    ).matrix
     assert stack.shape == (len(rates), 6, 6)
     for k, rate in enumerate(rates):
         single = two_level_swap_hamiltonian(nodes, rate, rotating_frame=rotating_frame)

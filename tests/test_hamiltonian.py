@@ -29,7 +29,6 @@ from cavityqc import (
     schrieffer_wolff_hamiltonian,
     sw_coefficients,
     sw_generator,
-    swap_hamiltonian_microscopic,
     total_excitation_operator,
     transistor_hamiltonian,
     transistor_rate,
@@ -308,6 +307,29 @@ def test_every_entry_point_refuses_detunings_within_the_floor(
     build(sign * above * floor, scale)
 
 
+@pytest.mark.parametrize("factor, refused", [(2.0, False), (0.5, True)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_resonance_floor_sits_at_one_part_in_a_billion(factor, refused, sign):
+    # the documented floor (RESONANCE_FLOOR) is 1e-9 of the largest
+    # |level energy|, here 3, both for the check and for a builder using it
+    nodes = (NodeSpec(1, 2, (0.0, 3.0)), NodeSpec(1, 2, (0.0, 3.0)))
+    delta = sign * factor * 1e-9 * 3.0
+
+    def build():
+        return photon_free_effective_hamiltonian(
+            nodes, CouplingSet(g21=1e-6), DetuningSet(lower=delta)
+        )
+
+    if refused:
+        with pytest.raises(ResonanceSingularity):
+            hamiltonian.check_detuning(delta, nodes, "boundary")
+        with pytest.raises(ResonanceSingularity):
+            build()
+    else:
+        hamiltonian.check_detuning(delta, nodes, "boundary")
+        build()
+
+
 def _three_level_system():
     nodes = (NodeSpec(1, 3, THREE_LEVELS), NodeSpec(1, 3, (0.0, 1.05, 2.2)))
     coup = CouplingSet(g21=0.02 + 0.003j, g32=0.015, g31=0.01 - 0.002j)
@@ -400,15 +422,24 @@ def test_zero_photon_block_equals_photon_free_form():
 # --- collective two-level swap --------------------------------------------------
 
 
+def microscopic_swap(nodes, rate, rotating_frame):
+    """The two-level swap at ``rate`` over the atoms: the photon-free form
+    at equal couplings g = 1 and equal detunings 1 / rate."""
+    couplings, detunings = CouplingSet(g21=1.0), DetuningSet(lower=1.0 / rate)
+    return photon_free_effective_hamiltonian(
+        nodes, couplings, detunings, rotating_frame=rotating_frame
+    )
+
+
 def symmetric_site_swap(nodes, rate, rotating_frame=True):
     """The microscopic swap on one symmetric site per node, in the pair basis.
 
     _product_basis is the one place the site layout is chosen, so patching
-    it builds swap_hamiltonian_microscopic on the nodes' Dicke states.
+    it builds microscopic_swap on the nodes' Dicke states.
     """
     symmetric = functools.partial(hamiltonian._product_basis, symmetric=True)
     with mock.patch.object(hamiltonian, "_product_basis", symmetric):
-        h = swap_hamiltonian_microscopic(nodes, rate, rotating_frame=rotating_frame)
+        h = microscopic_swap(nodes, rate, rotating_frame=rotating_frame)
     assert h.basis.symmetric
     rows = pair_isometry(h.basis)
     return rows.conj() @ h.matrix @ rows.T
@@ -491,7 +522,7 @@ def test_swap_microscopic_matches_collective_single_sector():
     n_atoms = 3
     rate = 0.4
     nodes = (NodeSpec(n_atoms), NodeSpec(n_atoms))
-    h_micro = swap_hamiltonian_microscopic(nodes, rate, rotating_frame=True)
+    h_micro = microscopic_swap(nodes, rate, rotating_frame=True)
     assert np.abs(h_micro.matrix - rate * brute_swap_interaction(n_atoms, n_atoms)).max() < 1e-12
 
 
@@ -838,14 +869,6 @@ def test_microscopic_builders_hermitian_conserving_and_sector_exact(system):
 
     _check_builder(photon_free(), photon_free, couplings)
 
-    if all(node.level_count == 2 for node in nodes):
-        k = fock.modes[0].wave_vector
-
-        def swap(q=None):
-            return swap_hamiltonian_microscopic(nodes, 0.3, wave_vector=k, quanta=q)
-
-        _check_builder(swap(), swap, couplings)
-
 
 @settings(max_examples=15, deadline=None)
 @given(
@@ -926,13 +949,6 @@ def test_family_assembler_equals_per_term_assembler(system, data):
             nodes, couplings, detunings, wave_vectors, quanta=quanta
         ).matrix,
     ]
-    if all(node.level_count == 2 for node in nodes):
-        k = fock.modes[0].wave_vector
-        builds.append(
-            lambda: swap_hamiltonian_microscopic(
-                nodes, 0.3, wave_vector=k, quanta=quanta
-            ).matrix
-        )
     # a transistor of drawn size, couplings, positions and channels
     n_atoms = data.draw(st.integers(min_value=1, max_value=2))
     target = NodeSpec(n_atoms, 3, THREE_LEVELS, _vectors(data.draw, n_atoms))
@@ -1167,21 +1183,6 @@ def loop_cross_terms(basis, couplings, fock, detunings, wave_vectors):
                 )
 
 
-def loop_swap_microscopic(nodes, swap_rate, wave_vector, rotating_frame, quanta):
-    basis = hamiltonian._product_basis(nodes, None, None, quanta)
-    phases = atom_phases(basis, wave_vector)
-    sites = range(basis.n_atomic_sites)
-    exchange = (
-        hamiltonian._exchange(
-            i, j, swap_rate * phases[i] * np.conj(phases[j]), (1, 0), (0, 1)
-        )
-        for i in sites
-        for j in sites
-    )
-    bare = () if rotating_frame else hamiltonian._bare_terms(basis)
-    return hamiltonian._assemble(basis, itertools.chain(bare, exchange))
-
-
 def loop_transistor(nodes, couplings, detunings, wave_vectors, upper_swap, rotating,
                     quanta):
     basis = hamiltonian._product_basis(nodes, couplings, None, quanta)
@@ -1244,15 +1245,6 @@ def test_exchange_builders_equal_their_loops_bit_for_bit(system, data):
         with mock.patch.multiple(hamiltonian, **loops):
             reference = build()
         assert np.array_equal(_bits(matrix), _bits(reference))
-    if all(node.level_count == 2 for node in nodes):
-        k = fock.modes[0].wave_vector
-        rate = data.draw(st.floats(min_value=-0.5, max_value=0.5))
-        try:
-            swap = swap_hamiltonian_microscopic(nodes, rate, k, rotating, quanta)
-        except BasisMismatch:
-            return
-        reference = loop_swap_microscopic(nodes, rate, k, rotating, quanta)
-        assert np.array_equal(_bits(swap.matrix), _bits(reference))
 
 
 @settings(max_examples=60, deadline=None)

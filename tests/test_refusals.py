@@ -22,7 +22,6 @@ from cavityqc import (
     encode,
     lamb_shift_hamiltonian,
     product_excitation_state,
-    swap_hamiltonian_microscopic,
     symmetrize,
     synthesize_rotation,
     transistor_hamiltonian,
@@ -340,12 +339,6 @@ REFUSALS = [
         lambda _: lamb_shift_hamiltonian(
             (TWO,), CouplingSet(g21=0.01), DetuningSet(lower=(0.3,)), 0
         ),
-    ),
-    _case(
-        "swap-three-level",
-        BasisMismatch,
-        "two-level nodes",
-        lambda _: swap_hamiltonian_microscopic((THREE, THREE), 0.1),
     ),
     _case(
         "controlled-power-standard-t1",

@@ -8,8 +8,9 @@ OLD_SRC and NEW_SRC are directories that hold a ``cavityqc`` package (the
 ``src`` directory of two checkouts). The scenarios are the shipped
 ``scenarios/*.json`` of this checkout, cycles 0 .. cycles-1 of every
 benchmark workload at one seed, read from ``perfbench/workloads.py``, and
-one fixed verify-circuits scenario at t = 5 and 6, wider than any of
-those (they reach t <= 4). Each
+one fixed verify-circuits scenario at t = 5 and 6, and one fixed
+effective-error-sweep at N = 10^4 over 13 detunings, each wider than any
+of those (they reach t <= 4, and N = 4 with at most 3 detunings). Each
 tree runs all of them in its own subprocess, NEW_SRC in reverse order, so a
 report that depends on what ran before it in the process differs even
 between two runs of one tree. The tool prints how many
@@ -42,6 +43,14 @@ WIDE_CIRCUITS = {
     "samples": 2,
 }
 
+# geomspace(8, 240, 12) rounded to 6 places, and the asserted factor 30
+WIDE_SWEEP = {
+    "kind": "effective-error-sweep",
+    "n_atoms": 10**4,
+    "coupling": 0.01,
+    "delta_factors": [round(8.0 * 30.0 ** (k / 11), 6) for k in range(12)] + [30.0],
+}
+
 # Runs every scenario of a list through cavityqc.cli.run in one process and
 # prints the exit codes as one JSON object; the tree comes from PYTHONPATH.
 CHILD = """
@@ -58,7 +67,7 @@ print(json.dumps(codes))
 
 
 def scenarios(seed: int, cycles: int) -> dict[str, str]:
-    """Scenario file text by name: shipped samples, benchmark cycles, wide circuits."""
+    """Scenario file text by name: shipped samples, benchmark cycles, wide cases."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -71,6 +80,7 @@ def scenarios(seed: int, cycles: int) -> dict[str, str]:
             for j, scenario in enumerate(workloads.cycle(workload, seed, index)):
                 out[f"{workload}-c{index}-{j:02d}"] = json.dumps(scenario)
     out["wide-verify-circuits"] = json.dumps(WIDE_CIRCUITS)
+    out["wide-sweep"] = json.dumps(WIDE_SWEEP)
     return out
 
 
