@@ -146,42 +146,31 @@ class FockFactor:
         return len(self.modes)
 
 
-def _excited_counts(n_atoms: int, top: int, cap: int | None):
-    """Counts (n_1, ..., n_top) of ``n_atoms`` atoms on levels 1..top.
-
-    Only counts with sum_k k n_k at most ``cap`` (any, for None), in
-    lexicographic order of (n_top, ..., n_1).
-    """
-    if top == 0:
-        yield ()
-        return
-    n_top = 0
-    while n_top <= n_atoms and (cap is None or top * n_top <= cap):
-        rest_cap = None if cap is None else cap - top * n_top
-        for rest in _excited_counts(n_atoms - n_top, top - 1, rest_cap):
-            yield rest + (n_top,)
-        n_top += 1
-
-
 def _level_counts(
     atoms: int, levels: int, cap: int | None
 ) -> tuple[tuple[int, ...], ...]:
-    """Level counts (n_0, ..., n_top) of ``atoms`` atoms on ``levels`` levels.
+    """Level counts (n_0, n_1[, n_2]) of ``atoms`` atoms on 2 or 3 levels.
 
     Every way of putting the atoms on the levels whose level sum
-    n_1 + 2 n_2 is at most ``cap`` (every way, for None), ordered so that
-    one atom's state k is its level k. Counts are Python integers, so no
-    atom count overflows them. Raises DimensionCap, before listing more,
-    once the states alone outgrow any matrix under DENSE_BYTES_CAP.
+    n_1 + 2 n_2 is at most ``cap`` (every way, for None), n_2 in the outer
+    loop and n_1 in the inner, so that one atom's state k is its level k.
+    Counts are Python integers, so no atom count overflows them. Raises
+    DimensionCap, before listing more, once the states alone outgrow any
+    matrix under DENSE_BYTES_CAP.
     """
+    n2_max = atoms if levels == 3 else 0
+    if cap is not None:
+        n2_max = min(n2_max, cap // 2)
     rows = []
-    for excited in _excited_counts(atoms, levels - 1, cap):
-        if len(rows) == MAX_SITE_STATES:
-            raise DimensionCap(
-                f"a site of {atoms} atoms has more than {MAX_SITE_STATES} states, "
-                f"above the cap of {DENSE_BYTES_CAP:.3e} bytes"
-            )
-        rows.append((atoms - sum(excited),) + excited)
+    for n2 in range(n2_max + 1):
+        n1_max = atoms - n2 if cap is None else min(atoms - n2, cap - 2 * n2)
+        for n1 in range(n1_max + 1):
+            if len(rows) == MAX_SITE_STATES:
+                raise DimensionCap(
+                    f"a site of {atoms} atoms has more than {MAX_SITE_STATES} states, "
+                    f"above the cap of {DENSE_BYTES_CAP:.3e} bytes"
+                )
+            rows.append((atoms - n1 - n2, n1, n2)[:levels])
     return tuple(rows)
 
 
@@ -438,15 +427,6 @@ class CompositeBasis:
 
     def occupation(self, index: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.occupations[index])
-
-    def site_occupations(self, site: int) -> np.ndarray:
-        """Occupation of one site for every basis index."""
-        return self.occupations[:, site]
-
-    def basis_state(self, occupations: tuple[int, ...]) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[self.index(occupations)] = 1.0
-        return vec
 
     # -- photon sector helpers ---------------------------------------------
 

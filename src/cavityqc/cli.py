@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -419,7 +420,9 @@ def _default_window(rate_scale: float) -> float:
 
 
 def _check_detuning(delta: float, nodes, field: str) -> None:
-    """check_detuning on a detuning set by ``field``, as a validation error."""
+    """check_detuning on a finite detuning set by ``field``, as a validation error."""
+    if not math.isfinite(delta):
+        raise ValidationError(f"field {field!r}: detuning {delta} past the float range")
     try:
         check_detuning(delta, nodes, f"field {field!r}")
     except ResonanceSingularity as exc:
@@ -446,7 +449,8 @@ def _refuse_overflow(*fields: str):
 
     The closed forms square Python floats (see _abs_squares for why), and
     a Python float raises OverflowError past the float range where numpy
-    would return inf. ``fields`` are those the failing arithmetic reads.
+    would return inf; the error sweep raises one for a swap window past
+    it. ``fields`` are those the failing arithmetic reads.
     """
     try:
         yield
@@ -611,22 +615,18 @@ def _run_transistor(p: dict):
     node = NodeSpec(n, 3, (0.0, 1.0, 2.0))
     for name in ("delta_control", "delta_target"):
         _check_detuning(p[name], (node,), name)
-    # the cross rate's factors in the order hamiltonian._pair_rate multiplies
-    # them: past the float range its complex product meets inf x 0, which
-    # warns before any check
-    size = 0.5 * (1.0 / p["delta_control"] + 1.0 / p["delta_target"])
-    if not np.isfinite(size * abs(p["g21"]) * abs(p["g32"])):
-        raise ValidationError(
-            "fields 'g21', 'g32', 'delta_control' and 'delta_target' give a "
-            "transfer rate past the float range"
-        )
     couplings = CouplingSet(g21=p["g21"], g32=p["g32"])
     detunings = DetuningSet(lower=p["delta_control"], upper=p["delta_target"])
     rate = transistor_rate((node,), couplings, detunings)
-    if rate == 0.0:
-        raise ValidationError("fields 'g21' and 'g32' give a transfer rate of 0")
-    # a Python float, so that an overflowing window is inf without a warning
-    period = float(np.pi / (np.sqrt(n) * rate))
+    # Python floats, so that a vanishing or overflowing rate gives a period
+    # of inf or 0 without a warning
+    period = math.pi / (math.sqrt(n) * rate) if rate else math.inf
+    if not 0.0 < period < math.inf:
+        raise ValidationError(
+            "fields 'g21', 'g32', 'delta_control', 'delta_target' and 'n_atoms' "
+            f"give a transfer rate of {rate:.3e}, whose period {period:.3e} "
+            "must be positive and finite"
+        )
     times = _time_grid(p["periods"] * period, p["points"], "periods")
     h, psi0, projector = dynamics.transistor_oracle(
         node, (node, node), couplings, detunings, p["alpha"], p["beta"]
@@ -668,11 +668,11 @@ def _run_effective_error_sweep(p: dict):
     g = p["coupling"]
     nodes = (NodeSpec(n), NodeSpec(n))
     couplings = CouplingSet(g21=g)
-    deltas = [f * np.sqrt(n) * abs(g) for f in p["delta_factors"]]
+    deltas = [f * math.sqrt(n) * abs(g) for f in p["delta_factors"]]
     for delta in deltas:
         _check_detuning(delta, nodes, "delta_factors")
-    # the one Python float square is the swap rate's |g|^2
-    with _refuse_overflow("coupling"):
+    # the swap rate's |g|^2 and the swap window
+    with _refuse_overflow("coupling", "delta_factors", "periods"):
         report = dynamics.effective_model_error(
             nodes,
             couplings,

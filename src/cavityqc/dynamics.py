@@ -549,7 +549,8 @@ def effective_model_error(
     delta, the maximum projected infidelity and the maximum leakage out of
     the zero-photon collective subspace. A detuning within the resonance
     floor (see check_detuning) raises ResonanceSingularity; a zero
-    coupling, under which neither model moves, raises ValueError.
+    coupling, under which neither model moves, raises ValueError; a swap
+    window past the float range raises OverflowError before any grid.
 
     All K detunings go through one stacked call: their rates, periods and
     time grids are arrays, each model is one (K, d, d) HamiltonianMatrix
@@ -599,8 +600,11 @@ def effective_model_error(
 
     # equal couplings: the swap rate is each node's self rate |g|^2/delta
     swap_rates = _transition_pairs(0, couplings, {0: deltas})[0, 0]
-    periods = np.pi / (np.sqrt(n1 * n2) * np.abs(swap_rates))
-    times = np.linspace(0.0, swap_periods * periods, grid_points, axis=1)
+    with np.errstate(over="ignore", divide="ignore"):
+        windows = swap_periods * (np.pi / (np.sqrt(n1 * n2) * np.abs(swap_rates)))
+    if not np.isfinite(windows).all():
+        raise OverflowError(f"swap windows {windows.tolist()} past the float range")
+    times = np.linspace(0.0, windows, grid_points, axis=1)
 
     diagonal = np.diag(atomic) + (gap - deltas)[:, None] * photons
     h_full = np.zeros(diagonal.shape + (basis.dim,), dtype=diagonal.dtype)

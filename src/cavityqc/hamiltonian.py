@@ -467,8 +467,11 @@ def real_rate(rate: complex, message: str) -> float:
 
 
 def _pair_rate(g_a, g_b, delta_a: float, delta_b: float):
-    """Virtual-photon exchange rate (1/Delta_a + 1/Delta_b)/2 g_a conj(g_b)."""
-    return 0.5 * (1.0 / delta_a + 1.0 / delta_b) * g_a * np.conj(g_b)
+    """Virtual-photon exchange rate (1/Delta_a + 1/Delta_b)/2 g_a conj(g_b).
+
+    In Python complex arithmetic: inf past the float range, never a warning.
+    """
+    return 0.5 * (1.0 / delta_a + 1.0 / delta_b) * g_a * g_b.conjugate()
 
 
 def _exchange_terms(channels, pairs, symmetric=False):
@@ -763,11 +766,7 @@ def photon_free_effective_hamiltonian(
 
 def _ladder_amp(node: NodeSpec, n_from: int) -> float:
     """Bosonic amplitude sqrt(N n_from) of J_- taking |n_from> to |n_from - 1>."""
-    if n_from == 1:
-        return np.sqrt(node.atom_count)
-    if n_from == 2:
-        return np.sqrt(2.0 * node.atom_count)
-    return 0.0
+    return np.sqrt(node.atom_count * n_from)
 
 
 def collective_pair_hamiltonian(

@@ -32,9 +32,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def probability(self, index: int) -> float:
         return float(abs(self.amplitudes[index]) ** 2)
 

@@ -1,6 +1,7 @@
 """Basis construction, collective states, symmetrization."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cavityqc import (
     transistor_hamiltonian,
 )
 from cavityqc import hamiltonian
-from cavityqc.basis import atom_phases
+from cavityqc.basis import _level_counts, atom_phases
 from cavityqc.dynamics import evolve_on_grid
 from cavityqc.errors import BasisMismatch, DimensionCap
 from cavityqc.hamiltonian import microscopic_parts
@@ -401,7 +402,9 @@ def test_symmetrize_symmetric_single_excitation():
 def test_symmetrize_antisymmetric_state_leaks_fully():
     nodes = (NodeSpec(2), NodeSpec(2))
     micro = build_microscopic_basis(nodes)
-    anti = (micro.basis_state((1, 0, 0, 0)) - micro.basis_state((0, 1, 0, 0))) / np.sqrt(2)
+    states = np.eye(micro.dim)
+    anti = states[micro.index((1, 0, 0, 0))] - states[micro.index((0, 1, 0, 0))]
+    anti = anti / np.sqrt(2)
     _, leakage = symmetrize(StateVector(anti, micro))
     assert leakage == pytest.approx(1.0, abs=1e-12)
 
@@ -454,3 +457,40 @@ def test_double_excitation_requires_two_atoms():
 def test_collective_basis_requires_two_level_nodes():
     with pytest.raises(BasisMismatch):
         CollectiveBasis((NodeSpec(1, 3, (0.0, 1.0, 2.0)), NodeSpec(1)))
+
+
+# --- level counts against the recursive listing they replace ------------------
+
+
+def _recursive_level_counts(atoms, levels, cap):
+    """Level counts as a recursion over the top level listed them."""
+
+    def excited(n_atoms, top, cap):
+        if top == 0:
+            yield ()
+            return
+        n_top = 0
+        while n_top <= n_atoms and (cap is None or top * n_top <= cap):
+            rest_cap = None if cap is None else cap - top * n_top
+            for rest in excited(n_atoms - n_top, top - 1, rest_cap):
+                yield rest + (n_top,)
+            n_top += 1
+
+    return tuple((atoms - sum(e),) + e for e in excited(atoms, levels - 1, cap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms=st.integers(1, 60), levels=st.sampled_from([2, 3]), data=st.data())
+def test_level_counts_equal_the_recursive_listing(atoms, levels, data):
+    cap = data.draw(st.none() | st.integers(0, 2 * atoms), label="cap")
+    expected = _recursive_level_counts(atoms, levels, cap)
+    assert _level_counts(atoms, levels, cap) == expected
+    # the cap on a site's states trips at the same row: a listing of
+    # exactly `limit` rows passes, one more row raises
+    limit = data.draw(st.integers(0, len(expected)), label="limit")
+    with mock.patch("cavityqc.basis.MAX_SITE_STATES", limit):
+        if len(expected) > limit:
+            with pytest.raises(DimensionCap):
+                _level_counts(atoms, levels, cap)
+        else:
+            assert _level_counts(atoms, levels, cap) == expected

@@ -74,6 +74,12 @@ def test_one_operation_circuits_take_their_2x2_from_gates(theta, chi):
     assert _one_op_matrix("PHASE", chi).tobytes() == phase_gate(chi).tobytes()
 
 
+def test_a_small_transfer_keeps_its_off_diagonal():
+    # -i sin(5e-8) is far above round-off: the engine's snap of vanishing
+    # coefficients must leave it in place
+    assert np.abs(_one_op_matrix("ET", 1e-7) - et_gate(1e-7)).max() <= 1e-15
+
+
 def test_pcet_applied_twice_is_identity():
     op = Operation(kind="PCET", controls=("q0",), targets=("q1.a", "q1.b"))
     circuit = Circuit((op, op))

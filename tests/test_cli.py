@@ -3,13 +3,14 @@
 import json
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqc import cli
+from cavityqc import cli, dynamics
 from cavityqc.errors import UnknownKind, ValidationError
 
 
@@ -503,6 +504,21 @@ _OUT_OF_RANGE = [
     # inf x 0 (exit 5 under the warning policy, "invalid value
     # encountered in scalar multiply"; exit 3 on a zero window without it)
     pytest.param("transistor", "g21", 1.7e308, id="transistor-g21-1.7e308"),
+    # a cross rate so small that its transfer period is past the float
+    # range (exit 5 under the warning policy before, "overflow encountered
+    # in scalar divide"; exit 3 naming only 'periods' without it)
+    pytest.param("transistor", "g21", 1e-310, id="transistor-g21-1e-310"),
+    pytest.param("transistor", "g32", 1e-310, id="transistor-g32-1e-310"),
+    # a swap window past the float range, from a detuning or from the
+    # period count (exit 5 under both policies before, "overflow
+    # encountered in divide" or "propagation time must be finite")
+    pytest.param(
+        "effective-error-sweep",
+        "delta_factors",
+        [30, 1e307],
+        id="sweep-delta_factors-1e307",
+    ),
+    pytest.param("effective-error-sweep", "periods", 1e305, id="sweep-periods-1e305"),
 ]
 
 
@@ -520,6 +536,19 @@ def test_out_of_range_values_exit_3_with_runtime_warnings_ignored(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _assert_refused(tmp_path, capsys, {**_VALID[kind], field: value}, field)
+
+
+@pytest.mark.parametrize("policy", ["error", "ignore"])
+def test_sweep_detuning_past_the_float_range_exits_3(tmp_path, capsys, policy):
+    # only the two fields together overflow the detuning delta_factor x
+    # sqrt(n_atoms) x |coupling|, which passed the resonance floor (exit 5
+    # under both policies before, "overflow encountered in scalar multiply"
+    # or "matrix is not Hermitian (deviation nan)")
+    fields = {"coupling": 1e154, "delta_factors": [30, 1e155]}
+    with warnings.catch_warnings():
+        warnings.simplefilter(policy, RuntimeWarning)
+        payload = {**_VALID["effective-error-sweep"], **fields}
+        _assert_refused(tmp_path, capsys, payload, "delta_factors")
 
 
 def test_transistor_coupling_just_under_the_locator_bound_runs(tmp_path, capsys):
@@ -629,6 +658,55 @@ def test_valid_reference_scenarios_pass(tmp_path, kind):
 def test_overflowing_time_window_does_not_pass(tmp_path, kind, fields, code):
     scenario = _write(tmp_path, "overflow.json", {**_VALID[kind], **fields})
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == code
+
+
+# --- assertion bounds: a result just outside fails the run, just inside passes
+
+
+def _run_verdicts(tmp_path, payload):
+    """The exit code and each assertion's verdict of one run."""
+    scenario = _write(tmp_path, "run.json", payload)
+    code = cli.main(["run", str(scenario), "-o", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return code, {a["name"]: a["passed"] for a in report["assertions"]}
+
+
+@pytest.mark.parametrize("excess, code", [(1e-6, 4), (5e-10, 0)])
+def test_blockade_norm_closure_fails_past_1e_9(tmp_path, monkeypatch, excess, code):
+    # |c2(0)|^2 = 1 + excess: the closure misses by excess at t = 0
+    real = dynamics.BlockadeSolution.c2
+    scale = np.sqrt(1.0 + excess)
+    monkeypatch.setattr(
+        dynamics.BlockadeSolution, "c2", lambda self, t: scale * real(self, t)
+    )
+    verdicts = {"norm-closure": code == 0}
+    assert _run_verdicts(tmp_path, _VALID["blockade"]) == (code, verdicts)
+
+
+@pytest.mark.parametrize("shift, code", [(1e-4, 4), (5e-7, 0)])
+def test_transistor_transfer_time_fails_past_1e_6(tmp_path, monkeypatch, shift, code):
+    real = dynamics.population_peak_time
+    monkeypatch.setattr(
+        dynamics, "population_peak_time", lambda *args: real(*args) * (1.0 + shift)
+    )
+    verdicts = {"closed-form-agreement": True, "transfer-time": code == 0}
+    assert _run_verdicts(tmp_path, _VALID["transistor"]) == (code, verdicts)
+
+
+@pytest.mark.parametrize("growth, code", [(2.0, 4), (1.09, 0)])
+def test_sweep_envelope_fails_past_ten_percent_growth(
+    tmp_path, monkeypatch, growth, code
+):
+    # the infidelity grows by `growth` from factor 10 to factor 30
+    real = dynamics.effective_model_error
+
+    def grown(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return replace(report, max_infidelity=(1e-5, growth * 1e-5))
+
+    monkeypatch.setattr(dynamics, "effective_model_error", grown)
+    verdicts = {"infidelity-at-30x": True, "envelope-monotone": code == 0}
+    assert _run_verdicts(tmp_path, _VALID["effective-error-sweep"]) == (code, verdicts)
 
 
 # --- table rows against the per-point scalar loops they replace ------------

@@ -227,6 +227,13 @@ def test_synthesize_identity_is_empty():
     assert synthesis.angles == (0.0, 0.0, 0.0)
 
 
+def test_synthesize_small_phase_keeps_its_angle():
+    # only round-off (1e-12) snaps an angle to 0: a 1e-6 phase is a gate
+    synthesis = synthesize_rotation(phase_gate(1e-6))
+    assert [kind for kind, _ in synthesis.ops] == ["PHASE"]
+    assert synthesis.ops[0][1] == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_synthesize_random_unitaries():
     rng = np.random.default_rng(11)
     for _ in range(25):

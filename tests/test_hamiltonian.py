@@ -3,6 +3,7 @@
 import functools
 import itertools
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -490,6 +491,15 @@ def test_zero_rate_leaves_only_bare_energies():
     assert np.abs(h.matrix).max() == 0.0
 
 
+def test_swap_rate_must_be_real_to_round_off():
+    # an imaginary part of 1e-12 x max(1, |rate|) is round-off of a real rate
+    nodes = (NodeSpec(2), NodeSpec(2))
+    with pytest.raises(ValueError, match="real"):
+        two_level_swap_hamiltonian(nodes, 0.1 + 1e-9j)
+    inside = two_level_swap_hamiltonian(nodes, 0.1 + 5e-13j).matrix
+    assert inside.tobytes() == two_level_swap_hamiltonian(nodes, 0.1).matrix.tobytes()
+
+
 def test_antisymmetric_doubly_excited_state_is_decoupled():
     # the node-exchange-odd combination is an eigenstate of the swap
     n_atoms, rate = 3, 0.7
@@ -689,6 +699,17 @@ def test_one_detuning_for_every_node_builds_the_tuple_form_bit_for_bit():
     assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
+def test_transistor_rate_past_the_float_range_is_not_finite_without_a_warning():
+    # Python complex arithmetic: inf (or inf+nanj), where a numpy scalar
+    # product met inf x 0 and warned
+    node, _, detunings = _transistor_setup(1)
+    couplings = CouplingSet(g21=1.7e308, g32=0.03)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = transistor_rate((node,), couplings, detunings)
+    assert not np.isfinite(rate)
+
+
 def test_transistor_conserves_weighted_excitation():
     node, couplings, detunings = _transistor_setup(2)
     h = transistor_hamiltonian(
@@ -697,7 +718,7 @@ def test_transistor_conserves_weighted_excitation():
     basis = h.basis
     diag = np.zeros(basis.dim)
     for site in range(basis.n_atomic_sites):
-        diag += basis.site_occupations(site)
+        diag += basis.occupations[:, site]
     counter = np.diag(diag)
     assert np.abs(h.matrix @ counter - counter @ h.matrix).max() < 1e-12
 
