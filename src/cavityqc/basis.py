@@ -319,15 +319,16 @@ class CompositeBasis:
         and the headers and keys of its factor tables (at most ten: one per
         level energy, transition and projector on an atomic site, fewer on a
         mode); per local state, 512 for its level counts and 16 per factor
-        table; per state, 96 for the six pair rows and, per site, 10 for the
-        occupation row and its code.
+        table; per state, 96 for the six pair rows, 16 for the diagonal of
+        the static part and, per site, 10 for the occupation row and its
+        code.
         """
         sites = len(self.shape)
         return (
             (16 << 10)
             + (8 << 10) * sites
             + 512 * sum(self.shape)
-            + self.dim * (96 + 10 * sites)
+            + self.dim * (112 + 10 * sites)
         )
 
     # -- identity ---------------------------------------------------------
@@ -464,9 +465,9 @@ def intern_basis(
     A layout is (nodes, Fock factor, symmetric, sector weights, quanta),
     and nothing else: a basis, and every table it derives from the layout
     alone (occupation rows and codes, the assembler's factor tables, the
-    pair rows), never depends on couplings, detunings, rates or times. So a
-    repeated build re-prices only its coupling. The first build does the
-    same work as a fresh CompositeBasis.
+    pair rows, the static part's diagonal), never depends on couplings,
+    detunings, rates or times. So a repeated build re-prices only its
+    coupling. The first build does the same work as a fresh CompositeBasis.
 
     Specs are keyed by their repr, not by ==: Python equates 1 with 1.0
     and -0.0 with 0.0 (with equal hashes), but the builders read energies,

@@ -161,7 +161,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("delta_target", "float", True, help="target upper-transition detuning"),
         Field("alpha", "complex", True, help="target |01> amplitude [re, im]"),
         Field("beta", "complex", True, help="target |10> amplitude [re, im]"),
-        Field("periods", "float", False, 1.0, "transfer periods to cover"),
+        Field("periods", "float", False, 1.0, "transfer periods, at least 0.25"),
         Field("points", "int", False, 100, _grid_help("transistor"), minimum=2),
         Field("tolerance", "float", False, 1e-9, FIDELITY_TOLERANCE_HELP),
     ),
@@ -182,7 +182,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             help="detunings in units of sqrt(n_atoms) * coupling; must hold "
             "assert_factor",
         ),
-        Field("periods", "float", False, 1.0, "swap periods per point"),
+        Field("periods", "float", False, 1.0, "swap periods per point; at least 0.25"),
         Field(
             "points", "int", False, 200, _grid_help("effective-error-sweep"), minimum=2
         ),
@@ -251,6 +251,12 @@ VACUOUS_BOUNDS = {
     "verify-gates": (("tolerance", ">=", 2.0),),
     "verify-circuits": (("tolerance", ">=", 2.0),),
 }
+
+# Shortest time window a run may check, in periods of the transfer its
+# check samples (see _time_window). By a quarter period an undisturbed
+# transfer has moved half its population (cos^2(pi/4) = 1/2), so a wrong
+# rate can fail every check; over a much shorter window it passes them all.
+MIN_WINDOW_PERIODS = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +392,12 @@ def validate_params(kind: str, raw: dict) -> dict:
                 f"cap of {DENSE_BYTES_CAP:.3e}"
             )
     if kind == "effective-error-sweep":
-        # the sweep's headline bound must not drop out of the report, nor
-        # pass on a run that has no time to evolve
+        # the sweep's headline bound must not drop out of the report
         if params["assert_factor"] not in params["delta_factors"]:
             raise ValidationError(
                 "field 'delta_factors' must hold the asserted factor "
                 f"(assert_factor {params['assert_factor']:g})"
             )
-        _window(params["periods"], "periods")
     if kind == "verify-circuits":
         # the reference and the logical matrix are dense over 2^(t+1) states
         for t in params["t_values"]:
@@ -414,11 +418,6 @@ def _cpx(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def _default_window(rate_scale: float) -> float:
-    """Time window of two natural periods of a nonzero rate."""
-    return 2.0 * np.pi / rate_scale
-
-
 def _check_detuning(delta: float, nodes, field: str) -> None:
     """check_detuning on a finite detuning set by ``field``, as a validation error."""
     if not math.isfinite(delta):
@@ -429,16 +428,42 @@ def _check_detuning(delta: float, nodes, field: str) -> None:
         raise ValidationError(str(exc)) from exc
 
 
-def _window(window: float, field: str) -> float:
-    """The time window set by ``field``, refused unless positive and finite.
+def _named(fields) -> str:
+    """``field 'a'`` or ``fields 'a', 'b'``, as a message names them."""
+    label = "field" if len(fields) == 1 else "fields"
+    return f"{label} {', '.join(map(repr, fields))}"
 
-    Finite inputs can still give an infinite window (a huge period count,
-    a vanishing rate), and an empty or reversed window checks nothing.
+
+def _time_window(p: dict, period: float, fields: tuple[str, ...]) -> float:
+    """The time window of a run whose check samples a transfer of ``period``.
+
+    ``t_max`` if the scenario sets it, else ``periods`` x ``period``, else
+    two periods; ``fields`` are those that set ``period``. Refused: a
+    period that is not positive and finite (a vanishing rate, or one past
+    the float range), naming ``fields``; a window that is not, or one
+    shorter than MIN_WINDOW_PERIODS periods, within which no check can
+    fail, naming the field that sets it (``fields`` for the default).
     """
-    if not (np.isfinite(window) and window > 0.0):
+    if not 0.0 < period < math.inf:
         raise ValidationError(
-            f"field {field!r} gives a time window of {window}, "
-            "which must be positive and finite"
+            f"period {period:.3e} set by {_named(fields)} must be positive and finite"
+        )
+    if p.get("t_max") is not None:
+        window, source = p["t_max"], ("t_max",)
+    elif p.get("periods") is not None:
+        window, source = p["periods"] * period, ("periods",)
+    else:
+        window, source = 2.0 * period, fields
+    if not 0.0 < window < math.inf:
+        raise ValidationError(
+            f"time window {window} set by {_named(source)} must be positive "
+            "and finite"
+        )
+    if window < MIN_WINDOW_PERIODS * period:
+        raise ValidationError(
+            f"time window {window:.3e} set by {_named(source)} is shorter than "
+            f"{MIN_WINDOW_PERIODS:g} of the period {period:.3e}, within which "
+            "no check can fail"
         )
     return window
 
@@ -455,16 +480,9 @@ def _refuse_overflow(*fields: str):
     try:
         yield
     except OverflowError as exc:
-        label = "field" if len(fields) == 1 else "fields"
-        names = ", ".join(map(repr, fields))
         raise ValidationError(
-            f"float arithmetic on {label} {names} overflows: {exc}"
+            f"float arithmetic on {_named(fields)} overflows: {exc}"
         ) from exc
-
-
-def _time_grid(window: float, points: int, field: str) -> np.ndarray:
-    """``points`` times spanning [0, window], the window set by ``field``."""
-    return np.linspace(0.0, _window(window, field), points)
 
 
 def _abs_squares(z: np.ndarray) -> list[float]:
@@ -513,15 +531,14 @@ def _transistor_rows(
 def _run_pair_evolution(p: dict):
     n = p["n_atoms"]
     rate = p["swap_rate"]
+    # the single-excitation swap runs at n |rate|
+    window = _time_window(p, math.pi / (n * abs(rate)), ("swap_rate", "n_atoms"))
+    times = np.linspace(0.0, window, p["points"])
     nodes = (NodeSpec(n), NodeSpec(n))
     from .hamiltonian import two_level_swap_hamiltonian
 
     h = two_level_swap_hamiltonian(nodes, rate, rotating_frame=True)
     a1, b1, a2, b2 = p["alpha1"], p["beta1"], p["alpha2"], p["beta2"]
-    t_max = p["t_max"]
-    if t_max is None:
-        t_max = _default_window(abs(rate) * n)
-    times = _time_grid(t_max, p["points"], "t_max")
     psi0 = dynamics.analytic_pair_evolution(a1, b1, a2, b2, rate, n, 0.0, basis=h.basis)
 
     grid = dynamics.evolve_on_grid(h, psi0, times)
@@ -575,10 +592,10 @@ def _run_blockade(p: dict):
         "freq_1", "freq_2",
     ):
         sol = dynamics.blockade_solution(rates, n1, n2, n_ph)
-    t_max = p["t_max"]
-    if t_max is None:
-        t_max = _default_window(abs(sol.exchange))
-    times = _time_grid(t_max, p["points"], "t_max")
+    # the transfer between the nodes runs at |exchange| = sqrt(n_1 n_2) |swap_rate|
+    period = math.pi / abs(sol.exchange)
+    window = _time_window(p, period, ("swap_rate", "n_1", "n_2"))
+    times = np.linspace(0.0, window, p["points"])
     c2 = sol.c2(times)
     c3 = sol.c3(times)
     rows = _blockade_rows(times, c2, c3)
@@ -621,13 +638,9 @@ def _run_transistor(p: dict):
     # Python floats, so that a vanishing or overflowing rate gives a period
     # of inf or 0 without a warning
     period = math.pi / (math.sqrt(n) * rate) if rate else math.inf
-    if not 0.0 < period < math.inf:
-        raise ValidationError(
-            "fields 'g21', 'g32', 'delta_control', 'delta_target' and 'n_atoms' "
-            f"give a transfer rate of {rate:.3e}, whose period {period:.3e} "
-            "must be positive and finite"
-        )
-    times = _time_grid(p["periods"] * period, p["points"], "periods")
+    fields = ("g21", "g32", "delta_control", "delta_target", "n_atoms")
+    window = _time_window(p, period, fields)
+    times = np.linspace(0.0, window, p["points"])
     h, psi0, projector = dynamics.transistor_oracle(
         node, (node, node), couplings, detunings, p["alpha"], p["beta"]
     )
@@ -641,7 +654,7 @@ def _run_transistor(p: dict):
 
     # the locator's derivatives grow with the square of the spectrum, which
     # these fields scale
-    with _refuse_overflow("g21", "g32", "delta_control", "delta_target", "n_atoms"):
+    with _refuse_overflow(*fields):
         t_star = dynamics.population_peak_time(
             h, psi0, projector.conj()[2:], 0.0, period
         )
@@ -671,13 +684,15 @@ def _run_effective_error_sweep(p: dict):
     deltas = [f * math.sqrt(n) * abs(g) for f in p["delta_factors"]]
     for delta in deltas:
         _check_detuning(delta, nodes, "delta_factors")
+    # in units of each detuning's swap period, whose grid the error study builds
+    periods = _time_window(p, 1.0, ("coupling", "delta_factors", "n_atoms"))
     # the swap rate's |g|^2 and the swap window
     with _refuse_overflow("coupling", "delta_factors", "periods"):
         report = dynamics.effective_model_error(
             nodes,
             couplings,
             deltas,
-            swap_periods=p["periods"],
+            swap_periods=periods,
             grid_points=p["points"],
         )
     rows = [

@@ -546,10 +546,15 @@ def microscopic_parts(
     ``quanta`` everything is built on that excitation sector only. With
     ``symmetric`` each node is one site holding its Dicke states, which the
     model never leaves (couplings are uniform within a node); any nonzero
-    mode wave vector is then refused (see basis.atom_phases).
+    mode wave vector is then refused (see basis.atom_phases). The static
+    part is diagonal and depends on the layout alone, so the basis keeps
+    its diagonal, never the dense matrix.
     """
     basis = _product_basis(nodes, couplings, fock, quanta, symmetric)
-    h0 = _assemble(basis, _bare_terms(basis))
+    bare = basis.derived(
+        "bare_diagonal", lambda: np.diag(_assemble(basis, _bare_terms(basis))).copy()
+    )
+    h0 = np.diag(bare)
     h1 = _assemble(basis, _photon_exchange_terms(basis, couplings, fock))
     return basis, h0, h1
 

@@ -1,9 +1,11 @@
 """Scenario runner: parsing, validation, reports, determinism, exit codes."""
 
 import json
+import math
 import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -658,6 +660,203 @@ def test_valid_reference_scenarios_pass(tmp_path, kind):
 def test_overflowing_time_window_does_not_pass(tmp_path, kind, fields, code):
     scenario = _write(tmp_path, "overflow.json", {**_VALID[kind], **fields})
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == code
+
+
+# --- time windows: each kind's window is measured in the period of the
+# transfer its check samples, and one under a quarter of it is refused
+
+
+def _exit_code(directory, payload):
+    """The exit code of one run of ``payload``, its output under ``directory``."""
+    scenario = _write(directory, "run.json", payload)
+    return cli.main(["run", str(scenario), "-o", str(directory / "out")])
+
+
+# Inputs that checked nothing: windows far under a period (each exited 0),
+# and a swap rate whose period is past the float range (refused naming
+# 't_max', which the scenario does not set, or run to exit 0 or, for the
+# blockade, whose discriminant underflows, to exit 4 with a t_max).
+_NO_WINDOW = [
+    pytest.param(
+        "effective-error-sweep", {"periods": 1e-300}, ("periods",), id="sweep-periods"
+    ),
+    pytest.param("transistor", {"periods": 1e-300}, ("periods",), id="transistor"),
+    pytest.param("pair-evolution", {"t_max": 1e-300}, ("t_max",), id="pair-t_max"),
+    pytest.param("blockade", {"t_max": 1e-300}, ("t_max",), id="blockade-t_max"),
+    pytest.param(
+        "pair-evolution",
+        {"swap_rate": 1e-300, "t_max": 5.0},
+        ("t_max",),
+        id="pair-slow-swap",
+    ),
+    pytest.param(
+        "pair-evolution",
+        {"swap_rate": 1e-310},
+        ("swap_rate", "n_atoms"),
+        id="pair-vanishing-swap",
+    ),
+    pytest.param(
+        "pair-evolution",
+        {"swap_rate": 1e-310, "t_max": 5.0},
+        ("swap_rate", "n_atoms"),
+        id="pair-vanishing-swap-t_max",
+    ),
+    pytest.param(
+        "blockade",
+        {"swap_rate": 1e-310},
+        ("swap_rate", "n_1", "n_2"),
+        id="blockade-vanishing-swap",
+    ),
+    pytest.param(
+        "blockade",
+        {"swap_rate": 1e-310, "t_max": 5.0},
+        ("swap_rate", "n_1", "n_2"),
+        id="blockade-vanishing-swap-t_max",
+    ),
+]
+
+
+@pytest.mark.parametrize("policy", ["error", "default"])
+@pytest.mark.parametrize("kind, fields, named", _NO_WINDOW)
+def test_window_that_checks_nothing_exits_3(
+    tmp_path, capsys, policy, kind, fields, named
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter(policy, RuntimeWarning)
+        code = _exit_code(tmp_path, {**_VALID[kind], **fields})
+    err = capsys.readouterr().err
+    assert code == 3
+    assert all(repr(name) in err for name in named)
+    if "t_max" not in named:
+        assert "t_max" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+# A quarter of each kind's period, in the field that sets the window: the
+# pair's swap period pi / (n_atoms |swap_rate|) and the blockade's transfer
+# period pi / (sqrt(n_1 n_2) |swap_rate|) in t_max, the transistor's
+# transfer periods and the sweep's swap periods in periods.
+_QUARTER = {
+    "pair-evolution": ("t_max", 0.25 * math.pi / (2 * 0.7)),
+    "blockade": ("t_max", 0.25 * math.pi / 0.1),
+    "transistor": ("periods", 0.25),
+    "effective-error-sweep": ("periods", 0.25),
+}
+
+
+@pytest.mark.parametrize("scale, code", [(0.5, 3), (2.0, 0)])
+@pytest.mark.parametrize("kind", sorted(_QUARTER))
+def test_window_floor_sits_at_a_quarter_period(tmp_path, capsys, kind, scale, code):
+    field, quarter = _QUARTER[kind]
+    assert _exit_code(tmp_path, {**_VALID[kind], field: scale * quarter}) == code
+    err = capsys.readouterr().err
+    assert (repr(field) in err) == (code == 3)
+
+
+_ATOMS = st.integers(1, 40)
+_POINTS = st.integers(2, 60)
+# a window in periods down to the floor, and one under it (0.249, so that
+# the rounding of t_max cannot lift it onto the floor)
+_ABOVE_FLOOR = st.floats(0.25, 4.0)
+_BELOW_FLOOR = st.floats(1e-12, 0.249)
+
+
+def _log_uniform(low, high):
+    """Floats log-uniform on [low, high]."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+def _signed(low, high):
+    """Floats whose magnitude is log-uniform on [low, high], of either sign."""
+    return st.tuples(_log_uniform(low, high), st.sampled_from([-1.0, 1.0])).map(
+        lambda pair: pair[0] * pair[1]
+    )
+
+
+def _rate_off(function, argument):
+    """``function`` with its positional ``argument`` (a rate) 1e-3 too large."""
+
+    def off(*args):
+        args = list(args)
+        args[argument] *= 1.0 + 1e-3
+        return function(*args)
+
+    return off
+
+
+def _window_verdicts(directory, payload, closed_form, argument, field, above, below):
+    """Exit codes: as given, with the closed form's rate off, under the floor."""
+    code = _exit_code(directory, {**payload, field: above})
+    off_rate = _rate_off(getattr(dynamics, closed_form), argument)
+    with mock.patch.object(dynamics, closed_form, off_rate):
+        off = _exit_code(directory, {**payload, field: above})
+    refused = _exit_code(directory, {**payload, field: below})
+    return code, off, refused
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=_ATOMS,
+    rate=_signed(1e-3, 1e2),
+    points=_POINTS,
+    above=_ABOVE_FLOOR,
+    below=_BELOW_FLOOR,
+)
+def test_every_accepted_pair_window_can_fail(
+    tmp_path_factory, n, rate, points, above, below
+):
+    # at a quarter period the rate defect costs an infidelity of about
+    # 0.87 (1e-3 pi / 4)^2 = 5e-7 on these amplitudes, far above 1e-9
+    period = math.pi / (n * abs(rate))
+    fields = {"n_atoms": n, "swap_rate": rate, "points": points}
+    verdicts = _window_verdicts(
+        tmp_path_factory.mktemp("pair"),
+        {**_VALID["pair-evolution"], **fields},
+        "analytic_pair_amplitudes",
+        4,
+        "t_max",
+        above * period,
+        below * period,
+    )
+    assert verdicts == (0, 4, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=_ATOMS,
+    g21=_log_uniform(5e-3, 0.1),
+    g32=_log_uniform(5e-3, 0.1),
+    delta_control=_log_uniform(0.3, 3.0),
+    delta_target=_log_uniform(0.3, 3.0),
+    points=_POINTS,
+    above=_ABOVE_FLOOR,
+    below=_BELOW_FLOOR,
+)
+def test_every_accepted_transistor_window_can_fail(
+    tmp_path_factory, n, g21, g32, delta_control, delta_target, points, above, below
+):
+    # at a quarter period the rate defect costs an infidelity of
+    # sin^2(1e-3 pi / 4) = 6e-7, far above 1e-9. Couplings and detunings
+    # are drawn positive: the closed form takes the rate's magnitude, so a
+    # negative cross rate fails it at any window.
+    fields = {
+        "n_atoms": n,
+        "g21": g21,
+        "g32": g32,
+        "delta_control": delta_control,
+        "delta_target": delta_target,
+        "points": points,
+    }
+    verdicts = _window_verdicts(
+        tmp_path_factory.mktemp("transistor"),
+        {**_VALID["transistor"], **fields},
+        "transistor_amplitudes",
+        3,
+        "periods",
+        above,
+        below,
+    )
+    assert verdicts == (0, 4, 3)
 
 
 # --- assertion bounds: a result just outside fails the run, just inside passes
