@@ -637,7 +637,7 @@ def _run_transistor(p: dict):
     rate = transistor_rate((node,), couplings, detunings)
     # Python floats, so that a vanishing or overflowing rate gives a period
     # of inf or 0 without a warning
-    period = math.pi / (math.sqrt(n) * rate) if rate else math.inf
+    period = math.pi / (math.sqrt(n) * abs(rate)) if rate else math.inf
     fields = ("g21", "g32", "delta_control", "delta_target", "n_atoms")
     window = _time_window(p, period, fields)
     times = np.linspace(0.0, window, p["points"])

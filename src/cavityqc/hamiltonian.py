@@ -10,9 +10,11 @@ drive the transitions
 with rotating-wave (excitation conserving) couplings g S_ul a + h.c.
 Eliminating the photon exchange to second order (unitary transformation
 H_s = exp(-s) H exp(s) with H_1 + [H_0, s] = 0) yields the effective
-Hamiltonians built here: the general photon-dressed form, the photon-free
-exchange form, the two-level swap special case, the photon-number
-(Lamb-shift) blockade form, and the cross-transition transistor coupling.
+Hamiltonians built here. The photon-dressed form is that transformation
+itself, H_0 + [H_1, s]/2 from matrix products (schrieffer_wolff_hamiltonian).
+The closed forms are its blocks: the photon-free exchange form (the vacuum
+block), the two-level swap special case, the photon-number (Lamb-shift)
+blockade form, and the cross-transition transistor coupling.
 
 The six-state collective pair builders use the large-ensemble ("bosonic")
 ladder, sqrt(N n) amplitudes, under which the closed-form pair evolution
@@ -251,10 +253,6 @@ def _create(n_levels: int):
     return [(n + 1, n, np.sqrt(n + 1)) for n in range(n_levels - 1)]
 
 
-def _number(n_levels: int):
-    return [(n, n, float(n)) for n in range(n_levels)]
-
-
 def _collective(basis: CompositeBasis, site: int, entries):
     """(image, amplitude) arrays of a factor over a site's local states.
 
@@ -426,14 +424,8 @@ def _exchange(i: int, j: int, coeff: complex, raise_i, lower_j, symmetric=False)
     return coeff, ((i, _transition(*raise_i)), (j, _transition(*lower_j)))
 
 
-def _photon_exchange_terms(basis, couplings: CouplingSet, fock: FockFactor, alpha=None):
-    """Rotating-wave couplings g S(upper<-lower) a + h.c., one per atom.
-
-    With generator coefficients ``alpha`` (node x transition) each term is
-    scaled by alpha and its conjugate enters with a minus sign, giving the
-    anti-Hermitian Schrieffer-Wolff generator instead.
-    """
-    sign = 1.0 if alpha is None else -1.0
+def _photon_exchange_terms(basis, couplings: CouplingSet, fock: FockFactor):
+    """Rotating-wave couplings g S(upper<-lower) a + h.c., one per atom."""
     for t, slot in _mode_slots(couplings, fock).items():
         upper, lower = TRANSITIONS[t]
         mode_site = basis.mode_site(slot)
@@ -443,15 +435,13 @@ def _photon_exchange_terms(basis, couplings: CouplingSet, fock: FockFactor, alph
             if node.level_count <= upper:
                 continue
             g = couplings.coupling(t, m)
-            if alpha is not None:
-                g = alpha[m, t] * g
             for site in basis.node_sites(m):
                 coeff = g * phases[site]
                 yield coeff, (
                     (site, _transition(upper, lower)),
                     (mode_site, _annihilate(n_levels)),
                 )
-                yield sign * np.conj(coeff), (
+                yield np.conj(coeff), (
                     (site, _transition(lower, upper)),
                     (mode_site, _create(n_levels)),
                 )
@@ -587,157 +577,65 @@ def total_excitation_operator(
 
 
 # ---------------------------------------------------------------------------
-# Schrieffer-Wolff generator and numeric oracle
+# Schrieffer-Wolff transformation: the photon-dressed effective Hamiltonian
 # ---------------------------------------------------------------------------
 
 
-def sw_coefficients(nodes, couplings: CouplingSet, fock: FockFactor) -> np.ndarray:
-    """First-order generator coefficients alpha = -1/Delta, node x transition.
+def _read_off_generator(nodes, h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """Generator s_ij = H1_ij / (E_j - E_i) on every coupled pair of states.
 
-    alpha multiplies the photon-absorbing monomial g S_ul a; the emitting
-    conjugate carries -alpha. Disabled transitions carry zeros.
+    It solves H1 + [H0, s] = 0 for the diagonal H0 of energies E. Each
+    coupled gap is a transition's detuning from its mode, so the smallest
+    goes through check_detuning.
     """
-    nodes = tuple(nodes)
-    detunings = DetuningSet.from_system(nodes, couplings, fock)
-    alpha = np.zeros((len(nodes), 3))
-    for t in _mode_slots(couplings, fock):
-        for m, delta in _driven_deltas(t, nodes, detunings.value).items():
-            alpha[m, t] = -1.0 / delta
-    return alpha
+    energies = np.diag(h0).real
+    rows, cols = np.nonzero(h1)
+    gaps = energies[cols] - energies[rows]
+    if gaps.size:
+        check_detuning(np.abs(gaps).min(), nodes, "coupled states")
+    s = np.zeros_like(h1)
+    s[rows, cols] = h1[rows, cols] / gaps
+    return s
 
 
 def sw_generator(
     nodes, couplings: CouplingSet, fock: FockFactor, quanta=None
 ) -> np.ndarray:
-    """Anti-Hermitian generator s eliminating the first-order coupling."""
+    """Anti-Hermitian generator s eliminating the first-order coupling.
+
+    Read off the microscopic parts on ``fock`` (see _read_off_generator);
+    ``quanta`` restricts it to that excitation sector.
+    """
     nodes = tuple(nodes)
-    alpha = sw_coefficients(nodes, couplings, fock)
-    basis = _product_basis(nodes, couplings, fock, quanta)
-    return _assemble(basis, _photon_exchange_terms(basis, couplings, fock, alpha))
+    _, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
+    return _read_off_generator(nodes, h0, h1)
 
 
 def schrieffer_wolff_hamiltonian(
     nodes, couplings: CouplingSet, fock: FockFactor, quanta=None
 ) -> HamiltonianMatrix:
-    """Numeric second-order Hamiltonian H_0 + [H_1, s]/2.
+    """Photon-dressed second-order Hamiltonian H_0 + [H_1, s]/2 on ``fock``.
 
-    Built entirely from matrix products; serves as the independent oracle
-    for the analytic effective builders. H_1 and s conserve the quanta, so
-    with ``quanta`` the products close on that sector.
+    Every exchange, photon-number shift, two-photon and Raman term comes
+    out of the matrix products. H_1 and s carry one guard photon per mode,
+    so every entry on ``fock``'s own states, those at n_max included, is
+    the second-order value; only that block of the products is computed.
+    A guarded basis past basis.DENSE_BYTES_CAP raises DimensionCap. H_1
+    and s conserve the quanta, so ``quanta`` keeps all of it on that sector.
     """
-    basis, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
-    s = sw_generator(nodes, couplings, fock, quanta)
-    h = h0 + 0.5 * (h1 @ s - s @ h1)
-    return HamiltonianMatrix(h, basis)
+    nodes = tuple(nodes)
+    guarded = FockFactor(fock.modes, tuple(n + 1 for n in fock.n_max))
+    basis = _product_basis(nodes, couplings, fock, quanta)
+    wide, h0, h1 = microscopic_parts(nodes, couplings, guarded, quanta)
+    s = _read_off_generator(nodes, h0, h1)
+    rows = wide.rows(basis.occupations)
+    second = h1[rows] @ s[:, rows] - s[rows] @ h1[:, rows]
+    return HamiltonianMatrix(h0[np.ix_(rows, rows)] + 0.5 * second, basis)
 
 
 # ---------------------------------------------------------------------------
 # Analytic effective Hamiltonians (microscopic bases)
 # ---------------------------------------------------------------------------
-
-
-# Second-order cross terms of two driven transitions on one three-level
-# atom: the atomic transition (to, from), then its two photons in
-# transition order as (transition of the mode, +1 absorbed or -1 emitted,
-# sign of its 1/Delta). The rate is half the signed sum of the 1/Delta,
-# times g of an absorbed and conj(g) of an emitted photon; the phase
-# follows the same signed sum of wave vectors. Annihilators come first in
-# the product.
-_CROSS_TERMS = (
-    ((2, 0), ((0, 1, -1.0), (1, 1, 1.0))),  # two-photon climb S(2<-0) a_0 a_1
-    ((2, 1), ((0, -1, 1.0), (2, 1, 1.0))),  # Raman, upper levels S(2<-1) a_2 adag_0
-    ((1, 0), ((1, -1, -1.0), (2, 1, -1.0))),  # Raman, lower levels S(1<-0) a_2 adag_1
-)
-
-
-def _photon_shift_and_cross_terms(basis, couplings, fock, detunings, wave_vectors):
-    """Photon-number level shifts and the two-photon / Raman cross terms."""
-    nodes = basis.nodes
-    slot_of = _mode_slots(couplings, fock)
-
-    def _mode(t):
-        slot = slot_of[t]
-        return basis.mode_site(slot), fock.n_max[slot] + 1
-
-    def _photon(t, absorbed):
-        mode_site, n_levels = _mode(t)
-        return mode_site, _annihilate(n_levels) if absorbed else _create(n_levels)
-
-    # photon-number level shifts (P_upper - P_lower) n_mode
-    for t in slot_of:
-        upper, lower = TRANSITIONS[t]
-        mode_site, n_levels = _mode(t)
-        number = (mode_site, _number(n_levels))
-        deltas = _driven_deltas(t, nodes, detunings.value)
-        rates = _transition_pairs(t, couplings, deltas)
-        for m in deltas:
-            for j in basis.node_sites(m):
-                yield rates[m, m], ((j, _projector(upper)), number)
-                yield -rates[m, m], ((j, _projector(lower)), number)
-
-    # cross terms between transition pairs, one atom at a time
-    zero = (0.0, 0.0, 0.0)
-    k_of = {
-        t: np.asarray(zero if wave_vectors[t] is None else wave_vectors[t], dtype=float)
-        for t in slot_of
-    }
-    rows = []
-    for (to, fr), photons in _CROSS_TERMS:
-        if all(t in slot_of for t, _, _ in photons):
-            (ta, pa, _), (tb, pb, _) = photons
-            ordered = sorted(photons, key=lambda photon: photon[1] < 0)
-            phases = atom_phases(basis, pa * k_of[ta] + pb * k_of[tb])
-            rows.append((to, fr, photons, ordered, phases))
-    for m, node in enumerate(nodes):
-        if node.level_count < 3:
-            continue
-        for site in basis.node_sites(m):
-            for to, fr, photons, ordered, phases in rows:
-                (ta, pa, sa), (tb, pb, sb) = photons
-                ga, gb = couplings.coupling(ta, m), couplings.coupling(tb, m)
-                coeff = (
-                    0.5
-                    * (sa / detunings.value(ta, m) + sb / detunings.value(tb, m))
-                    * (ga if pa > 0 else np.conj(ga))
-                    * (gb if pb > 0 else np.conj(gb))
-                    * phases[site]
-                )
-                yield coeff, ((site, _transition(to, fr)),) + tuple(
-                    _photon(t, p > 0) for t, p, _ in ordered
-                )
-                yield np.conj(coeff), ((site, _transition(fr, to)),) + tuple(
-                    _photon(t, p < 0) for t, p, _ in ordered
-                )
-
-
-def effective_hamiltonian_microscopic(
-    nodes, couplings: CouplingSet, fock: FockFactor, quanta=None
-) -> HamiltonianMatrix:
-    """Analytic second-order Hamiltonian with explicit photon operators.
-
-    Contains, per enabled transition: the intra-node and inter-node
-    exchange terms, the photon-number level shifts
-    (P_upper - P_lower) n_mode, and, when several transitions are enabled,
-    the Hermitian-symmetrized two-photon and Raman cross terms. Agrees with
-    the numeric Schrieffer-Wolff oracle away from the Fock truncation edge.
-    ``quanta`` restricts the build to that excitation sector.
-    """
-    nodes = tuple(nodes)
-    basis = _product_basis(nodes, couplings, fock, quanta)
-    detunings = DetuningSet.from_system(nodes, couplings, fock)
-    slot_of = _mode_slots(couplings, fock)
-    wave_vectors = {t: fock.modes[slot].wave_vector for t, slot in slot_of.items()}
-    h = _assemble(
-        basis,
-        itertools.chain(
-            _bare_terms(basis),
-            _swap_terms(basis, couplings, detunings.value, wave_vectors),
-            _photon_shift_and_cross_terms(
-                basis, couplings, fock, detunings, wave_vectors
-            ),
-        ),
-    )
-    return HamiltonianMatrix(h, basis)
 
 
 def photon_free_effective_hamiltonian(
@@ -751,8 +649,9 @@ def photon_free_effective_hamiltonian(
     """Effective exchange Hamiltonian with no real photons, atomic basis only.
 
     Bare level energies plus the intra- and inter-node exchange terms of
-    every enabled transition; equals the zero-photon block of the general
-    photon-dressed form. On two-level nodes at equal couplings g and equal
+    every enabled transition; equals the vacuum block of
+    schrieffer_wolff_hamiltonian when ``wave_vectors`` maps each transition
+    to its mode's wave vector. On two-level nodes at equal couplings g and equal
     detunings Delta it is the microscopic two-level swap at rate |g|^2/Delta.
     ``quanta`` restricts it to that excitation sector.
     """
@@ -950,6 +849,12 @@ def transistor_hamiltonian(
 def transistor_rate(nodes, couplings: CouplingSet, detunings: DetuningSet) -> float:
     """Single-atom cross-transition exchange rate of the transistor coupling.
 
-    ``nodes`` scale the resonance floor, as in ``transistor_hamiltonian``.
+    The signed rate, as it enters the Hamiltonian; ValueError if it is
+    finite but not real (complex couplings). A rate past the float range
+    stays non-finite. ``nodes`` scale the resonance floor, as in
+    ``transistor_hamiltonian``.
     """
-    return float(abs(_cross_rate(nodes, couplings, detunings, 1)))
+    rate = _cross_rate(nodes, couplings, detunings, 1)
+    if not np.isfinite(rate):
+        return abs(rate)
+    return real_rate(rate, "the cross-transition rate must be real")

@@ -201,6 +201,16 @@ def test_sector_basis_is_a_distinct_basis():
     assert one.dim == 2 * 2 + 1
 
 
+def test_equal_bases_hash_alike():
+    # two separately built bases of one layout are one dictionary key
+    nodes = (NodeSpec(2), NodeSpec(1, 3, (0.0, 1.0, 2.1)))
+    fock = FockFactor((Mode(1.0),), (2,))
+    first, second = (CompositeBasis(nodes, fock, symmetric=True) for _ in range(2))
+    assert first is not second
+    assert hash(first) == hash(second)
+    assert {first: "layout"}[second] == "layout"
+
+
 def test_collective_states_on_a_sector_equal_the_full_ones():
     nodes = (NodeSpec(2), NodeSpec(3))
     fock = FockFactor((Mode(1.0),), (2,))

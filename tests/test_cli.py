@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavityqc import cli, dynamics
@@ -553,6 +553,24 @@ def test_sweep_detuning_past_the_float_range_exits_3(tmp_path, capsys, policy):
         _assert_refused(tmp_path, capsys, payload, "delta_factors")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("check_monotone", 1),
+        ("check_monotone", "yes"),
+        ("delta_factors", 30),
+        ("delta_factors", 0),
+    ],
+)
+def test_a_value_of_another_type_exits_3(tmp_path, capsys, field, value):
+    # a bool field takes only true or false, and a list field only a list:
+    # a number, 0 included, is no list, not even an empty one
+    payload = {**_VALID["effective-error-sweep"], field: value}
+    assert _exit_code(tmp_path, payload) == 3
+    assert f"field {field!r} expects" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_transistor_coupling_just_under_the_locator_bound_runs(tmp_path, capsys):
     # bisect g21 to the refusal edge: the largest accepted value still runs
     # and passes under the warning policy (pyproject makes a RuntimeWarning
@@ -643,6 +661,32 @@ def test_atom_count_cap_falls_between_max_and_one_more(tmp_path, capsys, kind, f
 def test_valid_reference_scenarios_pass(tmp_path, kind):
     scenario = _write(tmp_path, "ok.json", _VALID[kind])
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"g21": -0.02},
+        {"g32": -0.03},
+        {"delta_control": -0.5, "delta_target": -0.7},
+        {"delta_control": -0.5},
+    ],
+    ids=["g21", "g32", "both-detunings", "delta_control"],
+)
+def test_transistor_with_a_negative_cross_rate_passes(tmp_path, fields):
+    # the shipped transistor with its cross rate's sign flipped: the closed
+    # form runs at the signed rate (each exited 4 at min fidelity 2.5e-4
+    # while it took the rate's magnitude)
+    from pathlib import Path
+
+    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "transistor.json"
+    lines = shipped.read_text(encoding="utf-8").splitlines()
+    payload = {**json.loads("".join(l for l in lines if not l.startswith("#"))), **fields}
+    assert _run_verdicts(tmp_path, payload) == (
+        0, {"closed-form-agreement": True, "transfer-time": True}
+    )
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["tables"]["summary"][0]["rate"] < 0.0
 
 
 # Finite inputs that overflow: numpy only warns (outside the tests, where
@@ -824,10 +868,10 @@ def test_every_accepted_pair_window_can_fail(
 @settings(max_examples=40, deadline=None)
 @given(
     n=_ATOMS,
-    g21=_log_uniform(5e-3, 0.1),
-    g32=_log_uniform(5e-3, 0.1),
-    delta_control=_log_uniform(0.3, 3.0),
-    delta_target=_log_uniform(0.3, 3.0),
+    g21=_signed(5e-3, 0.1),
+    g32=_signed(5e-3, 0.1),
+    delta_control=_signed(0.3, 3.0),
+    delta_target=_signed(0.3, 3.0),
     points=_POINTS,
     above=_ABOVE_FLOOR,
     below=_BELOW_FLOOR,
@@ -836,9 +880,10 @@ def test_every_accepted_transistor_window_can_fail(
     tmp_path_factory, n, g21, g32, delta_control, delta_target, points, above, below
 ):
     # at a quarter period the rate defect costs an infidelity of
-    # sin^2(1e-3 pi / 4) = 6e-7, far above 1e-9. Couplings and detunings
-    # are drawn positive: the closed form takes the rate's magnitude, so a
-    # negative cross rate fails it at any window.
+    # sin^2(1e-3 pi / 4) = 6e-7, far above 1e-9; the cross rate takes
+    # either sign. Opposite detunings of one size cancel it, and a run
+    # without transfer is refused (see _OUT_OF_RANGE).
+    assume(1.0 / delta_control + 1.0 / delta_target != 0.0)
     fields = {
         "n_atoms": n,
         "g21": g21,
@@ -857,6 +902,42 @@ def test_every_accepted_transistor_window_can_fail(
         below,
     )
     assert verdicts == (0, 4, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 50),
+    coupling=st.floats(0.005, 0.02),
+    factor=st.floats(8.0, 200.0),
+    periods=st.floats(0.25, 1.0),
+    points=st.integers(2, 200),
+)
+def test_every_accepted_sweep_window_can_fail(
+    tmp_path_factory, n, coupling, factor, periods, points
+):
+    # the effective model's swap and shift rates 5% too large cost an
+    # infidelity of sin^2(0.05 pi / 4) = 1.5e-3 at a quarter period, past
+    # the default bound 1e-3 at factor 30. Windows stay within one period,
+    # the span of the swap the bound is claimed for.
+    fields = {
+        "n_atoms": n,
+        "coupling": coupling,
+        "delta_factors": [30, factor],
+        "periods": periods,
+        "points": points,
+    }
+    payload = {**_VALID["effective-error-sweep"], **fields}
+    directory = tmp_path_factory.mktemp("sweep")
+    real = dynamics.collective_pair_hamiltonian
+
+    def off(nodes, swap_rate, shift_rates, *args, **kwargs):
+        shift_rates = tuple(1.05 * rate for rate in shift_rates)
+        return real(nodes, 1.05 * swap_rate, shift_rates, *args, **kwargs)
+
+    code = _exit_code(directory, payload)
+    with mock.patch.object(dynamics, "collective_pair_hamiltonian", off):
+        off_code = _exit_code(directory, payload)
+    assert (code, off_code) == (0, 4)
 
 
 # --- assertion bounds: a result just outside fails the run, just inside passes

@@ -227,6 +227,25 @@ def test_synthesize_identity_is_empty():
     assert synthesis.angles == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]]),
+        np.array([[0, np.exp(0.3j)], [np.exp(1.1j), 0]]),
+    ],
+    ids=["X", "Y", "phased"],
+)
+def test_synthesize_anti_diagonal_unitaries(u):
+    # a vanishing diagonal fixes only the difference of the outer angles,
+    # and the full transfer |b| = pi collapses the two phases into one
+    synthesis = synthesize_rotation(u)
+    assert np.abs(u - synthesis.global_phase * synthesis.matrix()).max() <= 1e-15
+    kinds = [kind for kind, _ in synthesis.ops]
+    assert kinds in (["ET"], ["ET", "PHASE"])
+    assert synthesis.ops[0][1] == -np.pi
+
+
 def test_synthesize_small_phase_keeps_its_angle():
     # only round-off (1e-12) snaps an angle to 0: a 1e-6 phase is a gate
     synthesis = synthesize_rotation(phase_gate(1e-6))

@@ -20,20 +20,27 @@ from cavityqc import (
     decode,
     effective_model_error,
     encode,
+    inner,
     lamb_shift_hamiltonian,
     product_excitation_state,
     symmetrize,
     synthesize_rotation,
     transistor_hamiltonian,
+    transistor_rate,
     two_level_swap_hamiltonian,
 )
 from cavityqc.cli import load_scenario
-from cavityqc.dynamics import analytic_pair_amplitudes, transistor_amplitudes
-from cavityqc.hamiltonian import microscopic_parts
+from cavityqc.dynamics import (
+    analytic_pair_amplitudes,
+    population_peak_time,
+    transistor_amplitudes,
+)
+from cavityqc.hamiltonian import HamiltonianMatrix, microscopic_parts
 from cavityqc.errors import (
     BasisMismatch,
     DecompositionFailure,
     DimensionCap,
+    EigenFailure,
     MissingCoupling,
     ParseError,
     ResonanceSingularity,
@@ -333,12 +340,68 @@ REFUSALS = [
         lambda _: transistor_hamiltonian(THREE, (THREE, TWO), *TRANSISTOR),
     ),
     _case(
+        "transistor-rate-complex",
+        ValueError,
+        "must be real",
+        lambda _: transistor_rate(
+            (THREE,), CouplingSet(g21=0.02j, g32=0.03), TRANSISTOR[1]
+        ),
+    ),
+    _case(
         "lamb-shift-one-node",
         BasisMismatch,
         "node pair",
         lambda _: lamb_shift_hamiltonian(
             (TWO,), CouplingSet(g21=0.01), DetuningSet(lower=(0.3,)), 0
         ),
+    ),
+    _case(
+        "state-vector-length",
+        BasisMismatch,
+        "does not fit",
+        lambda _: StateVector(np.zeros(3), CompositeBasis((TWO,))),
+    ),
+    _case(
+        "inner-basis-less-dimensions",
+        BasisMismatch,
+        "dimension mismatch",
+        lambda _: inner(StateVector(np.ones(2), None), StateVector(np.ones(3), None)),
+    ),
+    _case(
+        "peak-time-reversed-window",
+        ValueError,
+        "empty time window",
+        lambda _: population_peak_time(
+            HamiltonianMatrix(np.eye(2), None),
+            StateVector(np.array([1.0, 0.0]), None),
+            np.eye(2),
+            1.0,
+            0.5,
+        ),
+    ),
+    _case(
+        "mode-site-without-modes",
+        BasisMismatch,
+        "no photon modes",
+        lambda _: CompositeBasis((TWO,)).mode_site(0),
+    ),
+    _case(
+        "fock-block-without-modes",
+        BasisMismatch,
+        "no photon modes",
+        lambda _: CompositeBasis((TWO,)).fock_block_indices(()),
+    ),
+    _case(
+        "collective-basis-three-nodes",
+        BasisMismatch,
+        "exactly two nodes",
+        lambda _: CollectiveBasis((TWO, TWO, TWO)),
+    ),
+    _case(
+        "controlled-power-standard-3x3-payload",
+        ValueError,
+        "2x2",
+        lambda _: controlled_power_standard(2, np.eye(3)),
     ),
     _case(
         "controlled-power-standard-t1",
@@ -374,3 +437,13 @@ def test_bad_input_raises_its_error_type(tmp_path, error, match, call):
     with pytest.raises(error, match=match) as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+def test_eigensolver_failure_is_an_eigen_failure(monkeypatch):
+    # LAPACK's LinAlgError reaches the caller as the package's own error
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenFailure, match="did not converge"):
+        HamiltonianMatrix(np.eye(2), None).eigensystem()
