@@ -51,13 +51,33 @@ from .hamiltonian import (
 
 @dataclass(frozen=True)
 class Field:
+    """One scenario field: its type, default, help and valid range.
+
+    The range holds the number, or each list item: ``minimum`` and
+    ``maximum`` are included ends, ``above`` and ``below`` excluded ones,
+    and a ``nonzero`` field refuses 0.
+    """
+
     name: str
     kind: str  # int | float | complex | list[float] | list[int] | bool
     required: bool = False
     default: object = None
     help: str = ""
-    minimum: int | None = None  # lower bound of an int field or list[int] item
-    maximum: int | None = None  # upper bound of the same
+    minimum: float | None = None
+    maximum: float | None = None
+    above: float | None = None
+    below: float | None = None
+    nonzero: bool = False
+
+    @property
+    def range(self) -> str:
+        """The range as text: an interval such as ``[0, 1)``, ``nonzero``, or ''."""
+        low = "(-inf" if self.above is None else f"({self.above}"
+        high = "inf)" if self.below is None else f"{self.below})"
+        low = low if self.minimum is None else f"[{self.minimum}"
+        high = high if self.maximum is None else f"{self.maximum}]"
+        interval = "" if (low, high) == ("(-inf", "inf)") else f"{low}, {high}"
+        return " ".join(filter(None, (interval, "nonzero" * self.nonzero)))
 
 
 # Largest atom count per node. The product of two counts, which the runners
@@ -65,6 +85,14 @@ class Field:
 # has no square root for a Python int past that range.
 MAX_ATOMS = 2**31
 
+# Largest number of complex amplitudes whose array fits the byte cap.
+MAX_AMPLITUDES = DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE
+
+# Shortest time window a run may check, in periods of the transfer its
+# check samples (see _time_window). By a quarter period an undisturbed
+# transfer has moved half its population (cos^2(pi/4) = 1/2), so a wrong
+# rate can fail every check; over a much shorter window it passes them all.
+MIN_WINDOW_PERIODS = 0.25
 
 # Amplitude pairs of a scenario that must be normalized, per kind.
 NORMALIZED_PAIRS = {
@@ -72,58 +100,43 @@ NORMALIZED_PAIRS = {
     "transistor": (("alpha", "beta"),),
 }
 
-# Complex amplitudes in the widest array a run keeps per time point, per
-# kind: the pair's (points, 6) grid, the transistor's sector grid (at most
-# nine states), the sweep's six-state effective stack per detuning and the
-# blockade's one amplitude.
-POINT_AMPLITUDES = {
-    "pair-evolution": 6,
-    "blockade": 1,
-    "transistor": 9,
-    "effective-error-sweep": 6,
-}
-
-# Largest number of complex amplitudes whose array fits the byte cap.
-MAX_AMPLITUDES = DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE
-
-
-def _grid_help(kind: str) -> str:
-    """Help of a kind's ``points`` field, with its limit under the byte cap."""
-    count = POINT_AMPLITUDES[kind]
-    per, grid = ("point", "points")
-    if kind == "effective-error-sweep":
-        per, grid = ("point and detuning", "points x detunings")
-    amplitudes = f"{count} complex amplitude" + ("s" if count > 1 else "")
-    return (
-        f"time grid size; {amplitudes} per {per} must fit the byte cap "
-        f"({grid} <= {MAX_AMPLITUDES // count})"
-    )
-
-
-# Help of the fields that several kinds share.
-FIDELITY_TOLERANCE_HELP = (
-    "closed-form agreement bound; below 1, as fidelities lie in [0, 1]"
+# Fields that several kinds share. Each bound is refused where no run can
+# fail it and where no run can pass it: a fidelity lies in [0, 1], so a
+# tolerance on 1 - fidelity lies in [0, 1); the clipped infidelity and
+# |c3|^2 lie in [0, 1] and are checked with a strict <, so their bounds lie
+# in (0, 1]; a deviation between two unitaries lies in [0, 2]. A zero rate
+# exchanges nothing, so every check would pass on the initial state.
+N_ATOMS = Field(
+    "n_atoms", "int", True, help="atoms in each node", minimum=1, maximum=MAX_ATOMS
 )
-UNITARY_HELP = "below 2, the largest deviation between two unitaries"
+SWAP_RATE = Field(
+    "swap_rate", "float", True, help="inter-node exchange rate [rad/time]", nonzero=True
+)
+FIDELITY_TOLERANCE = Field(
+    "tolerance", "float", False, 1e-9, "closed-form agreement bound", minimum=0, below=1
+)
+T_MAX = Field("t_max", "float", False, None, "window; default two periods", above=0)
+PERIODS = Field(
+    "periods", "float", False, 1.0, "transfer periods", minimum=MIN_WINDOW_PERIODS
+)
+SEED = Field("seed", "int", True, help="random seed (mandatory)", minimum=0)
+# the help of a points field with a maximum
+GRID = "time grid size; its complex arrays must fit the byte cap"
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
     "pair-evolution": (
-        Field(
-            "n_atoms",
-            "int",
-            True,
-            help="atoms per node (equal nodes)",
-            minimum=1,
-            maximum=MAX_ATOMS,
-        ),
-        Field("swap_rate", "float", True, help="inter-node exchange rate [rad/time]"),
+        N_ATOMS,
+        SWAP_RATE,
         Field("alpha1", "complex", True, help="node-1 ground amplitude [re, im]"),
         Field("beta1", "complex", True, help="node-1 excited amplitude [re, im]"),
         Field("alpha2", "complex", True, help="node-2 ground amplitude [re, im]"),
         Field("beta2", "complex", True, help="node-2 excited amplitude [re, im]"),
-        Field("t_max", "float", False, None, "time window; default two swap periods"),
-        Field("points", "int", False, 100, _grid_help("pair-evolution"), minimum=2),
-        Field("tolerance", "float", False, 1e-9, FIDELITY_TOLERANCE_HELP),
+        T_MAX,
+        # the (points, 6) amplitude grid
+        Field(
+            "points", "int", False, 100, GRID, minimum=2, maximum=MAX_AMPLITUDES // 6
+        ),
+        FIDELITY_TOLERANCE,
     ),
     "blockade": (
         Field("n_1", "int", True, help="atoms in node 1", minimum=1, maximum=MAX_ATOMS),
@@ -131,7 +144,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("n_photons", "int", True, help="real cavity photons", minimum=0),
         Field("shift_rate_1", "float", True, help="|g1|^2/Delta1 [rad/time]"),
         Field("shift_rate_2", "float", True, help="|g2|^2/Delta2 [rad/time]"),
-        Field("swap_rate", "float", True, help="inter-node exchange rate [rad/time]"),
+        SWAP_RATE,
         Field("freq_1", "float", False, 0.0, "bare transition frequency, node 1"),
         Field(
             "freq_2",
@@ -141,40 +154,39 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "bare transition frequency, node 2; default satisfies the "
             "resonance freq_2 - freq_1 + N2 shift_2 - N1 shift_1 = 0",
         ),
-        Field("t_max", "float", False, None, "time window; default two transfer periods"),
-        Field("points", "int", False, 200, _grid_help("blockade"), minimum=2),
+        T_MAX,
+        # one amplitude, c3, per point
+        Field(
+            "points", "int", False, 200, GRID, minimum=2, maximum=MAX_AMPLITUDES // 1
+        ),
         Field(
             "max_c3_sq_below",
             "float",
             False,
             None,
-            "optional blocking bound; at most 1, as |c3|^2 is",
+            "optional blocking bound on max |c3|^2",
+            above=0,
+            maximum=1,
         ),
     ),
     "transistor": (
-        Field(
-            "n_atoms", "int", True, help="atoms per node", minimum=1, maximum=MAX_ATOMS
-        ),
+        N_ATOMS,
         Field("g21", "float", True, help="lower-transition coupling"),
         Field("g32", "float", True, help="upper-transition coupling"),
         Field("delta_control", "float", True, help="control lower-transition detuning"),
         Field("delta_target", "float", True, help="target upper-transition detuning"),
         Field("alpha", "complex", True, help="target |01> amplitude [re, im]"),
         Field("beta", "complex", True, help="target |10> amplitude [re, im]"),
-        Field("periods", "float", False, 1.0, "transfer periods, at least 0.25"),
-        Field("points", "int", False, 100, _grid_help("transistor"), minimum=2),
-        Field("tolerance", "float", False, 1e-9, FIDELITY_TOLERANCE_HELP),
+        PERIODS,
+        # the sector grid, of at most nine states per point
+        Field(
+            "points", "int", False, 100, GRID, minimum=2, maximum=MAX_AMPLITUDES // 9
+        ),
+        FIDELITY_TOLERANCE,
     ),
     "effective-error-sweep": (
-        Field(
-            "n_atoms",
-            "int",
-            True,
-            help="atoms per node (equal nodes)",
-            minimum=1,
-            maximum=MAX_ATOMS,
-        ),
-        Field("coupling", "float", True, help="atom-mode coupling g"),
+        N_ATOMS,
+        Field("coupling", "float", True, help="atom-mode coupling g", nonzero=True),
         Field(
             "delta_factors",
             "list[float]",
@@ -182,9 +194,16 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             help="detunings in units of sqrt(n_atoms) * coupling; must hold "
             "assert_factor",
         ),
-        Field("periods", "float", False, 1.0, "swap periods per point; at least 0.25"),
+        PERIODS,
+        # checked with delta_factors in validate_params
         Field(
-            "points", "int", False, 200, _grid_help("effective-error-sweep"), minimum=2
+            "points",
+            "int",
+            False,
+            200,
+            "time grid size; six complex amplitudes per point and detuning must "
+            "fit the byte cap",
+            minimum=2,
         ),
         Field("assert_factor", "float", False, 30.0, "factor carrying the error bound"),
         Field(
@@ -192,71 +211,42 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "float",
             False,
             1e-3,
-            "infidelity bound at that factor; at most 1, as the clipped "
-            "infidelity is",
+            "infidelity bound at assert_factor",
+            above=0,
+            maximum=1,
         ),
         Field("check_monotone", "bool", False, True, "assert envelope decrease"),
     ),
     "verify-gates": (
-        Field("seed", "int", True, help="random seed (mandatory)", minimum=0),
+        SEED,
+        Field("samples", "int", False, 10, "random unitaries to synthesize", minimum=1),
         Field(
-            "samples",
-            "int",
-            False,
-            10,
-            "random unitaries for synthesis checks",
-            minimum=1,
+            "tolerance", "float", False, 1e-10, "deviation bound", minimum=0, below=2
         ),
-        Field("tolerance", "float", False, 1e-10, f"deviation bound; {UNITARY_HELP}"),
     ),
     "verify-circuits": (
-        Field("seed", "int", True, help="random seed (mandatory)", minimum=0),
+        SEED,
+        # the reference and the logical matrix are dense over 2^(t+1) states,
+        # so 2 (t + 1) <= log2(MAX_AMPLITUDES)
         Field(
             "t_values",
             "list[int]",
             False,
             [2, 3, 4],
             "control counts to verify; dense 2^(t+1)-state matrices must fit "
-            "the byte cap (t <= 12)",
+            "the byte cap",
             minimum=2,
+            maximum=(MAX_AMPLITUDES.bit_length() - 1) // 2 - 1,
         ),
         Field(
             "samples", "int", False, 10, "random unitaries per control count", minimum=1
         ),
-        Field("tolerance", "float", False, 1e-9, f"equivalence bound; {UNITARY_HELP}"),
+        Field(
+            "tolerance", "float", False, 1e-9, "equivalence bound", minimum=0, below=2
+        ),
     ),
 }
 SCENARIO_KINDS = tuple(SCHEMAS)
-
-# Largest log2 of the entry count of a dense complex matrix under the cap.
-DENSE_LOG2_ENTRIES = MAX_AMPLITUDES.bit_length() - 1
-
-# Rates of a scenario that must be nonzero, per kind: with nothing
-# exchanged, every check passes on the unchanged initial state.
-NONZERO_FIELDS = {
-    "pair-evolution": ("swap_rate",),
-    "blockade": ("swap_rate",),
-    "effective-error-sweep": ("coupling",),
-}
-
-# Bounds under which a check can no longer fail, per kind: each field is
-# refused at (">=") or past (">") the value from which every result
-# passes. Fidelities lie in [0, 1], as do the clipped infidelity and
-# |c3|^2, and a deviation between two unitaries is at most 2.
-VACUOUS_BOUNDS = {
-    "pair-evolution": (("tolerance", ">=", 1.0),),
-    "blockade": (("max_c3_sq_below", ">", 1.0),),
-    "transistor": (("tolerance", ">=", 1.0),),
-    "effective-error-sweep": (("assert_below", ">", 1.0),),
-    "verify-gates": (("tolerance", ">=", 2.0),),
-    "verify-circuits": (("tolerance", ">=", 2.0),),
-}
-
-# Shortest time window a run may check, in periods of the transfer its
-# check samples (see _time_window). By a quarter period an undisturbed
-# transfer has moved half its population (cos^2(pi/4) = 1/2), so a wrong
-# rate can fail every check; over a much shorter window it passes them all.
-MIN_WINDOW_PERIODS = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +298,31 @@ def _integer(field: Field, value) -> int:
         raise ValidationError(
             f"field {field.name!r} must be finite, got an integer past the float range"
         ) from None
-    if field.minimum is not None and value < field.minimum:
-        raise ValidationError(
-            f"field {field.name!r} must be >= {field.minimum}, got {value}"
-        )
-    if field.maximum is not None and value > field.maximum:
-        raise ValidationError(
-            f"field {field.name!r} must be <= {field.maximum}, got {value}"
-        )
     return value
+
+
+def _in_range(field: Field, number):
+    """``number``, a value or list item of ``field``, if the field's range holds it."""
+    if (
+        (field.minimum is not None and number < field.minimum)
+        or (field.maximum is not None and number > field.maximum)
+        or (field.above is not None and number <= field.above)
+        or (field.below is not None and number >= field.below)
+        or (field.nonzero and number == 0)
+    ):
+        rule = f"lies outside {field.range}"
+        if field.nonzero and number == 0:
+            rule = "must be nonzero"
+        raise ValidationError(f"field {field.name!r}: {number!r} {rule} ({field.help})")
+    return number
 
 
 def _coerce(field: Field, value):
     try:
         if field.kind == "int":
-            return _integer(field, value)
+            return _in_range(field, _integer(field, value))
         if field.kind == "float":
-            return _finite(field, value)
+            return _in_range(field, _finite(field, value))
         if field.kind == "bool":
             if not isinstance(value, bool):
                 raise TypeError
@@ -338,7 +336,7 @@ def _coerce(field: Field, value):
             if not value:
                 raise ValidationError(f"field {field.name!r} must not be empty")
             item = _finite if field.kind == "list[float]" else _integer
-            return [item(field, v) for v in value]
+            return [_in_range(field, item(field, v)) for v in value]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"field {field.name!r} expects {field.kind}, got {value!r}"
@@ -368,29 +366,6 @@ def validate_params(kind: str, raw: dict) -> dict:
             f"fields {a!r} and {b!r} must be normalized, "
             f"|{a}|^2 + |{b}|^2 = {{norm:.12g}}",
         )
-    for name in NONZERO_FIELDS.get(kind, ()):
-        if params[name] == 0.0:
-            raise ValidationError(f"field {name!r} must be nonzero")
-    for name, refused, limit in VACUOUS_BOUNDS.get(kind, ()):
-        value = params[name]
-        if value is not None and (value > limit or value == limit and refused == ">="):
-            raise ValidationError(
-                f"field {name!r} = {value!r} is {refused} {limit:g}, "
-                "under which the check can no longer fail"
-            )
-    if "points" in params:
-        # the widest per-point array, per detuning for the sweep
-        entries = (
-            params["points"]
-            * POINT_AMPLITUDES[kind]
-            * len(params.get("delta_factors", [0]))
-        )
-        if entries > MAX_AMPLITUDES:
-            raise ValidationError(
-                f"field 'points' = {params['points']} gives per-point complex "
-                f"arrays of {entries * BYTES_PER_AMPLITUDE:.3e} bytes, above the "
-                f"cap of {DENSE_BYTES_CAP:.3e}"
-            )
     if kind == "effective-error-sweep":
         # the sweep's headline bound must not drop out of the report
         if params["assert_factor"] not in params["delta_factors"]:
@@ -398,14 +373,14 @@ def validate_params(kind: str, raw: dict) -> dict:
                 "field 'delta_factors' must hold the asserted factor "
                 f"(assert_factor {params['assert_factor']:g})"
             )
-    if kind == "verify-circuits":
-        # the reference and the logical matrix are dense over 2^(t+1) states
-        for t in params["t_values"]:
-            if 2 * (t + 1) > DENSE_LOG2_ENTRIES:
-                raise ValidationError(
-                    f"field 't_values' holds t = {t}, whose dense 2^{t + 1}-state "
-                    f"matrices exceed the cap of {DENSE_BYTES_CAP:.3e} bytes"
-                )
+        # its widest per-point array: a six-state effective stack per detuning
+        entries = params["points"] * 6 * len(params["delta_factors"])
+        if entries > MAX_AMPLITUDES:
+            raise ValidationError(
+                f"field 'points' = {params['points']} gives per-point complex "
+                f"arrays of {entries * BYTES_PER_AMPLITUDE:.3e} bytes, above the "
+                f"cap of {DENSE_BYTES_CAP:.3e}"
+            )
     return params
 
 
@@ -579,6 +554,11 @@ def _run_blockade(p: dict):
     freq_2 = p["freq_2"]
     if freq_2 is None:
         freq_2 = freq_1 + n1 * p["shift_rate_1"] - n2 * p["shift_rate_2"]
+        if not math.isfinite(freq_2):
+            fields = ("freq_1", "n_1", "shift_rate_1", "n_2", "shift_rate_2")
+            raise ValidationError(
+                f"the default freq_2 set by {_named(fields)} is past the float range"
+            )
     rates = EffectiveRates(
         swap_rate=p["swap_rate"],
         shift_rate_1=p["shift_rate_1"],
@@ -1076,7 +1056,7 @@ def describe(kind: str) -> str:
     lines = [f"scenario kind: {kind}", "fields:"]
     for f in SCHEMAS[kind]:
         req = "required" if f.required else f"default {f.default!r}"
-        lines.append(f"  {f.name:<16} {f.kind:<12} {req:<22} {f.help}")
+        lines.append(f"  {f.name:<16} {f.kind:<12} {f.range:<16} {req:<22} {f.help}")
     return "\n".join(lines)
 
 

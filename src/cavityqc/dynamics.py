@@ -9,6 +9,7 @@ against direct numeric propagation of the corresponding Hamiltonian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,7 +372,10 @@ def blockade_solution(
     with dressed frequencies wt_m = w_m + 2 n W_m; the constants obey
     C1 = -C2 = -sqrt(N1 N2) Ws / (r1 - r2). The stored energies are the
     bare-frequency diagonal values (symmetric in the two nodes). A NaN,
-    infinite or complex rate or frequency raises ValueError.
+    infinite or complex rate or frequency raises ValueError. The arithmetic
+    is in Python floats, which give inf past the float range without a
+    warning (or raise OverflowError for a square); a dressed frequency, the
+    discriminant or a stored value that is not finite raises OverflowError.
     """
     ws = real_rate(rates.swap_rate, "blockade closed form assumes a real exchange rate")
     message = "blockade closed form needs finite real shift rates and frequencies"
@@ -396,23 +400,27 @@ def blockade_solution(
 
     diag_2, diag_3 = diagonal(wt1, wt2)
     energy_2, energy_3 = diagonal(f1, f2)
-    exchange = np.sqrt(n1 * n2) * ws
-    disc = np.sqrt((wt2 - wt1 + n2 * w2 - n1 * w1) ** 2 + 4.0 * n1 * n2 * ws**2)
+    exchange = math.sqrt(n1 * n2) * ws
+    disc = math.sqrt((wt2 - wt1 + n2 * w2 - n1 * w1) ** 2 + 4.0 * n1 * n2 * ws**2)
     mean = 0.5 * (diag_2 + diag_3)
-    r1 = mean + 0.5 * disc
-    r2 = mean - 0.5 * disc
     c1 = 0.0 if disc == 0.0 else -exchange / disc
-    return BlockadeSolution(
-        r1=float(r1),
-        r2=float(r2),
-        c_const_1=float(c1),
-        c_const_2=float(-c1),
-        energy_2=float(energy_2),
-        energy_3=float(energy_3),
-        exchange=float(exchange),
-        diag_2=float(diag_2),
-        diag_3=float(diag_3),
+    solution = BlockadeSolution(
+        r1=mean + 0.5 * disc,
+        r2=mean - 0.5 * disc,
+        c_const_1=c1,
+        c_const_2=-c1,
+        energy_2=energy_2,
+        energy_3=energy_3,
+        exchange=exchange,
+        diag_2=diag_2,
+        diag_3=diag_3,
     )
+    if not all(map(math.isfinite, (wt1, wt2, disc, *vars(solution).values()))):
+        raise OverflowError(
+            "blockade closed form: a dressed frequency, the discriminant or a "
+            "value of the solution is past the float range"
+        )
+    return solution
 
 
 # ---------------------------------------------------------------------------

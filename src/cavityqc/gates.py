@@ -151,9 +151,6 @@ def synthesize_rotation(target, tol: float = 1e-10) -> RotationSynthesis:
     if abs(su[1, 0]) < 1e-12:
         alpha_plus_gamma = 2.0 * np.angle(su[1, 1])
         alpha_minus_gamma = 0.0
-    elif abs(su[0, 0]) < 1e-12:
-        alpha_plus_gamma = 0.0
-        alpha_minus_gamma = 2.0 * np.angle(su[1, 0])
     else:
         alpha_plus_gamma = 2.0 * np.angle(su[1, 1])
         alpha_minus_gamma = 2.0 * np.angle(su[1, 0])

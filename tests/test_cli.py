@@ -34,6 +34,24 @@ def test_describe_blockade_lists_required_fields():
         assert field in text
 
 
+def test_describe_prints_each_range(capsys):
+    def line(kind, name):
+        return next(
+            text for text in cli.describe(kind).splitlines() if text.split()[0] == name
+        )
+
+    assert "[0, 1)" in line("pair-evolution", "tolerance")
+    assert "[0, 1)" in line("transistor", "tolerance")
+    assert "[0, 2)" in line("verify-gates", "tolerance")
+    assert "[2, 12]" in line("verify-circuits", "t_values")
+    assert "[1, 2147483648]" in line("blockade", "n_1")
+    assert "(0, 1]" in line("blockade", "max_c3_sq_below")
+    assert "nonzero" in line("effective-error-sweep", "coupling")
+    for kind in cli.list_scenarios().splitlines():
+        assert cli.main(["describe", kind]) == 0
+        assert capsys.readouterr().out == cli.describe(kind) + "\n"
+
+
 def test_list_and_describe_through_main(capsys):
     assert cli.main(["list"]) == 0
     assert capsys.readouterr().out == cli.list_scenarios() + "\n"
@@ -232,14 +250,14 @@ def test_oversized_verify_circuits_exits_3_before_allocating(tmp_path, capsys):
     assert cli.main(["run", str(scenario), "-o", str(outdir)]) == 3
     assert time.perf_counter() - start < 1.0
     message = capsys.readouterr().err
-    assert "t = 13" in message and "cap" in message
+    assert "13 lies outside [2, 12]" in message and "byte cap" in message
     assert not (outdir / "report.json").exists()
 
 
 def test_verify_circuits_cap_falls_between_12_and_13():
     # t = 12 fills the cap exactly (8192^2 x 16 bytes = 1 GiB)
     cli.validate_params("verify-circuits", {"seed": 3, "t_values": [12]})
-    with pytest.raises(ValidationError, match="t = 13"):
+    with pytest.raises(ValidationError, match=r"13 lies outside \[2, 12\].*byte cap"):
         cli.validate_params("verify-circuits", {"seed": 3, "t_values": [13]})
 
 
@@ -479,6 +497,17 @@ _OUT_OF_RANGE = [
     ("blockade", "max_c3_sq_below", 2.0),
     ("verify-gates", "tolerance", 2.0),
     ("verify-circuits", "tolerance", 2.5),
+    # bounds that no run can meet (exit 4, or 5 for verify-gates, before):
+    # a negative tolerance, and a strict bound of 0 or less on |c3|^2 or
+    # the clipped infidelity, neither of which is ever negative
+    ("pair-evolution", "tolerance", -1.0),
+    ("transistor", "tolerance", -1e-12),
+    ("verify-gates", "tolerance", -1.0),
+    ("verify-circuits", "tolerance", -1.0),
+    ("blockade", "max_c3_sq_below", 0.0),
+    ("blockade", "max_c3_sq_below", -1.0),
+    ("effective-error-sweep", "assert_below", 0.0),
+    ("effective-error-sweep", "assert_below", -1.0),
     # a time grid too big to allocate (exit 5 before, "Unable to
     # allocate 7.45 GiB" for the blockade)
     pytest.param("pair-evolution", "points", 10**9, id="pair-points-10**9"),
@@ -598,17 +627,37 @@ def test_transistor_coupling_just_under_the_locator_bound_runs(tmp_path, capsys)
 # through the difference of the two nodes' dressed frequencies, which the
 # equal shift rates of the valid blockade cancel; the shipped blocked
 # scenario's unequal ones do not (each exit 5 before, as above).
+_SHIFTS = {"n_photons": 1, "shift_rate_1": 0.05, "shift_rate_2": 0.15}
+
+
+@pytest.mark.parametrize("policy", ["error", "ignore"])
 @pytest.mark.parametrize(
-    "field, value",
+    "fields",
     [
-        pytest.param("n_photons", 10**155, id="n_photons-10**155"),
-        pytest.param("shift_rate_1", 1e200, id="shift_rate_1-1e200"),
+        pytest.param({**_SHIFTS, "n_photons": 10**155}, id="n_photons-10**155"),
+        pytest.param({**_SHIFTS, "shift_rate_1": 1e200}, id="shift_rate_1-1e200"),
+        # Python float sums and products reach inf without an error: a
+        # dressed frequency past the float range (exit 4, closure nan), a
+        # discriminant (exit 4, 5 under the warning policy), a default
+        # freq_2 (exit 5, "closed form needs finite real shift rates") and
+        # the exchange sqrt(n_1 n_2) swap_rate (5 under the warning policy)
+        pytest.param({"n_photons": 1, "shift_rate_1": 1e308}, id="dressed-frequency"),
+        pytest.param({"freq_1": 1e308, "freq_2": -1e308}, id="discriminant"),
+        pytest.param(
+            {"n_1": 2**31, "shift_rate_1": 1e300, "shift_rate_2": 1e300},
+            id="default-freq_2",
+        ),
+        pytest.param({"n_1": 2**31, "n_2": 2**31, "swap_rate": 1e300}, id="exchange"),
     ],
 )
-def test_overflowing_blockade_frequencies_exit_3(tmp_path, capsys, field, value):
-    shifts = {"n_photons": 1, "shift_rate_1": 0.05, "shift_rate_2": 0.15}
-    payload = {**_VALID["blockade"], **shifts, field: value}
-    _assert_refused(tmp_path, capsys, payload, field)
+def test_overflowing_blockade_frequencies_exit_3(tmp_path, capsys, fields, policy):
+    with warnings.catch_warnings():
+        warnings.simplefilter(policy, RuntimeWarning)
+        code = _exit_code(tmp_path, {**_VALID["blockade"], **fields})
+    err = capsys.readouterr().err
+    assert code == 3
+    assert all(repr(name) in err for name in fields)
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_bounds_and_grids_at_their_limits_are_accepted():
@@ -624,6 +673,15 @@ def test_bounds_and_grids_at_their_limits_are_accepted():
     assert valid("transistor", tolerance=below_one)["tolerance"] == below_one
     below_two = float(np.nextafter(2.0, 0.0))
     assert valid("verify-gates", tolerance=below_two)["tolerance"] == below_two
+    # the smallest, down to a tolerance of 0 that only an exact result meets
+    tiny = float(np.nextafter(0.0, 1.0))
+    assert valid("effective-error-sweep", assert_below=tiny)["assert_below"] == tiny
+    assert valid("blockade", max_c3_sq_below=tiny)["max_c3_sq_below"] == tiny
+    for kind in ("pair-evolution", "transistor", "verify-gates", "verify-circuits"):
+        assert valid(kind, tolerance=0.0)["tolerance"] == 0.0
+    assert valid("transistor", periods=0.25)["periods"] == 0.25
+    assert valid("blockade", n_1=1, n_photons=0, points=2)["points"] == 2
+    assert valid("verify-circuits", seed=0, samples=1)["t_values"] == [2]
     cap = cli.DENSE_BYTES_CAP // cli.BYTES_PER_AMPLITUDE
     assert valid("blockade", points=cap)["points"] == cap
     with pytest.raises(ValidationError, match="points"):

@@ -333,6 +333,24 @@ def test_blockade_norm_closure_everywhere():
         assert np.abs(total - 1.0).max() < 1e-9
 
 
+def test_blockade_square_roots_equal_numpy_bit_for_bit():
+    # the closed form takes math.sqrt, so that a value past the float range
+    # is inf without a warning; np.sqrt, which it replaced, rounds the same
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        n1, n2, n_ph = rng.integers(1, 2**31, 3).tolist()
+        scales = 10.0 ** rng.integers(-6, 6, 5)
+        ws, w1, w2, f1, f2 = (rng.normal(size=5) * scales).tolist()
+        sol = blockade_solution(EffectiveRates(ws, w1, w2, f1, f2), n1, n2, n_ph)
+        wt1, wt2 = f1 + 2.0 * n_ph * w1, f2 + 2.0 * n_ph * w2
+        exchange = np.sqrt(n1 * n2) * ws
+        disc = np.sqrt((wt2 - wt1 + n2 * w2 - n1 * w1) ** 2 + 4.0 * n1 * n2 * ws**2)
+        assert sol.exchange == float(exchange)
+        assert sol.c_const_1 == float(-exchange / disc)
+        mean = 0.5 * (sol.diag_2 + sol.diag_3)
+        assert (sol.r1, sol.r2) == (float(mean + 0.5 * disc), float(mean - 0.5 * disc))
+
+
 def test_blockade_amplitudes_satisfy_rate_equations():
     # fourth-order finite differences as the independent derivative oracle
     n1, n2, n_ph = 2, 3, 1

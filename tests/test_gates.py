@@ -246,6 +246,17 @@ def test_synthesize_anti_diagonal_unitaries(u):
     assert synthesis.ops[0][1] == -np.pi
 
 
+def test_synthesize_near_anti_diagonal_unitary_keeps_both_phases():
+    # |su00| = 8e-13: a snap of |su00| < 1e-12 to a zero diagonal dropped
+    # the phase of su11 and missed by 5.5e-13. Below about 5e-13 the
+    # |b| = pi collapse drops that phase, so the case sits above it.
+    m = 8e-13
+    a, b = m * np.exp(0.7j), np.sqrt(1.0 - m**2) * np.exp(0.3j)
+    u = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+    synthesis = synthesize_rotation(u, tol=1e-14)
+    assert np.abs(u - synthesis.global_phase * synthesis.matrix()).max() <= 1e-15
+
+
 def test_synthesize_small_phase_keeps_its_angle():
     # only round-off (1e-12) snaps an angle to 0: a 1e-6 phase is a gate
     synthesis = synthesize_rotation(phase_gate(1e-6))
