@@ -88,6 +88,14 @@ MAX_ATOMS = 2**31
 # Largest number of complex amplitudes whose array fits the byte cap.
 MAX_AMPLITUDES = DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE
 
+# Most time points of a pair-evolution, blockade or transistor grid, each
+# one report row. A row costs far more than its amplitudes: the slope of
+# peak RSS between 65,536 and 262,144 points (single runs, ru_maxrss) is
+# about 1.6 KB per row for the pair, 1.2 KB for the transistor and 1.1 KB
+# for the blockade, so at this cap the widest, the pair's, peaked at
+# 450 MB, within DENSE_BYTES_CAP.
+MAX_TABLE_ROWS = 2**18
+
 # Shortest time window a run may check, in periods of the transfer its
 # check samples (see _time_window). By a quarter period an undisturbed
 # transfer has moved half its population (cos^2(pi/4) = 1/2), so a wrong
@@ -120,8 +128,8 @@ PERIODS = Field(
     "periods", "float", False, 1.0, "transfer periods", minimum=MIN_WINDOW_PERIODS
 )
 SEED = Field("seed", "int", True, help="random seed (mandatory)", minimum=0)
-# the help of a points field with a maximum
-GRID = "time grid size; its complex arrays must fit the byte cap"
+# the help of a points field capped at MAX_TABLE_ROWS
+GRID = "time grid size, one report row per point"
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
     "pair-evolution": (
@@ -132,10 +140,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha2", "complex", True, help="node-2 ground amplitude [re, im]"),
         Field("beta2", "complex", True, help="node-2 excited amplitude [re, im]"),
         T_MAX,
-        # the (points, 6) amplitude grid
-        Field(
-            "points", "int", False, 100, GRID, minimum=2, maximum=MAX_AMPLITUDES // 6
-        ),
+        Field("points", "int", False, 100, GRID, minimum=2, maximum=MAX_TABLE_ROWS),
         FIDELITY_TOLERANCE,
     ),
     "blockade": (
@@ -155,10 +160,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "resonance freq_2 - freq_1 + N2 shift_2 - N1 shift_1 = 0",
         ),
         T_MAX,
-        # one amplitude, c3, per point
-        Field(
-            "points", "int", False, 200, GRID, minimum=2, maximum=MAX_AMPLITUDES // 1
-        ),
+        Field("points", "int", False, 200, GRID, minimum=2, maximum=MAX_TABLE_ROWS),
         Field(
             "max_c3_sq_below",
             "float",
@@ -178,10 +180,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("alpha", "complex", True, help="target |01> amplitude [re, im]"),
         Field("beta", "complex", True, help="target |10> amplitude [re, im]"),
         PERIODS,
-        # the sector grid, of at most nine states per point
-        Field(
-            "points", "int", False, 100, GRID, minimum=2, maximum=MAX_AMPLITUDES // 9
-        ),
+        Field("points", "int", False, 100, GRID, minimum=2, maximum=MAX_TABLE_ROWS),
         FIDELITY_TOLERANCE,
     ),
     "effective-error-sweep": (
@@ -472,17 +471,20 @@ def _abs_squares(z: np.ndarray) -> list[float]:
     return [m**2 for m in np.hypot(z.real, z.imag).tolist()]
 
 
-def _blockade_rows(times: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> list[dict]:
+def _blockade_columns(times: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> dict:
     """The blockade amplitude table: |c2|^2, |c3|^2 and their sum per time."""
-    return [
-        {"t": t, "abs_c2_sq": a, "abs_c3_sq": b, "total": a + b}
-        for t, a, b in zip(times.tolist(), _abs_squares(c2), _abs_squares(c3))
-    ]
+    c2_sq, c3_sq = _abs_squares(c2), _abs_squares(c3)
+    return {
+        "t": times.tolist(),
+        "abs_c2_sq": c2_sq,
+        "abs_c3_sq": c3_sq,
+        "total": [a + b for a, b in zip(c2_sq, c3_sq)],
+    }
 
 
-def _transistor_rows(
+def _transistor_columns(
     times: np.ndarray, projected: np.ndarray, closed: np.ndarray
-) -> list[dict]:
+) -> dict:
     """The transistor evolution table from the projected and closed-form amplitudes.
 
     The fidelity is |<closed, projected>|^2; the batched 1 x 4 by 4 x 1
@@ -490,17 +492,18 @@ def _transistor_rows(
     """
     overlaps = (closed.conj()[:, None, :] @ projected[:, :, None])[:, 0, 0]
     p0, p1, p2, p3 = map(_abs_squares, projected.T)
-    return [
-        {
-            "t": t,
-            "control_excited": a + b,
-            "transferred": c + d,
-            "closed_form_fidelity": f,
-        }
-        for t, a, b, c, d, f in zip(
-            times.tolist(), p0, p1, p2, p3, _abs_squares(overlaps)
-        )
-    ]
+    return {
+        "t": times.tolist(),
+        "control_excited": [a + b for a, b in zip(p0, p1)],
+        "transferred": [c + d for c, d in zip(p2, p3)],
+        "closed_form_fidelity": _abs_squares(overlaps),
+    }
+
+
+def _add_row(table: dict, *row) -> None:
+    """Append ``row``, one value per column of ``table`` in its order."""
+    for column, value in zip(table.values(), row, strict=True):
+        column.append(value)
 
 
 def _run_pair_evolution(p: dict):
@@ -518,26 +521,18 @@ def _run_pair_evolution(p: dict):
 
     grid = dynamics.evolve_on_grid(h, psi0, times)
     closed = dynamics.analytic_pair_amplitudes(a1, b1, a2, b2, rate, n, times)
-    probabilities = np.abs(grid) ** 2
     # state.fidelity per point, in one pass: <numeric|closed> as batched
     # 1 x 6 by 6 x 1 products, |.|^2 as _abs_squares, clipped into [0, 1]
     overlaps = (grid.conj()[:, None, :] @ closed[:, :, None])[:, 0, 0]
-    fidelities = [min(max(f, 0.0), 1.0) for f in _abs_squares(overlaps)]
-
-    rows = [
-        {
-            "t": float(t),
-            "p_00": float(probs[0]),
-            "p_10": float(probs[1]),
-            "p_01": float(probs[2]),
-            "p_11": float(probs[3]),
-            "p_2plus": float(probs[4]),
-            "closed_form_fidelity": f,
-        }
-        for t, probs, f in zip(times, probabilities, fidelities)
-    ]
+    populations = (np.abs(grid) ** 2).T.tolist()
+    evolution = {
+        "t": times.tolist(),
+        # the basis states 00, 10, 01, 11 and 2+; zip leaves out 2-
+        **dict(zip(("p_00", "p_10", "p_01", "p_11", "p_2plus"), populations)),
+        "closed_form_fidelity": [min(max(f, 0.0), 1.0) for f in _abs_squares(overlaps)],
+    }
     # np.min, unlike a running min(), lets a NaN fidelity fail the check
-    worst = float(np.min([row["closed_form_fidelity"] for row in rows]))
+    worst = float(np.min(evolution["closed_form_fidelity"]))
     assertions = [
         {
             "name": "closed-form-agreement",
@@ -545,7 +540,7 @@ def _run_pair_evolution(p: dict):
             "detail": f"min fidelity {worst:.12e} over {p['points']} points",
         }
     ]
-    return {"evolution": rows}, assertions
+    return {"evolution": evolution}, assertions
 
 
 def _run_blockade(p: dict):
@@ -578,14 +573,13 @@ def _run_blockade(p: dict):
     times = np.linspace(0.0, window, p["points"])
     c2 = sol.c2(times)
     c3 = sol.c3(times)
-    rows = _blockade_rows(times, c2, c3)
-    solution_row = {
-        "r_1": sol.r1,
-        "r_2": sol.r2,
-        "c_const_1": sol.c_const_1,
-        "c_const_2": sol.c_const_2,
-        "energy_2": sol.energy_2,
-        "energy_3": sol.energy_3,
+    solution = {
+        "r_1": [sol.r1],
+        "r_2": [sol.r2],
+        "c_const_1": [sol.c_const_1],
+        "c_const_2": [sol.c_const_2],
+        "energy_2": [sol.energy_2],
+        "energy_3": [sol.energy_3],
     }
     closure = float(np.abs(np.abs(c2) ** 2 + np.abs(c3) ** 2 - 1.0).max())
     assertions = [
@@ -604,7 +598,8 @@ def _run_blockade(p: dict):
                 "detail": f"max |c3|^2 = {peak:.3e}, bound {p['max_c3_sq_below']:.3e}",
             }
         )
-    return {"amplitudes": rows, "solution": [solution_row]}, assertions
+    amplitudes = _blockade_columns(times, c2, c3)
+    return {"amplitudes": amplitudes, "solution": solution}, assertions
 
 
 def _run_transistor(p: dict):
@@ -628,9 +623,9 @@ def _run_transistor(p: dict):
     projected = grid @ projector.conj().T
     closed = dynamics.transistor_amplitudes(p["alpha"], p["beta"], n, rate, times)
 
-    rows = _transistor_rows(times, projected, closed)
+    evolution = _transistor_columns(times, projected, closed)
     # np.min, unlike a running min(), lets a NaN fidelity fail the check
-    worst = float(np.min([row["closed_form_fidelity"] for row in rows]))
+    worst = float(np.min(evolution["closed_form_fidelity"]))
 
     # the locator's derivatives grow with the square of the spectrum, which
     # these fields scale
@@ -652,8 +647,8 @@ def _run_transistor(p: dict):
             "detail": f"first maximum at {t_star:.9e}, expected {expected:.9e}",
         },
     ]
-    summary = [{"rate": float(rate), "transfer_time": float(t_star)}]
-    return {"evolution": rows, "summary": summary}, assertions
+    summary = {"rate": [float(rate)], "transfer_time": [float(t_star)]}
+    return {"evolution": evolution, "summary": summary}, assertions
 
 
 def _run_effective_error_sweep(p: dict):
@@ -675,17 +670,12 @@ def _run_effective_error_sweep(p: dict):
             swap_periods=periods,
             grid_points=p["points"],
         )
-    rows = [
-        {
-            "delta_factor": float(f),
-            "delta": float(d),
-            "max_infidelity": float(i),
-            "max_leakage": float(l),
-        }
-        for f, d, i, l in zip(
-            p["delta_factors"], report.deltas, report.max_infidelity, report.max_leakage
-        )
-    ]
+    sweep = {
+        "delta_factor": list(map(float, p["delta_factors"])),
+        "delta": list(map(float, report.deltas)),
+        "max_infidelity": list(map(float, report.max_infidelity)),
+        "max_leakage": list(map(float, report.max_leakage)),
+    }
     # validation guarantees the asserted factor is in the sweep
     factor = p["assert_factor"]
     value = report.max_infidelity[p["delta_factors"].index(factor)]
@@ -696,12 +686,12 @@ def _run_effective_error_sweep(p: dict):
             "detail": f"max infidelity {value:.3e}, bound {p['assert_below']:.1e}",
         }
     ]
-    if p["check_monotone"] and len(rows) >= 2:
-        ordered = sorted(rows, key=lambda r: r["delta_factor"])
-        ok = all(
-            b["max_infidelity"] <= 1.1 * a["max_infidelity"]
-            for a, b in zip(ordered, ordered[1:])
+    if p["check_monotone"] and len(sweep["delta"]) >= 2:
+        # (factor, infidelity) by factor; a stable sort keeps equal factors' order
+        ordered = sorted(
+            zip(sweep["delta_factor"], sweep["max_infidelity"]), key=lambda r: r[0]
         )
+        ok = all(b <= 1.1 * a for (_, a), (_, b) in zip(ordered, ordered[1:]))
         assertions.append(
             {
                 "name": "envelope-monotone",
@@ -710,24 +700,17 @@ def _run_effective_error_sweep(p: dict):
                 "(10% fringe jitter allowed)",
             }
         )
-    metric = [{"description": dynamics.ERROR_METRIC}]
-    return {"sweep": rows, "metric": metric}, assertions
+    metric = {"description": [dynamics.ERROR_METRIC]}
+    return {"sweep": sweep, "metric": metric}, assertions
 
 
 def _run_verify_gates(p: dict):
     rng = np.random.default_rng(p["seed"])
     tol = p["tolerance"]
-    rows = []
+    checks = {c: [] for c in ("check", "deviation", "bound", "passed")}
 
     def add(name, deviation, bound):
-        rows.append(
-            {
-                "check": name,
-                "deviation": float(deviation),
-                "bound": float(bound),
-                "passed": bool(deviation <= bound),
-            }
-        )
+        _add_row(checks, name, float(deviation), float(bound), bool(deviation <= bound))
 
     res = circuits.equivalence_up_to_global_phase(gates.pcet(), gates.CNOT, 1e-12)
     add("pcet-equals-cnot", res.max_deviation, 1e-12)
@@ -760,44 +743,28 @@ def _run_verify_gates(p: dict):
     assertions = [
         {
             "name": "all-gate-checks",
-            "passed": all(r["passed"] for r in rows),
-            "detail": f"{sum(r['passed'] for r in rows)}/{len(rows)} checks passed",
+            "passed": all(checks["passed"]),
+            "detail": f"{sum(checks['passed'])}/{len(checks['passed'])} checks passed",
         }
     ]
-    return {"checks": rows}, assertions
+    return {"checks": checks}, assertions
 
 
 def _run_verify_circuits(p: dict):
     rng = np.random.default_rng(p["seed"])
     tol = p["tolerance"]
-    rows = []
+    cases = {c: [] for c in ("case", "construction", "deviation", "count_ok", "passed")}
 
     toffoli = circuits.CircuitBundle(circuits.encoded_toffoli(0, 1, 2, 0), 3, 1)
     matrix, _ = circuits.logical_matrix(toffoli)
     res = circuits.equivalence_up_to_global_phase(matrix, gates.TOFFOLI, 1e-10)
-    rows.append(
-        {
-            "case": "encoded-toffoli",
-            "construction": "pcet",
-            "deviation": res.max_deviation,
-            "count_ok": True,
-            "passed": bool(res.equal),
-        }
-    )
+    _add_row(cases, "encoded-toffoli", "pcet", res.max_deviation, True, bool(res.equal))
 
     margolus, _ = circuits.logical_matrix(
         circuits.CircuitBundle(circuits.standard_toffoli_upto_phase(), 3)
     )
     dev = float(np.abs(np.abs(margolus) - np.abs(gates.TOFFOLI)).max())
-    rows.append(
-        {
-            "case": "toffoli-up-to-phase",
-            "construction": "rotation-ladder",
-            "deviation": dev,
-            "count_ok": True,
-            "passed": bool(dev <= 1e-10),
-        }
-    )
+    _add_row(cases, "toffoli-up-to-phase", "rotation-ladder", dev, True, dev <= 1e-10)
 
     for t in p["t_values"]:
         for sample in range(p["samples"]):
@@ -815,24 +782,23 @@ def _run_verify_circuits(p: dict):
                     count_ok = counts["TOFFOLI"] == 2 * (t - 1)
                 else:
                     count_ok = counts.get("PCET", 0) == 2 * (t - 1)
-                rows.append(
-                    {
-                        "case": f"controlled-power-t{t}-s{sample}",
-                        "construction": name,
-                        "deviation": res.max_deviation,
-                        "count_ok": bool(count_ok),
-                        "passed": bool(res.equal and count_ok),
-                    }
+                _add_row(
+                    cases,
+                    f"controlled-power-t{t}-s{sample}",
+                    name,
+                    res.max_deviation,
+                    bool(count_ok),
+                    bool(res.equal and count_ok),
                 )
 
     assertions = [
         {
             "name": "all-circuit-checks",
-            "passed": all(r["passed"] for r in rows),
-            "detail": f"{sum(r['passed'] for r in rows)}/{len(rows)} cases passed",
+            "passed": all(cases["passed"]),
+            "detail": f"{sum(cases['passed'])}/{len(cases['passed'])} cases passed",
         }
     ]
-    return {"cases": rows}, assertions
+    return {"cases": cases}, assertions
 
 
 RUNNERS = {
@@ -926,37 +892,34 @@ def _json(value, depth: int = 0) -> str:
 
 
 class _Table:
-    """One report table: rows that all have the first row's columns.
+    """One report table: a dict of equal-length column lists, in CSV order.
 
     Its JSON fills one row template (sorted keys, indented at the table's
-    depth) and its CSV one line template (the first row's column order,
-    ``%.12e`` floats, ``true``/``false``), row by row. A column name or
-    cell that is not a float goes through ``_csv_text``.
+    depth) and its CSV one line template (the columns' order, ``%.12e``
+    floats, ``true``/``false``), row by row. A column name or cell that is
+    not a float goes through ``_csv_text``.
     """
 
-    def __init__(self, name: str, rows: list):
+    def __init__(self, name: str, columns: dict):
         self.name = name
-        for row in rows:
-            if not isinstance(row, dict):
-                raise ValueError(f"table {name!r} holds a row that is not an object")
-            if row.keys() != rows[0].keys():
+        for column, values in columns.items():
+            if not isinstance(values, list):
                 raise ValueError(
-                    f"table {name!r} is ragged: a row has columns {sorted(row)}, "
-                    f"the first row {sorted(rows[0])}"
+                    f"table {name!r} has a column {column!r} that is not a list"
                 )
-        self.count = len(rows)
-        self.columns = list(rows[0]) if rows else []
-        self.values = {c: [row[c] for row in rows] for c in self.columns}
+        counts = {len(values) for values in columns.values()}
+        if len(counts) > 1:
+            raise ValueError(
+                f"table {name!r} is ragged: its columns hold {sorted(counts)} values"
+            )
+        self.count = max(counts, default=0)
+        self.columns = columns
         # columns whose every value is a float take the fast text paths
         self.floats = {
             c
-            for c, values in self.values.items()
+            for c, values in columns.items()
             if all(issubclass(t, float) for t in set(map(type, values)))
         }
-
-    def _fill(self, template: str, cells: list[list]) -> list[str]:
-        """``template`` filled with each row of the columns ``cells``."""
-        return list(map(template.__mod__, zip(*cells) if cells else [()] * self.count))
 
     def json(self, depth: int) -> str:
         keys = sorted(self.columns)
@@ -968,11 +931,11 @@ class _Table:
         cells = []
         for k in keys:
             if k in self.floats:
-                text = list(map(float.__repr__, self.values[k]))
+                text = list(map(float.__repr__, self.columns[k]))
                 cells.append(list(map(_NON_FINITE.get, text, text)))
             else:
-                cells.append([_json(v, depth + 2) for v in self.values[k]])
-        return _block(self._fill(template, cells), "[]", depth)
+                cells.append([_json(v, depth + 2) for v in self.columns[k]])
+        return _block(list(map(template.__mod__, zip(*cells))), "[]", depth)
 
     def _csv_text(self, value) -> str:
         """One CSV cell: ``%.12e`` for a float, else its text, a comma quoted.
@@ -996,10 +959,10 @@ class _Table:
         header = ",".join(map(text, self.columns))
         template = ",".join("%.12e" if c in self.floats else "%s" for c in self.columns)
         cells = [
-            self.values[c] if c in self.floats else list(map(text, self.values[c]))
-            for c in self.columns
+            values if c in self.floats else list(map(text, values))
+            for c, values in self.columns.items()
         ]
-        return "\n".join([header, *self._fill(template, cells)]) + "\n"
+        return "\n".join([header, *map(template.__mod__, zip(*cells))]) + "\n"
 
 
 def write_report(outdir, report: RunReport) -> None:
@@ -1007,10 +970,11 @@ def write_report(outdir, report: RunReport) -> None:
 
     ``report.json`` is the payload as ``json.dumps(payload, indent=2,
     sort_keys=True)`` writes it, plus one LF. Every file is rendered before
-    any is created, so a ragged table, a CSV text that would break its line
-    or a value that JSON cannot encode raises with no file written.
+    any is created, so a column that is not a list, columns of unequal
+    length, a CSV text that would break its line or a value that JSON
+    cannot encode raises with no file written.
     """
-    tables = {name: _Table(name, rows) for name, rows in report.tables.items()}
+    tables = {name: _Table(name, columns) for name, columns in report.tables.items()}
     files = {"report.json": _json({**report.payload(), "tables": tables}) + "\n"}
     for name, table in tables.items():
         if table.count:

@@ -148,12 +148,8 @@ def synthesize_rotation(target, tol: float = 1e-10) -> RotationSynthesis:
 
     # z-y-z angles of the special-unitary part
     beta = 2.0 * np.arctan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[1, 0]) < 1e-12:
-        alpha_plus_gamma = 2.0 * np.angle(su[1, 1])
-        alpha_minus_gamma = 0.0
-    else:
-        alpha_plus_gamma = 2.0 * np.angle(su[1, 1])
-        alpha_minus_gamma = 2.0 * np.angle(su[1, 0])
+    alpha_plus_gamma = 2.0 * np.angle(su[1, 1])
+    alpha_minus_gamma = 2.0 * np.angle(su[1, 0])
     alpha = 0.5 * (alpha_plus_gamma + alpha_minus_gamma)
     gamma = 0.5 * (alpha_plus_gamma - alpha_minus_gamma)
 

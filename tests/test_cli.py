@@ -47,6 +47,8 @@ def test_describe_prints_each_range(capsys):
     assert "[1, 2147483648]" in line("blockade", "n_1")
     assert "(0, 1]" in line("blockade", "max_c3_sq_below")
     assert "nonzero" in line("effective-error-sweep", "coupling")
+    for kind in ("pair-evolution", "blockade", "transistor"):
+        assert "[2, 262144]" in line(kind, "points")
     for kind in cli.list_scenarios().splitlines():
         assert cli.main(["describe", kind]) == 0
         assert capsys.readouterr().out == cli.describe(kind) + "\n"
@@ -117,11 +119,12 @@ def test_verify_circuits_fails_a_case_whose_count_is_wrong(monkeypatch):
         "verify-circuits", {"seed": 42, "t_values": [2], "samples": 1}
     )
     tables, assertions = cli.RUNNERS["verify-circuits"](params)
-    powers = [case for case in tables["cases"] if case["case"].startswith("controlled")]
+    cases = tables["cases"]
+    powers = [k for k, c in enumerate(cases["case"]) if c.startswith("controlled")]
     assert len(powers) == 2
-    for case in powers:
-        assert case["deviation"] <= params["tolerance"]
-        assert (case["count_ok"], case["passed"]) == (False, False)
+    for k in powers:
+        assert cases["deviation"][k] <= params["tolerance"]
+        assert (cases["count_ok"][k], cases["passed"][k]) == (False, False)
     assert assertions[0]["passed"] is False
 
 
@@ -682,19 +685,16 @@ def test_bounds_and_grids_at_their_limits_are_accepted():
     assert valid("transistor", periods=0.25)["periods"] == 0.25
     assert valid("blockade", n_1=1, n_photons=0, points=2)["points"] == 2
     assert valid("verify-circuits", seed=0, samples=1)["t_values"] == [2]
-    cap = cli.DENSE_BYTES_CAP // cli.BYTES_PER_AMPLITUDE
-    assert valid("blockade", points=cap)["points"] == cap
-    with pytest.raises(ValidationError, match="points"):
-        valid("blockade", points=cap + 1)
+    # one report row per point, at most 2^18 rows
+    for kind in ("pair-evolution", "blockade", "transistor"):
+        assert valid(kind, points=262144)["points"] == 262144
+        with pytest.raises(ValidationError, match="points"):
+            valid(kind, points=262145)
     # the sweep's arrays hold six amplitudes per point and detuning
+    cap = cli.DENSE_BYTES_CAP // cli.BYTES_PER_AMPLITUDE
     assert valid("effective-error-sweep", points=cap // 12)["points"] == cap // 12
     with pytest.raises(ValidationError, match="points"):
         valid("effective-error-sweep", points=cap // 12 + 1)
-    # the pair's grid holds six amplitudes per point, the transistor's nine
-    for kind, per_point in (("pair-evolution", 6), ("transistor", 9)):
-        assert valid(kind, points=cap // per_point)["points"] == cap // per_point
-        with pytest.raises(ValidationError, match="points"):
-            valid(kind, points=cap // per_point + 1)
 
 
 @pytest.mark.parametrize(
@@ -1047,7 +1047,7 @@ def test_sweep_envelope_fails_past_ten_percent_growth(
     assert _run_verdicts(tmp_path, _VALID["effective-error-sweep"]) == (code, verdicts)
 
 
-# --- table rows against the per-point scalar loops they replace ------------
+# --- table columns against the per-point scalar loops they replace ---------
 
 
 def _transistor_rows_oracle(times, projected, closed):
@@ -1085,10 +1085,16 @@ def _amplitudes(rng, shape):
     return magnitudes * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
 
 
-def _bits(rows):
-    """Each row as (column, exact float text) pairs, columns in row order."""
-    assert all(type(v) is float for row in rows for v in row.values())
-    return [[(k, v.hex()) for k, v in row.items()] for row in rows]
+def _columns(rows):
+    """The columns of per-point rows, in the rows' column order."""
+    return {k: [row[k] for row in rows] for k in rows[0]}
+
+
+def _bits(columns):
+    """Each column as its name and the exact float texts, in table order."""
+    assert all(type(values) is list for values in columns.values())
+    assert all(type(v) is float for values in columns.values() for v in values)
+    return [(k, [v.hex() for v in values]) for k, values in columns.items()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1098,9 +1104,9 @@ def test_row_passes_equal_the_scalar_loops_bit_for_bit(seed, points):
     times = np.linspace(0.0, rng.uniform(1e-3, 1e3), points)
     projected, closed = _amplitudes(rng, (2, points, 4))
     c2, c3 = _amplitudes(rng, (2, points))
-    assert _bits(cli._transistor_rows(times, projected, closed)) == _bits(
-        _transistor_rows_oracle(times, projected, closed)
+    assert _bits(cli._transistor_columns(times, projected, closed)) == _bits(
+        _columns(_transistor_rows_oracle(times, projected, closed))
     )
-    assert _bits(cli._blockade_rows(times, c2, c3)) == _bits(
-        _blockade_rows_oracle(times, c2, c3)
+    assert _bits(cli._blockade_columns(times, c2, c3)) == _bits(
+        _columns(_blockade_rows_oracle(times, c2, c3))
     )

@@ -257,6 +257,22 @@ def test_synthesize_near_anti_diagonal_unitary_keeps_both_phases():
     assert np.abs(u - synthesis.global_phase * synthesis.matrix()).max() <= 1e-15
 
 
+def test_synthesize_near_diagonal_unitary_keeps_both_phases():
+    # |su10| = 8e-13: a snap of |su10| < 1e-12 to a zero off-diagonal dropped
+    # the phase of su10 and missed by 1.5e-12. Below about 3e-13 the b = 0
+    # collapse drops the off-diagonal, so the case sits above it.
+    s, phi = 8e-13, -2.0
+    c = np.sqrt(1.0 - s**2)
+    u = np.array(
+        [
+            [c * np.exp(0.7j), -s * np.exp(1j * (1.0 - phi))],
+            [s * np.exp(1j * phi), c * np.exp(0.3j)],
+        ]
+    )
+    synthesis = synthesize_rotation(u, tol=1e-14)
+    assert np.abs(u - synthesis.global_phase * synthesis.matrix()).max() <= 1e-15
+
+
 def test_synthesize_small_phase_keeps_its_angle():
     # only round-off (1e-12) snaps an angle to 0: a 1e-6 phase is a gate
     synthesis = synthesize_rotation(phase_gate(1e-6))

@@ -5,6 +5,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,13 +58,18 @@ def _json_oracle(value) -> bytes:
     return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _rows(columns) -> list[dict]:
+    """The rows of a column table, each with the columns in table order."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
 def _breaks_a_csv_line(tables) -> bool:
     """Whether the text of a CSV column name or cell holds a double quote, CR or LF."""
     texts = [
         _csv_text(value)
-        for rows in tables.values()
-        if rows
-        for value in [*rows[0], *(v for row in rows for v in row.values())]
+        for columns in tables.values()
+        if _rows(columns)
+        for value in [*columns, *(v for values in columns.values() for v in values)]
     ]
     return any(c in text for text in texts for c in '"\r\n')
 
@@ -88,14 +94,12 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def tables(draw):
-    """Flat rows over one column set, each row's keys in its own order."""
-    columns = draw(st.lists(TEXT, unique=True, max_size=4))
+    """Equal-length column lists under distinct names."""
+    names = draw(st.lists(TEXT, unique=True, max_size=4))
+    count = draw(st.integers(0, 5))
     cell = st.one_of(FLOATS, SCALARS, JSON_VALUES)
-    rows = []
-    for _ in range(draw(st.integers(0, 5))):
-        order = draw(st.permutations(columns))
-        rows.append({c: draw(cell) for c in order})
-    return rows
+    column = st.lists(cell, min_size=count, max_size=count)
+    return {name: draw(column) for name in names}
 
 
 REPORTS = st.builds(
@@ -128,7 +132,9 @@ def test_writer_equals_the_json_and_csv_oracles(report):
             return
         cli.write_report(outdir, report)
         written = {path.name: path.read_bytes() for path in outdir.iterdir()}
-    assert written.pop("report.json") == _json_oracle(report.payload())
+    rows = {name: _rows(columns) for name, columns in report.tables.items()}
+    payload = {**report.payload(), "tables": rows}
+    assert written.pop("report.json") == _json_oracle(payload)
     meta = written.pop("run_meta.json")
     written_at = json.loads(meta)["written_at"]
     assert meta == (
@@ -139,7 +145,7 @@ def test_writer_equals_the_json_and_csv_oracles(report):
         + "\n"
     ).encode("utf-8")
     assert written == {
-        f"{name}.csv": _csv_oracle(rows) for name, rows in report.tables.items() if rows
+        f"{name}.csv": _csv_oracle(table) for name, table in rows.items() if table
     }
 
 
@@ -147,16 +153,18 @@ def test_writer_equals_the_json_and_csv_oracles(report):
 
 
 @pytest.mark.parametrize(
-    "tables",
+    "table",
     [
-        {"good": [{"x": 1.0}], "t": [{"a": 1.0}, {"a": 2.0, "b": 3.0}]},
-        {"good": [{"x": 1.0}], "t": [{"a": 1.0, "b": 3.0}, {"a": 2.0}]},
-        {"good": [{"x": 1.0}], "t": [{"a": 1.0}, 2.0]},
+        {"a": [1.0, 2.0], "b": [3.0, 4.0, 5.0]},
+        {"a": [1.0, 2.0], "b": [3.0]},
+        {"a": [1.0], "b": (2.0,)},
+        {"a": [1.0], "b": "x"},
+        {"a": [1.0], "b": np.array([2.0])},
     ],
-    ids=["extra-column", "missing-column", "not-a-row"],
+    ids=["longer", "shorter", "tuple", "str", "ndarray"],
 )
-def test_ragged_table_writes_nothing(tmp_path, tables):
-    report = cli.RunReport("k", {}, tables, [], 0.0)
+def test_ragged_table_writes_nothing(tmp_path, table):
+    report = cli.RunReport("k", {}, {"good": {"x": [1.0]}, "t": table}, [], 0.0)
     with pytest.raises(ValueError, match="table 't'"):
         cli.write_report(tmp_path / "out", report)
     assert list(tmp_path.iterdir()) == []
@@ -165,29 +173,33 @@ def test_ragged_table_writes_nothing(tmp_path, tables):
 @pytest.mark.parametrize("text", ['say "hi"', "a\rb", "a\nb", "a\r\n"])
 @pytest.mark.parametrize("where", ["column", "cell"])
 def test_csv_text_that_breaks_a_line_writes_nothing(tmp_path, text, where):
-    row = {text: 1.0} if where == "column" else {"name": text, "x": 1.0}
-    report = cli.RunReport("k", {}, {"good": [{"x": 1.0}], "t": [row]}, [], 0.0)
+    table = {text: [1.0]} if where == "column" else {"name": [text], "x": [1.0]}
+    report = cli.RunReport("k", {}, {"good": {"x": [1.0]}, "t": table}, [], 0.0)
     with pytest.raises(ValueError, match="table 't' holds the CSV text"):
         cli.write_report(tmp_path / "out", report)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
-    "row",
-    [{"x": [1, 2], "y": 1.0}, {"x": {"a": 1, "b": 2}, "y": 1.0}, {"x": (1, 2)}],
+    "table",
+    [
+        {"x": [[1, 2]], "y": [1.0]},
+        {"x": [{"a": 1, "b": 2}], "y": [1.0]},
+        {"x": [(1, 2)]},
+    ],
     ids=["list", "dict", "tuple"],
 )
-def test_csv_cell_that_is_not_a_float_or_string_keeps_its_comma_inside(tmp_path, row):
+def test_csv_cell_that_is_not_a_float_or_string_keeps_its_comma_inside(tmp_path, table):
     # a cell's text was quoted only for a string, so "[1, 2]" split in two
-    cli.write_report(tmp_path, cli.RunReport("k", {}, {"t": [row]}, [], 0.0))
+    cli.write_report(tmp_path, cli.RunReport("k", {}, {"t": table}, [], 0.0))
     with (tmp_path / "t.csv").open(newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert [len(r) for r in rows] == [len(header)]
-    assert rows[0][0] == str(row["x"])
+    assert rows[0][0] == str(table["x"][0])
 
 
 def test_csv_cell_whose_text_breaks_a_line_writes_nothing(tmp_path):
-    report = cli.RunReport("k", {}, {"t": [{"x": ['a"b']}]}, [], 0.0)
+    report = cli.RunReport("k", {}, {"t": {"x": [['a"b']]}}, [], 0.0)
     with pytest.raises(ValueError, match="table 't' holds the CSV text"):
         cli.write_report(tmp_path / "out", report)
     assert list(tmp_path.iterdir()) == []
@@ -195,7 +207,7 @@ def test_csv_cell_whose_text_breaks_a_line_writes_nothing(tmp_path):
 
 def test_run_exits_5_on_csv_text_that_breaks_a_line(tmp_path, monkeypatch, capsys):
     def runner(params):
-        return {"cases": [{"case": "a\nb", "passed": True}]}, []
+        return {"cases": {"case": ["a\nb"], "passed": [True]}}, []
 
     monkeypatch.setitem(cli.RUNNERS, "blockade", runner)
     scenario = tmp_path / "scenario.json"
@@ -206,7 +218,7 @@ def test_run_exits_5_on_csv_text_that_breaks_a_line(tmp_path, monkeypatch, capsy
 
 
 def test_value_json_cannot_encode_writes_nothing(tmp_path):
-    report = cli.RunReport("k", {"nodes": {1, 2}}, {"good": [{"x": 1.0}]}, [], 0.0)
+    report = cli.RunReport("k", {"nodes": {1, 2}}, {"good": {"x": [1.0]}}, [], 0.0)
     with pytest.raises(TypeError, match="set"):
         cli.write_report(tmp_path / "out", report)
     assert list(tmp_path.iterdir()) == []
