@@ -125,9 +125,10 @@ class FockFactor:
     """Photon-mode factor of a composite basis, with per-mode truncation.
 
     The truncation must exceed the largest photon number reachable from the
-    initial states of interest by at least one guard level; builders that
-    compare against operator products near the truncation edge restrict
-    themselves to interior sectors.
+    initial states of interest by at least one guard level. The operator
+    products of ``hamiltonian.schrieffer_wolff_hamiltonian`` carry their own
+    guard photon per mode, so its entries at the truncation edge are the
+    second-order values too.
     """
 
     modes: tuple[Mode, ...]

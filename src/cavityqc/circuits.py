@@ -35,7 +35,8 @@ from .gates import UNITARITY_TOL, decode, encode, et_gate, phase_gate
 from .gates import require_unitary, synthesize_rotation
 
 # re-exported: the reference the controlled-power constructions are checked
-# against, named here by the CLI, the tests and perfbench/tracing.py
+# against, which the package exports from here and perfbench/tracing.py
+# traces here (the CLI calls gates.controlled_power_matrix)
 from .gates import controlled_power_matrix  # noqa: F401
 
 # kind: (allowed parameter counts, control count); every kind acts on two

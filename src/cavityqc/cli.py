@@ -506,6 +506,12 @@ def _add_row(table: dict, *row) -> None:
         column.append(value)
 
 
+def _all_passed(name: str, table: dict, noun: str) -> tuple:
+    """The check that every row of ``table`` passed, counting them in its detail."""
+    passed = table["passed"]
+    return name, all(passed), f"{sum(passed)}/{len(passed)} {noun} passed"
+
+
 def _run_pair_evolution(p: dict):
     n = p["n_atoms"]
     rate = p["swap_rate"]
@@ -533,14 +539,9 @@ def _run_pair_evolution(p: dict):
     }
     # np.min, unlike a running min(), lets a NaN fidelity fail the check
     worst = float(np.min(evolution["closed_form_fidelity"]))
-    assertions = [
-        {
-            "name": "closed-form-agreement",
-            "passed": bool(worst >= 1.0 - p["tolerance"]),
-            "detail": f"min fidelity {worst:.12e} over {p['points']} points",
-        }
-    ]
-    return {"evolution": evolution}, assertions
+    detail = f"min fidelity {worst:.12e} over {p['points']} points"
+    checks = [("closed-form-agreement", worst >= 1.0 - p["tolerance"], detail)]
+    return {"evolution": evolution}, checks
 
 
 def _run_blockade(p: dict):
@@ -582,24 +583,15 @@ def _run_blockade(p: dict):
         "energy_3": [sol.energy_3],
     }
     closure = float(np.abs(np.abs(c2) ** 2 + np.abs(c3) ** 2 - 1.0).max())
-    assertions = [
-        {
-            "name": "norm-closure",
-            "passed": bool(closure <= 1e-9),
-            "detail": f"max ||c2|^2 + |c3|^2 - 1| = {closure:.3e}",
-        }
+    checks = [
+        ("norm-closure", closure <= 1e-9, f"max ||c2|^2 + |c3|^2 - 1| = {closure:.3e}")
     ]
     if p["max_c3_sq_below"] is not None:
-        peak = float((np.abs(c3) ** 2).max())
-        assertions.append(
-            {
-                "name": "transfer-blocked",
-                "passed": bool(peak < p["max_c3_sq_below"]),
-                "detail": f"max |c3|^2 = {peak:.3e}, bound {p['max_c3_sq_below']:.3e}",
-            }
-        )
+        peak, bound = float((np.abs(c3) ** 2).max()), p["max_c3_sq_below"]
+        detail = f"max |c3|^2 = {peak:.3e}, bound {bound:.3e}"
+        checks.append(("transfer-blocked", peak < bound, detail))
     amplitudes = _blockade_columns(times, c2, c3)
-    return {"amplitudes": amplitudes, "solution": solution}, assertions
+    return {"amplitudes": amplitudes, "solution": solution}, checks
 
 
 def _run_transistor(p: dict):
@@ -635,20 +627,14 @@ def _run_transistor(p: dict):
         )
     expected = 0.5 * period
     t_err = abs(t_star - expected) / expected
-    assertions = [
-        {
-            "name": "closed-form-agreement",
-            "passed": bool(worst >= 1.0 - p["tolerance"]),
-            "detail": f"min fidelity {worst:.12e}",
-        },
-        {
-            "name": "transfer-time",
-            "passed": bool(t_err <= 1e-6),
-            "detail": f"first maximum at {t_star:.9e}, expected {expected:.9e}",
-        },
+    agreement = f"min fidelity {worst:.12e}"
+    timing = f"first maximum at {t_star:.9e}, expected {expected:.9e}"
+    checks = [
+        ("closed-form-agreement", worst >= 1.0 - p["tolerance"], agreement),
+        ("transfer-time", t_err <= 1e-6, timing),
     ]
     summary = {"rate": [float(rate)], "transfer_time": [float(t_star)]}
-    return {"evolution": evolution, "summary": summary}, assertions
+    return {"evolution": evolution, "summary": summary}, checks
 
 
 def _run_effective_error_sweep(p: dict):
@@ -679,29 +665,20 @@ def _run_effective_error_sweep(p: dict):
     # validation guarantees the asserted factor is in the sweep
     factor = p["assert_factor"]
     value = report.max_infidelity[p["delta_factors"].index(factor)]
-    assertions = [
-        {
-            "name": f"infidelity-at-{factor:g}x",
-            "passed": bool(value < p["assert_below"]),
-            "detail": f"max infidelity {value:.3e}, bound {p['assert_below']:.1e}",
-        }
-    ]
+    bound = p["assert_below"]
+    detail = f"max infidelity {value:.3e}, bound {bound:.1e}"
+    checks = [(f"infidelity-at-{factor:g}x", value < bound, detail)]
     if p["check_monotone"] and len(sweep["delta"]) >= 2:
         # (factor, infidelity) by factor; a stable sort keeps equal factors' order
         ordered = sorted(
             zip(sweep["delta_factor"], sweep["max_infidelity"]), key=lambda r: r[0]
         )
         ok = all(b <= 1.1 * a for (_, a), (_, b) in zip(ordered, ordered[1:]))
-        assertions.append(
-            {
-                "name": "envelope-monotone",
-                "passed": bool(ok),
-                "detail": "max infidelity non-increasing across the sweep "
-                "(10% fringe jitter allowed)",
-            }
-        )
+        jitter = "10% fringe jitter allowed"
+        detail = f"max infidelity non-increasing across the sweep ({jitter})"
+        checks.append(("envelope-monotone", ok, detail))
     metric = {"description": [dynamics.ERROR_METRIC]}
-    return {"sweep": sweep, "metric": metric}, assertions
+    return {"sweep": sweep, "metric": metric}, checks
 
 
 def _run_verify_gates(p: dict):
@@ -740,14 +717,7 @@ def _run_verify_gates(p: dict):
         worst = max(worst, dev)
     add("rotation-synthesis", worst, tol)
 
-    assertions = [
-        {
-            "name": "all-gate-checks",
-            "passed": all(checks["passed"]),
-            "detail": f"{sum(checks['passed'])}/{len(checks['passed'])} checks passed",
-        }
-    ]
-    return {"checks": checks}, assertions
+    return {"checks": checks}, [_all_passed("all-gate-checks", checks, "checks")]
 
 
 def _run_verify_circuits(p: dict):
@@ -791,14 +761,7 @@ def _run_verify_circuits(p: dict):
                     bool(res.equal and count_ok),
                 )
 
-    assertions = [
-        {
-            "name": "all-circuit-checks",
-            "passed": all(cases["passed"]),
-            "detail": f"{sum(cases['passed'])}/{len(cases['passed'])} cases passed",
-        }
-    ]
-    return {"cases": cases}, assertions
+    return {"cases": cases}, [_all_passed("all-circuit-checks", cases, "cases")]
 
 
 RUNNERS = {
@@ -814,30 +777,6 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 # Report writing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Deterministic result of one scenario run (wall time kept separate)."""
-
-    kind: str
-    scenario: dict
-    tables: dict
-    assertions: list
-    wall_time_seconds: float
-
-    @property
-    def passed(self) -> bool:
-        return all(a["passed"] for a in self.assertions)
-
-    def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scenario": self.scenario,
-            "tables": self.tables,
-            "assertions": self.assertions,
-            "passed": self.passed,
-        }
 
 
 # JSON text of the non-finite floats, as json.dumps writes them
@@ -965,22 +904,24 @@ class _Table:
         return "\n".join([header, *map(template.__mod__, zip(*cells))]) + "\n"
 
 
-def write_report(outdir, report: RunReport) -> None:
+def write_report(outdir, payload: dict, wall_time_seconds: float) -> None:
     """Write ``report.json``, one CSV per non-empty table and ``run_meta.json``.
 
-    ``report.json`` is the payload as ``json.dumps(payload, indent=2,
-    sort_keys=True)`` writes it, plus one LF. Every file is rendered before
-    any is created, so a column that is not a list, columns of unequal
-    length, a CSV text that would break its line or a value that JSON
-    cannot encode raises with no file written.
+    ``report.json`` is ``payload`` as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` writes it, plus one LF; its ``tables`` map each name
+    to a column table. ``run_meta.json`` holds ``wall_time_seconds`` and
+    the time of writing. Every file is rendered before any is created, so
+    a column that is not a list, columns of unequal length, a CSV text
+    that would break its line or a value that JSON cannot encode raises
+    with no file written.
     """
-    tables = {name: _Table(name, columns) for name, columns in report.tables.items()}
-    files = {"report.json": _json({**report.payload(), "tables": tables}) + "\n"}
+    tables = {name: _Table(name, cols) for name, cols in payload["tables"].items()}
+    files = {"report.json": _json({**payload, "tables": tables}) + "\n"}
     for name, table in tables.items():
         if table.count:
             files[f"{name}.csv"] = table.csv()
     meta = {
-        "wall_time_seconds": report.wall_time_seconds,
+        "wall_time_seconds": wall_time_seconds,
         "written_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
     files["run_meta.json"] = _json(meta) + "\n"
@@ -992,26 +933,35 @@ def write_report(outdir, report: RunReport) -> None:
 
 
 def run(path, outdir) -> int:
-    """Execute a scenario file; returns the process exit code."""
+    """Execute a scenario file; returns the process exit code.
+
+    The runner returns its tables and its checks, each a ``(name, passed,
+    detail)`` triple; each check becomes one assertion of the report and
+    one ``[pass]`` or ``[FAIL]`` line.
+    """
     kind, params = load_scenario(path)
     start = time.perf_counter()
-    tables, assertions = RUNNERS[kind](params)
+    tables, checks = RUNNERS[kind](params)
     elapsed = time.perf_counter() - start
-    scenario_echo = {
-        k: (_cpx(v) if isinstance(v, complex) else v) for k, v in params.items()
+    assertions = [
+        {"name": name, "passed": bool(passed), "detail": detail}
+        for name, passed, detail in checks
+    ]
+    passed = all(a["passed"] for a in assertions)
+    payload = {
+        "kind": kind,
+        "scenario": {
+            k: (_cpx(v) if isinstance(v, complex) else v) for k, v in params.items()
+        },
+        "tables": tables,
+        "assertions": assertions,
+        "passed": passed,
     }
-    report = RunReport(
-        kind=kind,
-        scenario=scenario_echo,
-        tables=tables,
-        assertions=assertions,
-        wall_time_seconds=elapsed,
-    )
-    write_report(outdir, report)
-    for a in report.assertions:
+    write_report(outdir, payload, elapsed)
+    for a in assertions:
         status = "pass" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: {a['detail']}")
-    return 0 if report.passed else 4
+    return 0 if passed else 4
 
 
 def describe(kind: str) -> str:

@@ -118,14 +118,15 @@ def test_verify_circuits_fails_a_case_whose_count_is_wrong(monkeypatch):
     params = cli.validate_params(
         "verify-circuits", {"seed": 42, "t_values": [2], "samples": 1}
     )
-    tables, assertions = cli.RUNNERS["verify-circuits"](params)
+    tables, checks = cli.RUNNERS["verify-circuits"](params)
     cases = tables["cases"]
     powers = [k for k, c in enumerate(cases["case"]) if c.startswith("controlled")]
     assert len(powers) == 2
     for k in powers:
         assert cases["deviation"][k] <= params["tolerance"]
         assert (cases["count_ok"][k], cases["passed"][k]) == (False, False)
-    assert assertions[0]["passed"] is False
+    ((name, passed, _),) = checks
+    assert name == "all-circuit-checks" and passed is False
 
 
 def test_run_blockade_with_block_bound(tmp_path):
@@ -1045,6 +1046,214 @@ def test_sweep_envelope_fails_past_ten_percent_growth(
     monkeypatch.setattr(dynamics, "effective_model_error", grown)
     verdicts = {"infidelity-at-30x": True, "envelope-monotone": code == 0}
     assert _run_verdicts(tmp_path, _VALID["effective-error-sweep"]) == (code, verdicts)
+
+
+def _rows(tmp_path, table):
+    """The rows of one table of the last run's report."""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return report["tables"][table]
+
+
+@pytest.mark.parametrize("multiple, code", [(2.0, 4), (0.5, 0)])
+@pytest.mark.parametrize("kind", ["pair-evolution", "transistor"])
+def test_closed_form_agreement_fails_past_its_tolerance(
+    tmp_path, monkeypatch, kind, multiple, code
+):
+    # the evolved states scaled by sqrt(1 - multiple * tolerance): every
+    # fidelity, 1 within 1e-15 as given, drops by multiple x the tolerance
+    tolerance = cli.FIDELITY_TOLERANCE.default
+    real = dynamics.evolve_on_grid
+    scale = math.sqrt(1.0 - multiple * tolerance)
+    monkeypatch.setattr(dynamics, "evolve_on_grid", lambda *args: scale * real(*args))
+    verdicts = {"closed-form-agreement": code == 0}
+    if kind == "transistor":
+        verdicts["transfer-time"] = True
+    assert _run_verdicts(tmp_path, _VALID[kind]) == (code, verdicts)
+    worst = min(row["closed_form_fidelity"] for row in _rows(tmp_path, "evolution"))
+    assert 1.0 - worst == pytest.approx(multiple * tolerance, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "bound, code", [(0.125, 4), (0.25, 4), (0.5, 0)], ids=["double", "equal", "half"]
+)
+def test_blockade_transfer_blocked_fails_at_its_bound(
+    tmp_path, monkeypatch, bound, code
+):
+    # |c3|^2 = 0.25 and |c2|^2 = 0.75 at every time, 0.25 exact in binary:
+    # the strict < fails a peak equal to the bound
+    def constant(value):
+        return lambda self, t: np.full(np.shape(t), value, dtype=complex)
+
+    monkeypatch.setattr(dynamics.BlockadeSolution, "c2", constant(math.sqrt(0.75)))
+    monkeypatch.setattr(dynamics.BlockadeSolution, "c3", constant(0.5))
+    payload = {**_VALID["blockade"], "max_c3_sq_below": bound}
+    verdicts = {"norm-closure": True, "transfer-blocked": code == 0}
+    assert _run_verdicts(tmp_path, payload) == (code, verdicts)
+
+
+@pytest.mark.parametrize(
+    "multiple, code", [(2.0, 4), (1.0, 4), (0.5, 0)], ids=["double", "equal", "half"]
+)
+def test_sweep_infidelity_fails_at_its_bound(tmp_path, monkeypatch, multiple, code):
+    # the infidelity at 30x sits at multiple x the bound, that at 10x far
+    # above it, so the envelope check passes; the strict < fails equality
+    bound = 1e-3
+    real = dynamics.effective_model_error
+
+    def at(*args, **kwargs):
+        infidelity = (10.0 * bound, multiple * bound)
+        return replace(real(*args, **kwargs), max_infidelity=infidelity)
+
+    monkeypatch.setattr(dynamics, "effective_model_error", at)
+    payload = {**_VALID["effective-error-sweep"], "assert_below": bound}
+    verdicts = {"infidelity-at-30x": code == 0, "envelope-monotone": True}
+    assert _run_verdicts(tmp_path, payload) == (code, verdicts)
+
+
+def _phase_of_distance(distance):
+    """The phase phi with |e^(i phi) - 1| = ``distance``."""
+    return 2.0 * math.asin(distance / 2.0)
+
+
+def _off_gate_row(monkeypatch, row, deviation):
+    """Patch what verify-gates row ``row`` reads, so that it deviates by ``deviation``.
+
+    The pcet rows read the deviation of an equivalence result; the
+    anticommutation row reads phase_gate(pi), here with deviation / 2 added
+    to each diagonal entry; the group law reads transfers, here each but the
+    full one (which pcet and the anticommutation use) with a global phase at
+    distance ``deviation`` from 1, a phase that every other row cancels; the
+    synthesis row reads the synthesized matrix, here off by ``deviation`` in
+    one entry.
+    """
+    gates = cli.gates
+    if row in ("pcet-equals-cnot", "pcet-involution"):
+        reference = gates.CNOT if row == "pcet-equals-cnot" else np.eye(4)
+        real = cli.circuits.equivalence_up_to_global_phase
+
+        def equivalence(a, b, tol=1e-10):
+            result = real(a, b, tol)
+            if np.array_equal(b, reference):
+                result = replace(result, max_deviation=deviation)
+            return result
+
+        monkeypatch.setattr(cli.circuits, "equivalence_up_to_global_phase", equivalence)
+    elif row == "phase-et-anticommutation":
+        real = gates.phase_gate
+        off = 0.5 * deviation * np.eye(2)
+
+        def phase_gate(chi):
+            return real(chi) + off if chi == np.pi else real(chi)
+
+        monkeypatch.setattr(gates, "phase_gate", phase_gate)
+    elif row == "et-group-law":
+        real = gates.et_gate
+        phase = np.exp(1j * _phase_of_distance(deviation))
+        monkeypatch.setattr(
+            gates, "et_gate", lambda t: real(t) if t == np.pi else phase * real(t)
+        )
+    else:
+        real = gates.synthesize_rotation
+
+        def synthesize(u, tol=1e-10):
+            synthesis = real(u, tol=tol)
+            phase = synthesis.global_phase
+            matrix = synthesis.matrix() + np.diag([deviation, 0.0]) / phase
+            return mock.Mock(global_phase=phase, matrix=lambda: matrix)
+
+        monkeypatch.setattr(gates, "synthesize_rotation", synthesize)
+
+
+_GATE_ROWS = {
+    "pcet-equals-cnot": 1e-12,
+    "pcet-involution": 1e-12,
+    "phase-et-anticommutation": 1e-12,
+    "et-group-law": 1e-12,
+    # the scenario's tolerance, by default
+    "rotation-synthesis": 1e-10,
+}
+
+
+@pytest.mark.parametrize("multiple, code", [(2.0, 4), (0.5, 0)])
+@pytest.mark.parametrize("row", sorted(_GATE_ROWS))
+def test_verify_gates_row_fails_past_its_bound(
+    tmp_path, monkeypatch, row, multiple, code
+):
+    bound = _GATE_ROWS[row]
+    _off_gate_row(monkeypatch, row, multiple * bound)
+    verdicts = {"all-gate-checks": code == 0}
+    assert _run_verdicts(tmp_path, _VALID["verify-gates"]) == (code, verdicts)
+    rows = {r["check"]: r for r in _rows(tmp_path, "checks")}
+    assert sorted(rows) == sorted(_GATE_ROWS)
+    assert {name: r["passed"] for name, r in rows.items()} == {
+        name: name != row or code == 0 for name in rows
+    }
+    # the group law's deviation is the distance times the largest entry of
+    # a transfer, which lies in [1/sqrt(2), 1]; the others equal it
+    deviation = rows[row]["deviation"]
+    assert multiple * bound / math.sqrt(2.0) <= deviation <= multiple * bound * 1.001
+
+
+def _off_circuit_case(monkeypatch, case, deviation):
+    """Patch what verify-circuits ``case`` reads, so that it deviates by ``deviation``.
+
+    The encoded Toffoli's and the controlled power's references gain a
+    phase on one diagonal entry, at distance ``deviation`` from 1 (a phase
+    leaves the magnitudes that the rotation ladder is checked on alone);
+    the rotation ladder gains a final transfer on its target, which moves
+    ``deviation`` of amplitude onto each entry the Toffoli leaves at 0.
+    """
+    gates, circuits = cli.gates, cli.circuits
+    phase = np.exp(1j * _phase_of_distance(deviation))
+    if case == "encoded-toffoli":
+        toffoli = gates.TOFFOLI.copy()
+        toffoli[1, 1] *= phase
+        monkeypatch.setattr(gates, "TOFFOLI", toffoli)
+    elif case == "toffoli-up-to-phase":
+        real = circuits.standard_toffoli_upto_phase
+        theta = 2.0 * math.asin(deviation)
+        extra = circuits.Circuit((circuits.Operation("ET", (theta,), targets=("q2",)),))
+        monkeypatch.setattr(
+            circuits, "standard_toffoli_upto_phase", lambda: real() + extra
+        )
+    else:
+        real = gates.controlled_power_matrix
+
+        def reference(t, u):
+            matrix = real(t, u)
+            matrix[1, 1] *= phase
+            return matrix
+
+        monkeypatch.setattr(gates, "controlled_power_matrix", reference)
+
+
+# each case and its bound: the fixed ones 1e-10, the controlled powers the
+# scenario's tolerance, by default
+_CIRCUIT_CASES = {
+    "encoded-toffoli": 1e-10,
+    "toffoli-up-to-phase": 1e-10,
+    "controlled-power-t2-s0": 1e-9,
+}
+
+
+@pytest.mark.parametrize("multiple, code", [(2.0, 4), (0.5, 0)])
+@pytest.mark.parametrize("case", sorted(_CIRCUIT_CASES))
+def test_verify_circuits_case_fails_past_its_bound(
+    tmp_path, monkeypatch, case, multiple, code
+):
+    bound = _CIRCUIT_CASES[case]
+    _off_circuit_case(monkeypatch, case, multiple * bound)
+    verdicts = {"all-circuit-checks": code == 0}
+    assert _run_verdicts(tmp_path, _VALID["verify-circuits"]) == (code, verdicts)
+    rows = _rows(tmp_path, "cases")
+    # the controlled power has a standard and an improved row
+    power = "controlled-power-t2-s0"
+    assert sorted(r["case"] for r in rows) == sorted([*_CIRCUIT_CASES, power])
+    for r in rows:
+        assert r["count_ok"] is True
+        assert r["passed"] is (r["case"] != case or code == 0)
+        if r["case"] == case:
+            assert r["deviation"] == pytest.approx(multiple * bound, rel=1e-3)
 
 
 # --- table columns against the per-point scalar loops they replace ---------

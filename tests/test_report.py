@@ -102,44 +102,55 @@ def tables(draw):
     return {name: draw(column) for name in names}
 
 
-REPORTS = st.builds(
-    cli.RunReport,
-    kind=TEXT,
-    scenario=st.dictionaries(TEXT, JSON_VALUES, max_size=4),
-    tables=st.dictionaries(
-        st.from_regex(r"[a-z_]{1,8}", fullmatch=True), tables(), max_size=3
-    ),
-    assertions=st.lists(
-        st.fixed_dictionaries(
-            {"name": TEXT, "passed": st.booleans(), "detail": TEXT},
-            optional={"extra": JSON_VALUES},
+PAYLOADS = st.fixed_dictionaries(
+    {
+        "kind": TEXT,
+        "scenario": st.dictionaries(TEXT, JSON_VALUES, max_size=4),
+        "tables": st.dictionaries(
+            st.from_regex(r"[a-z_]{1,8}", fullmatch=True), tables(), max_size=3
         ),
-        max_size=3,
-    ),
-    wall_time_seconds=st.floats(0.0, 1e3),
+        "assertions": st.lists(
+            st.fixed_dictionaries(
+                {"name": TEXT, "passed": st.booleans(), "detail": TEXT},
+                optional={"extra": JSON_VALUES},
+            ),
+            max_size=3,
+        ),
+        "passed": st.booleans(),
+    }
 )
 
 
+def _payload(tables, scenario=None) -> dict:
+    """A report payload holding ``tables``, with the keys ``cli.run`` gives it."""
+    return {
+        "kind": "k",
+        "scenario": scenario or {},
+        "tables": tables,
+        "assertions": [],
+        "passed": True,
+    }
+
+
 @settings(max_examples=200, deadline=None)
-@given(REPORTS)
-def test_writer_equals_the_json_and_csv_oracles(report):
+@given(PAYLOADS, st.floats(0.0, 1e3))
+def test_writer_equals_the_json_and_csv_oracles(payload, wall_time_seconds):
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
-        if _breaks_a_csv_line(report.tables):
+        if _breaks_a_csv_line(payload["tables"]):
             with pytest.raises(ValueError, match="CSV text"):
-                cli.write_report(outdir, report)
+                cli.write_report(outdir, payload, wall_time_seconds)
             assert not outdir.exists()
             return
-        cli.write_report(outdir, report)
+        cli.write_report(outdir, payload, wall_time_seconds)
         written = {path.name: path.read_bytes() for path in outdir.iterdir()}
-    rows = {name: _rows(columns) for name, columns in report.tables.items()}
-    payload = {**report.payload(), "tables": rows}
-    assert written.pop("report.json") == _json_oracle(payload)
+    rows = {name: _rows(columns) for name, columns in payload["tables"].items()}
+    assert written.pop("report.json") == _json_oracle({**payload, "tables": rows})
     meta = written.pop("run_meta.json")
     written_at = json.loads(meta)["written_at"]
     assert meta == (
         json.dumps(
-            {"wall_time_seconds": report.wall_time_seconds, "written_at": written_at},
+            {"wall_time_seconds": wall_time_seconds, "written_at": written_at},
             indent=2,
         )
         + "\n"
@@ -164,9 +175,9 @@ def test_writer_equals_the_json_and_csv_oracles(report):
     ids=["longer", "shorter", "tuple", "str", "ndarray"],
 )
 def test_ragged_table_writes_nothing(tmp_path, table):
-    report = cli.RunReport("k", {}, {"good": {"x": [1.0]}, "t": table}, [], 0.0)
+    payload = _payload({"good": {"x": [1.0]}, "t": table})
     with pytest.raises(ValueError, match="table 't'"):
-        cli.write_report(tmp_path / "out", report)
+        cli.write_report(tmp_path / "out", payload, 0.0)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -174,9 +185,9 @@ def test_ragged_table_writes_nothing(tmp_path, table):
 @pytest.mark.parametrize("where", ["column", "cell"])
 def test_csv_text_that_breaks_a_line_writes_nothing(tmp_path, text, where):
     table = {text: [1.0]} if where == "column" else {"name": [text], "x": [1.0]}
-    report = cli.RunReport("k", {}, {"good": {"x": [1.0]}, "t": table}, [], 0.0)
+    payload = _payload({"good": {"x": [1.0]}, "t": table})
     with pytest.raises(ValueError, match="table 't' holds the CSV text"):
-        cli.write_report(tmp_path / "out", report)
+        cli.write_report(tmp_path / "out", payload, 0.0)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -191,7 +202,7 @@ def test_csv_text_that_breaks_a_line_writes_nothing(tmp_path, text, where):
 )
 def test_csv_cell_that_is_not_a_float_or_string_keeps_its_comma_inside(tmp_path, table):
     # a cell's text was quoted only for a string, so "[1, 2]" split in two
-    cli.write_report(tmp_path, cli.RunReport("k", {}, {"t": table}, [], 0.0))
+    cli.write_report(tmp_path, _payload({"t": table}), 0.0)
     with (tmp_path / "t.csv").open(newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert [len(r) for r in rows] == [len(header)]
@@ -199,9 +210,9 @@ def test_csv_cell_that_is_not_a_float_or_string_keeps_its_comma_inside(tmp_path,
 
 
 def test_csv_cell_whose_text_breaks_a_line_writes_nothing(tmp_path):
-    report = cli.RunReport("k", {}, {"t": {"x": [['a"b']]}}, [], 0.0)
+    payload = _payload({"t": {"x": [['a"b']]}})
     with pytest.raises(ValueError, match="table 't' holds the CSV text"):
-        cli.write_report(tmp_path / "out", report)
+        cli.write_report(tmp_path / "out", payload, 0.0)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -218,9 +229,9 @@ def test_run_exits_5_on_csv_text_that_breaks_a_line(tmp_path, monkeypatch, capsy
 
 
 def test_value_json_cannot_encode_writes_nothing(tmp_path):
-    report = cli.RunReport("k", {"nodes": {1, 2}}, {"good": {"x": [1.0]}}, [], 0.0)
+    payload = _payload({"good": {"x": [1.0]}}, scenario={"nodes": {1, 2}})
     with pytest.raises(TypeError, match="set"):
-        cli.write_report(tmp_path / "out", report)
+        cli.write_report(tmp_path / "out", payload, 0.0)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -257,6 +268,59 @@ def test_shipped_csvs_read_back_with_the_header_width(tmp_path, scenario, capsys
             header, *rows = csv.reader(fh)
         assert rows
         assert {len(row) for row in rows} == {len(header)}, path.name
+
+
+# --- what run prints ---------------------------------------------------------
+
+SWEEP = {
+    "kind": "effective-error-sweep",
+    "n_atoms": 1,
+    "coupling": 0.01,
+    "delta_factors": [10, 30],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, code, statuses",
+    [
+        (SWEEP, 0, ["pass", "pass"]),
+        ({**BLOCKADE, "max_c3_sq_below": 1e-3}, 4, ["pass", "FAIL"]),
+    ],
+    ids=["passing-sweep", "failing-blockade"],
+)
+def test_run_prints_one_line_per_assertion_in_report_order(
+    tmp_path, capsys, payload, code, statuses
+):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.run(scenario, tmp_path / "out") == code
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assertions = report["assertions"]
+    assert [a["passed"] for a in assertions] == [s == "pass" for s in statuses]
+    assert capsys.readouterr().out.splitlines() == [
+        f"[{status}] {a['name']}: {a['detail']}"
+        for status, a in zip(statuses, assertions, strict=True)
+    ]
+
+
+def test_run_writes_a_numpy_bool_verdict_as_a_json_bool(tmp_path, monkeypatch, capsys):
+    """A runner's verdict may be a numpy bool; run makes it a bool once."""
+
+    def runner(params):
+        checks = [("kept", np.bool_(True), "one"), ("lost", np.False_, "two")]
+        return {"t": {"x": [1.0]}}, checks
+
+    monkeypatch.setitem(cli.RUNNERS, "blockade", runner)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(BLOCKADE), encoding="utf-8")
+    assert cli.run(scenario, tmp_path / "out") == 4
+    raw = (tmp_path / "out" / "report.json").read_text()
+    assert json.loads(raw)["assertions"] == [
+        {"name": "kept", "passed": True, "detail": "one"},
+        {"name": "lost", "passed": False, "detail": "two"},
+    ]
+    assert '"passed": true' in raw and '"passed": false' in raw
+    assert capsys.readouterr().out == "[pass] kept: one\n[FAIL] lost: two\n"
 
 
 # --- the benchmark's writer span --------------------------------------------
