@@ -317,10 +317,10 @@ class CompositeBasis:
         """Most bytes the basis holds once all its layout tables are built.
 
         16 KiB for the object itself; per site, 8 KiB for its bookkeeping
-        and the headers and keys of its factor tables (at most ten: one per
-        level energy, transition and projector on an atomic site, fewer on a
-        mode); per local state, 512 for its level counts and 16 per factor
-        table; per state, 96 for the six pair rows, 16 for the diagonal of
+        and the headers and keys of its factor tables (at most six: one per
+        transition and direction on an atomic site, two on a mode); per
+        local state, 512 for its level counts and 16 per factor table; per
+        state, 96 for the six pair rows, 16 for the diagonal of
         the static part and, per site, 10 for the occupation row and its
         code.
         """

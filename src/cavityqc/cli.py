@@ -55,7 +55,7 @@ class Field:
 
     The range holds the number, or each list item: ``minimum`` and
     ``maximum`` are included ends, ``above`` and ``below`` excluded ones,
-    and a ``nonzero`` field refuses 0.
+    and a ``nonzero`` field refuses 0. A list holds 1 to MAX_TABLE_ROWS items.
     """
 
     name: str
@@ -71,13 +71,14 @@ class Field:
 
     @property
     def range(self) -> str:
-        """The range as text: an interval such as ``[0, 1)``, ``nonzero``, or ''."""
+        """The range as text, such as ``[0, 1)``, ``nonzero``, ``1-262144 items``."""
         low = "(-inf" if self.above is None else f"({self.above}"
         high = "inf)" if self.below is None else f"{self.below})"
         low = low if self.minimum is None else f"[{self.minimum}"
         high = high if self.maximum is None else f"{self.maximum}]"
         interval = "" if (low, high) == ("(-inf", "inf)") else f"{low}, {high}"
-        return " ".join(filter(None, (interval, "nonzero" * self.nonzero)))
+        items = f"1-{MAX_TABLE_ROWS} items" if self.kind.startswith("list[") else ""
+        return " ".join(filter(None, (interval, "nonzero" * self.nonzero, items)))
 
 
 # Largest atom count per node. The product of two counts, which the runners
@@ -88,13 +89,20 @@ MAX_ATOMS = 2**31
 # Largest number of complex amplitudes whose array fits the byte cap.
 MAX_AMPLITUDES = DENSE_BYTES_CAP // BYTES_PER_AMPLITUDE
 
-# Most time points of a pair-evolution, blockade or transistor grid, each
-# one report row. A row costs far more than its amplitudes: the slope of
-# peak RSS between 65,536 and 262,144 points (single runs, ru_maxrss) is
-# about 1.6 KB per row for the pair, 1.2 KB for the transistor and 1.1 KB
-# for the blockade, so at this cap the widest, the pair's, peaked at
-# 450 MB, within DENSE_BYTES_CAP.
+# Most time points of a pair-evolution, blockade or transistor grid, or
+# items of a list field, each at least one report row. A row costs far
+# more than its amplitudes: the slope of peak RSS between 65,536 and
+# 262,144 rows (single runs, ru_maxrss) is about 1.6 KB per row for the
+# pair, 1.2 KB for the transistor and 1.1 KB for the blockade, so at this
+# cap the widest, the pair's, peaked at 450 MB, within DENSE_BYTES_CAP.
 MAX_TABLE_ROWS = 2**18
+
+# Bytes a sweep keeps per time point and detuning, and per detuning: a fit
+# to its peak RSS (single runs, ru_maxrss) over 1-65,536 detunings and
+# 2-400,000 points, which counts 404 MB at 2,000 x 500 where a run kept
+# 373 MB. Their sum over a sweep must fit DENSE_BYTES_CAP.
+SWEEP_SAMPLE_BYTES = 400
+SWEEP_DETUNING_BYTES = 2000
 
 # Shortest time window a run may check, in periods of the transfer its
 # check samples (see _time_window). By a quarter period an undisturbed
@@ -190,8 +198,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "delta_factors",
             "list[float]",
             True,
-            help="detunings in units of sqrt(n_atoms) * coupling; must hold "
-            "assert_factor",
+            help="detunings in units of sqrt(n_atoms) * coupling, one report row "
+            "each; must hold assert_factor",
         ),
         PERIODS,
         # checked with delta_factors in validate_params
@@ -200,8 +208,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             "int",
             False,
             200,
-            "time grid size; six complex amplitudes per point and detuning must "
-            "fit the byte cap",
+            "time grid size; with delta_factors, the sweep's memory must fit "
+            "the byte cap",
             minimum=2,
         ),
         Field("assert_factor", "float", False, 30.0, "factor carrying the error bound"),
@@ -332,8 +340,9 @@ def _coerce(field: Field, value):
         if field.kind.startswith("list["):
             if not isinstance(value, list):
                 raise TypeError
-            if not value:
-                raise ValidationError(f"field {field.name!r} must not be empty")
+            if not 0 < len(value) <= MAX_TABLE_ROWS:
+                items = f"{len(value)} items lie outside 1-{MAX_TABLE_ROWS}"
+                raise ValidationError(f"field {field.name!r}: {items} ({field.help})")
             item = _finite if field.kind == "list[float]" else _integer
             return [_in_range(field, item(field, v)) for v in value]
     except (TypeError, ValueError, OverflowError) as exc:
@@ -372,13 +381,12 @@ def validate_params(kind: str, raw: dict) -> dict:
                 "field 'delta_factors' must hold the asserted factor "
                 f"(assert_factor {params['assert_factor']:g})"
             )
-        # its widest per-point array: a six-state effective stack per detuning
-        entries = params["points"] * 6 * len(params["delta_factors"])
-        if entries > MAX_AMPLITUDES:
+        k, points = len(params["delta_factors"]), params["points"]
+        needed = k * (points * SWEEP_SAMPLE_BYTES + SWEEP_DETUNING_BYTES)
+        if needed > DENSE_BYTES_CAP:
             raise ValidationError(
-                f"field 'points' = {params['points']} gives per-point complex "
-                f"arrays of {entries * BYTES_PER_AMPLITUDE:.3e} bytes, above the "
-                f"cap of {DENSE_BYTES_CAP:.3e}"
+                f"fields 'points' and 'delta_factors' give a sweep that keeps "
+                f"about {needed:.3e} bytes, above the cap of {DENSE_BYTES_CAP:.3e}"
             )
     return params
 
@@ -712,7 +720,8 @@ def _run_verify_gates(p: dict):
     worst = 0.0
     for _ in range(p["samples"]):
         u = gates.haar_random_unitary(rng)
-        synthesis = gates.synthesize_rotation(u, tol=tol)
+        # the row holds the deviation to tol; no deviation exceeds 2
+        synthesis = gates.synthesize_rotation(u, tol=2.0)
         dev = np.abs(u - synthesis.global_phase * synthesis.matrix()).max()
         worst = max(worst, dev)
     add("rotation-synthesis", worst, tol)
@@ -970,7 +979,7 @@ def describe(kind: str) -> str:
     lines = [f"scenario kind: {kind}", "fields:"]
     for f in SCHEMAS[kind]:
         req = "required" if f.required else f"default {f.default!r}"
-        lines.append(f"  {f.name:<16} {f.kind:<12} {f.range:<16} {req:<22} {f.help}")
+        lines.append(f"  {f.name:<16} {f.kind:<12} {f.range:<24} {req:<22} {f.help}")
     return "\n".join(lines)
 
 

@@ -27,10 +27,10 @@ from .hamiltonian import (
     DetuningSet,
     EffectiveRates,
     HamiltonianMatrix,
+    _microscopic_model,
     _transition_pairs,
     check_detuning,
     collective_pair_hamiltonian,
-    microscopic_parts,
     real_rate,
     transistor_hamiltonian,
 )
@@ -598,7 +598,7 @@ def effective_model_error(
     # the coupling part, the order in which a fresh build sums them. The
     # one-quantum sector holds at most one photon, whatever the truncation.
     layout = FockFactor((Mode(frequency=0.0),), (1,))
-    basis, atomic, coupling = microscopic_parts(
+    basis, atomic, coupling = _microscopic_model(
         nodes, couplings, layout, quanta, symmetric=True
     )
     photons = basis.occupations[:, basis.mode_site(0)]
@@ -614,7 +614,7 @@ def effective_model_error(
         raise OverflowError(f"swap windows {windows.tolist()} past the float range")
     times = np.linspace(0.0, windows, grid_points, axis=1)
 
-    diagonal = np.diag(atomic) + (gap - deltas)[:, None] * photons
+    diagonal = atomic + (gap - deltas)[:, None] * photons
     h_full = np.zeros(diagonal.shape + (basis.dim,), dtype=diagonal.dtype)
     h_full[:, range(basis.dim), range(basis.dim)] = diagonal
     h_full += coupling

@@ -225,24 +225,16 @@ class HamiltonianMatrix:
 # Term assembly over product bases
 # ---------------------------------------------------------------------------
 
-# Local operators are lists of (to, from, amplitude) triples with at most one
-# triple per ``from`` level; a term is (coeff, factors) with factors
+# Local operators are moves: (to, from, amplitude) triples, to != from, at
+# most one per ``from`` level; a term is (coeff, factors) with factors
 # (site, local operator), standing for coeff * prod O_site. Generators write
-# one-atom operators. An atomic site is a group of atoms: each atomic factor
-# stands for its operator summed over the group's atoms (see _collective),
-# and factors on one site multiply in order, the last acting first.
+# one-atom operators; on an atomic site, a group of atoms, each stands for
+# its sum over the atoms (see _collective). Static energies are no terms
+# but a per-site sum (_bare_diagonal).
 
 
 def _transition(upper: int, lower: int):
     return [(upper, lower, 1.0)]
-
-
-def _projector(level: int):
-    return [(level, level, 1.0)]
-
-
-def _levels(values):
-    return [(n, n, v) for n, v in enumerate(values)]
 
 
 def _annihilate(n_levels: int):
@@ -256,11 +248,10 @@ def _create(n_levels: int):
 def _collective(basis: CompositeBasis, site: int, entries):
     """(image, amplitude) arrays of a factor over a site's local states.
 
-    On an atomic site, labelled by level counts n, the one-atom operator is
-    summed over the site's atoms: a diagonal operator gives sum_f a_f n_f,
-    and one transition a |t><f| moves an atom from f to t with amplitude
-    a sqrt(n_f (n_t + 1)); on a one-atom site both are the operator as
-    written. A mode factor is its operator as written. A local state the
+    On an atomic site, labelled by level counts n, the one-atom transition
+    a |t><f| is summed over the site's atoms: it moves an atom from f to t
+    with amplitude a sqrt(n_f (n_t + 1)), which on a one-atom site is a.
+    A mode factor is its ladder operator as written. A local state the
     operator annihilates, or whose image the sector caps away (it carries
     more quanta than the whole sector), keeps itself as image and gets
     amplitude 0.
@@ -282,12 +273,8 @@ def _factor_table(basis: CompositeBasis, site: int, entries):
         for t, f, a in entries:
             image[f], amp[f] = t, a
         return image, amp
-    counts = basis.level_counts(site)
-    if all(t == f for t, f, _ in entries):
-        amp[:] = [sum(a * n[f] for _, f, a in entries) for n in counts]
-        return image, amp
     [(t, f, a)] = entries
-    for i, n in enumerate(counts):
+    for i, n in enumerate(basis.level_counts(site)):
         if n[f] == 0:
             continue
         moved = list(n)
@@ -299,7 +286,7 @@ def _factor_table(basis: CompositeBasis, site: int, entries):
     return image, amp
 
 
-def _assemble(basis: CompositeBasis, terms) -> np.ndarray:
+def _assemble(basis: CompositeBasis, terms, diagonal=None) -> np.ndarray:
     """Dense matrix of a sum of terms over a full or sector product basis.
 
     One term at a time: each factor becomes its _collective arrays, and
@@ -307,9 +294,9 @@ def _assemble(basis: CompositeBasis, terms) -> np.ndarray:
     state's amplitude under the term is coeff times its local amplitudes,
     its image the state with every factor's site moved to its local image.
     Each local operator maps distinct levels to distinct levels, so the
-    images of one term are distinct. The images of all terms are located
-    with one ``basis.rows`` call and added in the order of the sum, source
-    state by source state within a term.
+    images of one term are distinct. Starting from ``diagonal`` (or 0), the
+    images of all terms are located with one ``basis.rows`` call and added
+    in the order of the sum, source state by source state within a term.
     """
     occ = basis.occupations
     images, sources, values = [], [], []
@@ -334,6 +321,8 @@ def _assemble(basis: CompositeBasis, terms) -> np.ndarray:
         sources.append(src)
         values.append(amp[src])
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    if diagonal is not None:
+        np.fill_diagonal(h, diagonal)
     if values:
         rows = basis.rows(np.concatenate(images))
         cells = rows * basis.dim + np.concatenate(sources)
@@ -400,27 +389,31 @@ def _product_basis(nodes, couplings, fock, quanta, symmetric=False) -> Composite
     return intern_basis(nodes, fock, symmetric, weights, quanta)
 
 
-def _bare_terms(basis: CompositeBasis):
-    """Level energies of every atomic site and photon energies of every mode."""
-    for m, node in enumerate(basis.nodes):
-        for site in basis.node_sites(m):
-            yield 1.0, ((site, _levels(node.level_energies)),)
-    if basis.fock is not None:
-        for a, mode in enumerate(basis.fock.modes):
-            site = basis.mode_site(a)
-            energies = [mode.frequency * n for n in range(basis.shape[site])]
-            yield 1.0, ((site, _levels(energies)),)
+def _site_sum(basis: CompositeBasis, tables) -> np.ndarray:
+    """Each state's sum of tables[k][its local state k], in site order."""
+    occ = basis.occupations
+    return sum(table[occ[:, k]] for k, table in enumerate(tables))
 
 
-def _exchange(i: int, j: int, coeff: complex, raise_i, lower_j, symmetric=False):
-    """coeff S(raise_i)_i S(lower_j)_j with S(a, b) = |a><b| on one site.
+def _bare_diagonal(basis: CompositeBasis) -> np.ndarray:
+    """Static energy of every state, built once per layout: each atomic
+    site's level counts n hold sum_f E_f n_f, each mode's photons omega n."""
 
-    On a single atom (i == j, the transition and its reverse) the product
-    is the projector on the upper level. A ``symmetric`` site is a whole
-    node, whose two collective factors the assembler multiplies.
-    """
-    if i == j and not symmetric:
-        return coeff, ((i, _projector(raise_i[0])),)
+    def build():
+        tables = [
+            [sum(e * n for e, n in zip(node.level_energies, c)) for c in counts]
+            for m, node in enumerate(basis.nodes)
+            for counts in map(basis.level_counts, basis.node_sites(m))
+        ]
+        for a, mode in enumerate(basis.fock.modes if basis.fock else ()):
+            tables.append(mode.frequency * basis.site_levels(basis.mode_site(a)))
+        return _site_sum(basis, map(np.asarray, tables)).astype(complex)
+
+    return basis.derived("bare_diagonal", build)
+
+
+def _exchange(i: int, j: int, coeff: complex, raise_i, lower_j):
+    """coeff S(raise_i)_i S(lower_j)_j, S(a, b) = |a><b| (composed when i == j)."""
     return coeff, ((i, _transition(*raise_i)), (j, _transition(*lower_j)))
 
 
@@ -464,7 +457,7 @@ def _pair_rate(g_a, g_b, delta_a: float, delta_b: float):
     return 0.5 * (1.0 / delta_a + 1.0 / delta_b) * g_a * g_b.conjugate()
 
 
-def _exchange_terms(channels, pairs, symmetric=False):
+def _exchange_terms(channels, pairs):
     """Second-order exchange between atomic transitions (James & Jerke 2007).
 
     A channel is (sites, transition, phases): some atomic sites driven on
@@ -473,8 +466,8 @@ def _exchange_terms(channels, pairs, symmetric=False):
     Within one channel (a == b) the terms are the double sum over its
     sites, self terms included, c_aa phi_i conj(phi_j) S(up)_i S(down)_j;
     between two channels c_ab phi_i conj(phi_j) S(up_a)_i S(down_b)_j, each
-    followed by its Hermitian conjugate. On ``symmetric`` sites the same
-    sum runs over nodes with collective operators, J_+ J_- on one node.
+    followed by its Hermitian conjugate. On symmetric sites the same sum
+    runs over nodes with collective operators, J_+ J_- on one node.
     """
     for (a, b), rate in pairs.items():
         sites_a, t_a, phases_a = channels[a]
@@ -484,9 +477,9 @@ def _exchange_terms(channels, pairs, symmetric=False):
         for i in sites_a:
             for j in sites_b:
                 coeff = rate * phases_a[i] * np.conj(phases_b[j])
-                yield _exchange(i, j, coeff, up_a, down_b, symmetric)
+                yield _exchange(i, j, coeff, up_a, down_b)
                 if a != b:
-                    yield _exchange(j, i, np.conj(coeff), up_b, down_a, symmetric)
+                    yield _exchange(j, i, np.conj(coeff), up_b, down_a)
 
 
 def _transition_pairs(t: int, couplings: CouplingSet, deltas: dict) -> dict:
@@ -518,7 +511,7 @@ def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
         phases = atom_phases(basis, slot_wave_vectors.get(t))
         channels = {m: (basis.node_sites(m), t, phases) for m in deltas}
         pairs = _transition_pairs(t, couplings, deltas)
-        yield from _exchange_terms(channels, pairs, basis.symmetric)
+        yield from _exchange_terms(channels, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +519,27 @@ def _swap_terms(basis, couplings, deltas_of, slot_wave_vectors):
 # ---------------------------------------------------------------------------
 
 
+def _microscopic_model(nodes, couplings, fock, quanta=None, symmetric=False):
+    """(basis, static energies, interaction part) of the microscopic model.
+
+    The static part is each state's atomic level and photon energies, one
+    entry per state (_bare_diagonal); the interaction part is the dense
+    rotating-wave atom-photon coupling. ``quanta`` builds both on that
+    excitation sector only; ``symmetric`` makes each node one site of its
+    Dicke states, which uniform couplings never leave (any nonzero mode
+    wave vector is then refused, see basis.atom_phases).
+    """
+    basis = _product_basis(nodes, couplings, fock, quanta, symmetric)
+    h1 = _assemble(basis, _photon_exchange_terms(basis, couplings, fock))
+    return basis, _bare_diagonal(basis), h1
+
+
 def microscopic_parts(
     nodes, couplings: CouplingSet, fock: FockFactor, quanta=None, symmetric=False
 ):
-    """(basis, static part, interaction part) of the microscopic model.
-
-    The static part carries atomic level energies and photon energies; the
-    interaction part carries the rotating-wave atom-photon couplings. With
-    ``quanta`` everything is built on that excitation sector only. With
-    ``symmetric`` each node is one site holding its Dicke states, which the
-    model never leaves (couplings are uniform within a node); any nonzero
-    mode wave vector is then refused (see basis.atom_phases). The static
-    part is diagonal and depends on the layout alone, so the basis keeps
-    its diagonal, never the dense matrix.
-    """
-    basis = _product_basis(nodes, couplings, fock, quanta, symmetric)
-    bare = basis.derived(
-        "bare_diagonal", lambda: np.diag(_assemble(basis, _bare_terms(basis))).copy()
-    )
-    h0 = np.diag(bare)
-    h1 = _assemble(basis, _photon_exchange_terms(basis, couplings, fock))
-    return basis, h0, h1
+    """_microscopic_model with its static energies on a dense diagonal."""
+    basis, energies, h1 = _microscopic_model(nodes, couplings, fock, quanta, symmetric)
+    return basis, np.diag(energies), h1
 
 
 def microscopic_hamiltonian(
@@ -558,8 +551,9 @@ def microscopic_hamiltonian(
     (see excitation_weights); the model conserves it, so the sector matrix
     is exactly the corresponding block of the full one.
     """
-    basis, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
-    return HamiltonianMatrix(h0 + h1, basis)
+    basis = _product_basis(nodes, couplings, fock, quanta)
+    terms = _photon_exchange_terms(basis, couplings, fock)
+    return HamiltonianMatrix(_assemble(basis, terms, _bare_diagonal(basis)), basis)
 
 
 def total_excitation_operator(
@@ -571,9 +565,8 @@ def total_excitation_operator(
     level sum or photon number.
     """
     weights = excitation_weights(basis.n_atomic_sites, couplings, basis.fock)
-    occ = basis.occupations
-    quanta = sum(w * basis.site_levels(k)[occ[:, k]] for k, w in enumerate(weights))
-    return np.diag(quanta.astype(complex))
+    tables = (w * basis.site_levels(k) for k, w in enumerate(weights))
+    return np.diag(_site_sum(basis, tables).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +574,15 @@ def total_excitation_operator(
 # ---------------------------------------------------------------------------
 
 
-def _read_off_generator(nodes, h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+def _read_off_generator(nodes, energies: np.ndarray, h1: np.ndarray) -> np.ndarray:
     """Generator s_ij = H1_ij / (E_j - E_i) on every coupled pair of states.
 
-    It solves H1 + [H0, s] = 0 for the diagonal H0 of energies E. Each
+    It solves H1 + [H0, s] = 0 for the diagonal H0 of ``energies`` E. Each
     coupled gap is a transition's detuning from its mode, so the smallest
     goes through check_detuning.
     """
-    energies = np.diag(h0).real
     rows, cols = np.nonzero(h1)
-    gaps = energies[cols] - energies[rows]
+    gaps = energies.real[cols] - energies.real[rows]
     if gaps.size:
         check_detuning(np.abs(gaps).min(), nodes, "coupled states")
     s = np.zeros_like(h1)
@@ -607,8 +599,8 @@ def sw_generator(
     ``quanta`` restricts it to that excitation sector.
     """
     nodes = tuple(nodes)
-    _, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta)
-    return _read_off_generator(nodes, h0, h1)
+    _, energies, h1 = _microscopic_model(nodes, couplings, fock, quanta)
+    return _read_off_generator(nodes, energies, h1)
 
 
 def schrieffer_wolff_hamiltonian(
@@ -626,11 +618,11 @@ def schrieffer_wolff_hamiltonian(
     nodes = tuple(nodes)
     guarded = FockFactor(fock.modes, tuple(n + 1 for n in fock.n_max))
     basis = _product_basis(nodes, couplings, fock, quanta)
-    wide, h0, h1 = microscopic_parts(nodes, couplings, guarded, quanta)
-    s = _read_off_generator(nodes, h0, h1)
+    wide, energies, h1 = _microscopic_model(nodes, couplings, guarded, quanta)
+    s = _read_off_generator(nodes, energies, h1)
     rows = wide.rows(basis.occupations)
     second = h1[rows] @ s[:, rows] - s[rows] @ h1[:, rows]
-    return HamiltonianMatrix(h0[np.ix_(rows, rows)] + 0.5 * second, basis)
+    return HamiltonianMatrix(np.diag(energies[rows]) + 0.5 * second, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +649,9 @@ def photon_free_effective_hamiltonian(
     """
     nodes = tuple(nodes)
     basis = _product_basis(nodes, couplings, None, quanta)
-    bare = () if rotating_frame else _bare_terms(basis)
+    bare = None if rotating_frame else _bare_diagonal(basis)
     swap = _swap_terms(basis, couplings, detunings.value, wave_vectors or {})
-    h = _assemble(basis, itertools.chain(bare, swap))
-    return HamiltonianMatrix(h, basis)
+    return HamiltonianMatrix(_assemble(basis, swap, bare), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -840,9 +831,8 @@ def transistor_hamiltonian(
     if include_target_upper_swap:
         deltas = {m: detunings.value(1, m) for m in (1, 2)}
         pairs.update(_transition_pairs(1, couplings, deltas))
-    bare = () if rotating_frame else _bare_terms(basis)
-    exchange = _exchange_terms(channels, pairs, basis.symmetric)
-    h = _assemble(basis, itertools.chain(bare, exchange))
+    bare = None if rotating_frame else _bare_diagonal(basis)
+    h = _assemble(basis, _exchange_terms(channels, pairs), bare)
     return HamiltonianMatrix(h, basis)
 
 

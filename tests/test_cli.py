@@ -47,6 +47,7 @@ def test_describe_prints_each_range(capsys):
     assert "[1, 2147483648]" in line("blockade", "n_1")
     assert "(0, 1]" in line("blockade", "max_c3_sq_below")
     assert "nonzero" in line("effective-error-sweep", "coupling")
+    assert "1-262144 items" in line("effective-error-sweep", "delta_factors")
     for kind in ("pair-evolution", "blockade", "transistor"):
         assert "[2, 262144]" in line(kind, "points")
     for kind in cli.list_scenarios().splitlines():
@@ -229,16 +230,14 @@ def test_malformed_json_is_parse_error(tmp_path):
     assert cli.main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
 
 
-def test_propagated_module_error_gives_exit_code_5(tmp_path, capsys):
-    # a valid scenario whose rotation synthesis cannot meet its tolerance:
-    # the library's DecompositionFailure propagates to the runner
-    scenario = _write(
-        tmp_path,
-        "unmet.json",
-        {"kind": "verify-gates", "seed": 3, "samples": 1, "tolerance": 1e-30},
-    )
+def test_propagated_module_error_gives_exit_code_5(tmp_path, capsys, monkeypatch):
+    # a valid scenario whose rotation synthesis is handed a matrix that is
+    # not unitary: the library's DecompositionFailure propagates to the runner
+    nan = np.full((2, 2), np.nan)
+    monkeypatch.setattr(cli.gates, "haar_random_unitary", lambda rng: nan)
+    scenario = _write(tmp_path, "unmet.json", _VALID["verify-gates"])
     assert cli.main(["run", str(scenario), "-o", str(tmp_path / "out")]) == 5
-    assert "error: recomposition deviates" in capsys.readouterr().err
+    assert "error: input matrix is not unitary" in capsys.readouterr().err
 
 
 def test_oversized_verify_circuits_exits_3_before_allocating(tmp_path, capsys):
@@ -256,6 +255,41 @@ def test_oversized_verify_circuits_exits_3_before_allocating(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "13 lies outside [2, 12]" in message and "byte cap" in message
     assert not (outdir / "report.json").exists()
+
+
+def _sweep_factors(count):
+    return {"n_atoms": 1, "coupling": 0.01, "points": 2, "delta_factors": [30] * count}
+
+
+def test_sweep_detuning_cap_falls_between_max_and_one_more(tmp_path, capsys):
+    # one report row per detuning, at about 2.7 KB each: 262,144 of them
+    # fit, and the old per-point rule alone let 5,592,405 through
+    params = cli.validate_params("effective-error-sweep", _sweep_factors(2**18))
+    assert len(params["delta_factors"]) == cli.MAX_TABLE_ROWS == 2**18
+    refusal = "'delta_factors': 262145 items lie outside 1-262144"
+    with pytest.raises(ValidationError, match=refusal):
+        cli.validate_params("effective-error-sweep", _sweep_factors(2**18 + 1))
+    payload = {"kind": "effective-error-sweep", **_sweep_factors(2**18 + 1)}
+    _assert_refused(tmp_path, capsys, payload, "delta_factors")
+
+
+def test_sweep_per_point_rule_names_both_fields():
+    # 2 detunings x (2^23 points x 400 + 2000) bytes > DENSE_BYTES_CAP
+    raw = {**_sweep_factors(2), "points": 2**23}
+    with pytest.raises(ValidationError) as refused:
+        cli.validate_params("effective-error-sweep", raw)
+    assert "'points'" in str(refused.value) and "'delta_factors'" in str(refused.value)
+
+
+def test_sweep_memory_rule_counts_points_times_detunings():
+    # at the detuning cap, 2^18 x (5 x 400 + 2000) bytes fit the 2^30-byte
+    # cap and 2^18 x (6 x 400 + 2000) do not; the old per-point rule, at 96
+    # bytes per point and detuning, let 42 points through
+    raw = {**_sweep_factors(2**18), "points": 5}
+    assert cli.validate_params("effective-error-sweep", raw)["points"] == 5
+    for points in (6, 42):
+        with pytest.raises(ValidationError, match="'points' and 'delta_factors'"):
+            cli.validate_params("effective-error-sweep", {**raw, "points": points})
 
 
 def test_verify_circuits_cap_falls_between_12_and_13():
@@ -691,11 +725,12 @@ def test_bounds_and_grids_at_their_limits_are_accepted():
         assert valid(kind, points=262144)["points"] == 262144
         with pytest.raises(ValidationError, match="points"):
             valid(kind, points=262145)
-    # the sweep's arrays hold six amplitudes per point and detuning
-    cap = cli.DENSE_BYTES_CAP // cli.BYTES_PER_AMPLITUDE
-    assert valid("effective-error-sweep", points=cap // 12)["points"] == cap // 12
+    # the sweep keeps 400 bytes per point and detuning, 2000 per detuning:
+    # with its 2 detunings, (2^29 - 2000) // 400 points fit the 2^30-byte cap
+    largest = 1342172
+    assert valid("effective-error-sweep", points=largest)["points"] == largest
     with pytest.raises(ValidationError, match="points"):
-        valid("effective-error-sweep", points=cap // 12 + 1)
+        valid("effective-error-sweep", points=largest + 1)
 
 
 @pytest.mark.parametrize(
@@ -1192,6 +1227,21 @@ def test_verify_gates_row_fails_past_its_bound(
     # a transfer, which lies in [1/sqrt(2), 1]; the others equal it
     deviation = rows[row]["deviation"]
     assert multiple * bound / math.sqrt(2.0) <= deviation <= multiple * bound * 1.001
+
+
+def test_verify_gates_fails_its_row_on_a_synthesis_defect(tmp_path, monkeypatch):
+    # every synthesized angle off by 1e-9: the recomposition deviates past
+    # the default tolerance 1e-10, a failed row (exit 4), not an error
+    real = cli.gates._wrap_angle
+    monkeypatch.setattr(cli.gates, "_wrap_angle", lambda x: real(x) + 1e-9)
+    verdicts = {"all-gate-checks": False}
+    assert _run_verdicts(tmp_path, _VALID["verify-gates"]) == (4, verdicts)
+    rows = {r["check"]: r for r in _rows(tmp_path, "checks")}
+    assert {name: r["passed"] for name, r in rows.items()} == {
+        name: name != "rotation-synthesis" for name in _GATE_ROWS
+    }
+    tolerance = _GATE_ROWS["rotation-synthesis"]
+    assert rows["rotation-synthesis"]["deviation"] > tolerance
 
 
 def _off_circuit_case(monkeypatch, case, deviation):

@@ -177,16 +177,49 @@ def test_single_atom_coupling_element():
     assert h.matrix[excited_vac, ground_one] == pytest.approx(g)
 
 
-def test_decoupled_limit_is_diagonal():
-    nodes = (NodeSpec(2, 2, (0.0, 1.3)), NodeSpec(1, 2, (0.0, 1.3)))
-    fock = FockFactor((Mode(1.0),), (2,))
-    h = microscopic_hamiltonian(nodes, CouplingSet(g21=0.0), fock)
-    off = h.matrix - np.diag(np.diag(h.matrix))
-    assert np.abs(off).max() == 0.0
-    basis = h.basis
-    occ = basis.occupation(basis.index((1, 0, 0, 2)))
-    energy = 1.3 + 0.0 + 0.0 + 2 * 1.0
-    assert h.matrix[basis.index(occ), basis.index(occ)] == pytest.approx(energy)
+@settings(max_examples=60, deadline=None)
+@given(
+    # (atoms, levels) of each node and (omega, n_max) of each mode
+    st.lists(st.tuples(st.integers(1, 2), st.sampled_from([2, 3])), min_size=1, max_size=2),
+    st.lists(st.tuples(st.floats(0.5, 2.0), st.integers(1, 2)), min_size=1, max_size=2),
+    st.sampled_from([None, 0, 1, 2, 3]),
+    st.booleans(),
+    st.data(),
+)
+def test_decoupled_limit_is_diagonal(groups, modes, quanta, symmetric, data):
+    # every coupling 0: the matrix is diagonal, and each entry is the sum
+    # over atoms of its level energy plus the sum over modes of omega n
+    energy = st.floats(min_value=-2.0, max_value=2.0)
+    nodes = tuple(
+        NodeSpec(atoms, levels, tuple(sorted(data.draw(
+            st.lists(energy, min_size=levels, max_size=levels, unique=True)
+        ))))
+        for atoms, levels in groups
+    )
+    second = data.draw(st.sampled_from(["g32", "g31"]))
+    couplings = CouplingSet(**{name: 0.0 for name in ["g21", second][: len(modes)]})
+    fock = FockFactor(tuple(Mode(w) for w, _ in modes), tuple(n for _, n in modes))
+    try:
+        basis, h0, h1 = microscopic_parts(nodes, couplings, fock, quanta, symmetric)
+    except BasisMismatch:  # an empty sector
+        return
+    h = h0 + h1
+    assert np.array_equal(h, np.diag(np.diag(h)))
+    expected = []
+    for occ in basis.occupations:
+        total = 0.0
+        for m, node in enumerate(nodes):
+            for site in basis.node_sites(m):
+                if symmetric:
+                    counts = basis.level_counts(site)[occ[site]]
+                    total += sum(e * n for e, n in zip(node.level_energies, counts))
+                else:
+                    total += node.level_energies[occ[site]]
+        for a, (w, _) in enumerate(modes):
+            total += w * occ[basis.mode_site(a)]
+        expected.append(total)
+    scale = max(1.0, np.abs(expected).max())
+    assert np.abs(np.diag(h) - expected).max() <= 1e-12 * scale
 
 
 def test_total_excitation_commutes_with_microscopic():
@@ -985,27 +1018,30 @@ def test_transistor_hermitian_conserving_and_sector_exact(
 # --- the family assembler against the term-at-a-time assembler ------------------------
 
 
-def per_term_assemble(basis, terms):
-    """Reference assembler: one scatter-add per term, in the order of the sum."""
-    occ = basis.occupations
+def per_term_assemble(basis, terms, diagonal=None):
+    """Reference assembler: one scatter-add per term, in the order of the sum.
+
+    The sum starts from ``diagonal``. Each term applies its factors to the
+    occupations one at a time, the last factor first, so that factors on
+    one site compose.
+    """
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    if diagonal is not None:
+        h[np.diag_indices(basis.dim)] = diagonal
     for coeff, factors in terms:
         if coeff == 0:
             continue
         amp = np.full(basis.dim, complex(coeff))
-        moves = []
-        for site, entries in factors:
+        image = basis.occupations.copy()
+        for site, entries in reversed(factors):
             to = np.arange(basis.shape[site])
             local = np.zeros(basis.shape[site])
             for t, f, a in entries:
                 to[f], local[f] = t, a
-            amp *= local[occ[:, site]]
-            moves.append((site, to))
-        src = np.flatnonzero(amp)
-        image = occ[src]
-        for site, to in moves:
+            amp *= local[image[:, site]]
             image[:, site] = to[image[:, site]]
-        h[basis.rows(image), src] += amp[src]
+        src = np.flatnonzero(amp)
+        h[basis.rows(image[src]), src] += amp[src]
     return h
 
 
@@ -1060,20 +1096,28 @@ def test_family_assembler_equals_per_term_assembler(system, data):
 
 
 def test_family_assembler_keeps_the_order_of_the_sum():
-    # Two families whose terms interleave on one diagonal element, with
-    # values whose floating-point sum depends on the order:
-    # (1 + 2^-53) - 2^-53 = 1 - 2^-53, but (1 - 2^-53) + 2^-53 = 1.
+    # Terms that land on one diagonal element, each a move and its reverse
+    # on one atom, with values whose floating-point sum depends on the
+    # order: (1 + 2^-53) - 2^-53 = 1 - 2^-53, but (1 - 2^-53) + 2^-53 = 1.
     basis = build_microscopic_basis((NodeSpec(3),))
     tiny = 2.0**-53
+    raise_, lower = [(1, 0, 1.0)], [(0, 1, 1.0)]
     terms = [
-        (1.0, ((0, [(0, 0, 1.0)]),)),
-        (tiny, ((1, [(1, 1, 1.0)]),)),
-        (-tiny, ((2, [(0, 0, 1.0)]),)),
+        (1.0, ((0, lower), (0, raise_))),
+        (tiny, ((1, raise_), (1, lower))),
+        (-tiny, ((2, lower), (2, raise_))),
     ]
     state = basis.index((0, 1, 0))
     family = hamiltonian._assemble(basis, terms)
     assert family[state, state] == 1.0 - tiny
     assert np.array_equal(_bits(family), _bits(per_term_assemble(basis, terms)))
+    # the sum starts from the diagonal: 1 first, then the two moves
+    diagonal = np.zeros(basis.dim)
+    diagonal[state] = 1.0
+    family = hamiltonian._assemble(basis, terms[1:], diagonal)
+    assert family[state, state] == 1.0 - tiny
+    reference = per_term_assemble(basis, terms[1:], diagonal)
+    assert np.array_equal(_bits(family), _bits(reference))
 
 
 def _count_row_lookups(build):
@@ -1085,10 +1129,10 @@ def _count_row_lookups(build):
         lookups.append(len(occupations))
         return rows(basis, occupations)
 
-    def counted_assemble(basis, terms):
+    def counted_assemble(basis, terms, diagonal=None):
         terms = list(terms)
         before = len(lookups)
-        h = assemble(basis, terms)
+        h = assemble(basis, terms, diagonal)
         counts.append((len(terms), len(lookups) - before))
         return h
 
@@ -1100,12 +1144,12 @@ def _count_row_lookups(build):
 
 
 def test_assembler_locates_all_images_with_one_row_lookup():
-    # the error sweep's model build: two sums of a few terms on one sector,
-    # the static one only on a layout's first build
+    # the error sweep's model build: one sum of a few terms on one sector,
+    # cold or warm; the static part is a per-site sum, never assembled
     nodes = (NodeSpec(4), NodeSpec(4))
     layout = FockFactor((Mode(frequency=0.0),), (1,))
     basis_module._LAYOUTS.clear()
-    for expected in ([1, 1], [1]):
+    for expected in ([1], [1]):
         counts = _count_row_lookups(
             lambda: microscopic_parts(nodes, CouplingSet(g21=0.02), layout, 1, True)
         )
@@ -1124,17 +1168,13 @@ def test_assembler_locates_all_images_with_one_row_lookup():
     assert lookups == 1
 
 
-def _one_atom_operators(levels):
-    """A transition |to><from| or a diagonal, with drawn real amplitudes."""
+def _one_atom_moves(levels):
+    """A transition |to><from|, to != from, with a drawn real amplitude."""
     amplitude = st.floats(min_value=-2.0, max_value=2.0)
     transition = st.tuples(
         st.integers(0, levels - 1), st.integers(0, levels - 1), amplitude
     ).filter(lambda entry: entry[0] != entry[1])
-    diagonal = st.lists(amplitude, min_size=levels, max_size=levels)
-    return st.one_of(
-        transition.map(lambda entry: [entry]),
-        diagonal.map(lambda values: [(n, n, v) for n, v in enumerate(values)]),
-    )
+    return transition.map(lambda entry: [entry])
 
 
 @settings(max_examples=60, deadline=None)
@@ -1152,8 +1192,8 @@ def test_factors_on_one_symmetric_site_compose_as_a_matrix_product(
     nodes = tuple(NodeSpec(n, levels, energies) for n in atom_counts)
     basis = CompositeBasis(nodes, None, symmetric=True)
     site = data.draw(st.integers(0, len(nodes) - 1))
-    outer = data.draw(_one_atom_operators(levels))
-    inner = data.draw(_one_atom_operators(levels))
+    outer = data.draw(_one_atom_moves(levels))
+    inner = data.draw(_one_atom_moves(levels))
 
     def build(*operators):
         return hamiltonian._assemble(basis, [(1.0, [(site, op) for op in operators])])
@@ -1229,8 +1269,8 @@ def loop_transistor(nodes, couplings, detunings, wave_vectors, upper_swap, rotat
     if upper_swap:
         deltas = {m: detunings.value(1, m) for m in (1, 2)}
         swap = loop_transition_exchange_terms(basis, 1, couplings, deltas, phases_upper)
-    bare = () if rotating else hamiltonian._bare_terms(basis)
-    return hamiltonian._assemble(basis, itertools.chain(bare, cross, swap))
+    bare = None if rotating else hamiltonian._bare_diagonal(basis)
+    return hamiltonian._assemble(basis, itertools.chain(cross, swap), bare)
 
 
 @settings(max_examples=60, deadline=None)
