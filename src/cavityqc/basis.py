@@ -282,15 +282,13 @@ class CompositeBasis:
             range(owners.index(m), owners.index(m) + owners.count(m))
             for m in range(len(self.nodes))
         )
-        # ways[q]: tuples over the sites seen so far that carry q quanta
-        ways = [1] + [0] * self.quanta
-        for table in self._tables:
-            table = table.tolist()
-            ways = [
-                sum(ways[q - s] for s in table if q - s >= 0)
-                for q in range(self.quanta + 1)
-            ]
-        self.dim = ways[self.quanta]
+        # suffixes[k][q]: tuples over sites k, k + 1, ... that carry q quanta
+        suffixes = [[1] + [0] * self.quanta]
+        for table in reversed(self._tables):
+            rest, table = suffixes[0], table.tolist()
+            row = (sum(rest[q - s] for s in table if s <= q) for q in range(len(rest)))
+            suffixes.insert(0, list(row))
+        self.dim = suffixes[0][self.quanta]
         dense_bytes = BYTES_PER_AMPLITUDE * self.dim**2
         if dense_bytes > DENSE_BYTES_CAP:
             raise DimensionCap(
@@ -299,6 +297,7 @@ class CompositeBasis:
             )
         if self.dim == 0:
             raise BasisMismatch(f"no product state carries {self.quanta} quanta")
+        self._suffixes = _read_only(np.minimum(suffixes, self.dim).astype(np.int64))
         self._derived: dict = {}
 
     def derived(self, key, build):
@@ -320,9 +319,9 @@ class CompositeBasis:
         and the headers and keys of its factor tables (at most six: one per
         transition and direction on an atomic site, two on a mode); per
         local state, 512 for its level counts and 16 per factor table; per
-        state, 96 for the six pair rows, 16 for the diagonal of
-        the static part and, per site, 10 for the occupation row and its
-        code.
+        state, 96 for the six pair rows, 16 for the diagonal of the static
+        part and, per site, 10 for the occupation row and its code; 8 per
+        entry of the (sites + 1, quanta + 1) count table.
         """
         sites = len(self.shape)
         return (
@@ -330,6 +329,7 @@ class CompositeBasis:
             + (8 << 10) * sites
             + 512 * sum(self.shape)
             + self.dim * (112 + 10 * sites)
+            + 8 * (sites + 1) * (self.quanta + 1)
         )
 
     # -- identity ---------------------------------------------------------
@@ -384,29 +384,35 @@ class CompositeBasis:
         return self.derived("occupations", self._list_occupations)
 
     def _list_occupations(self) -> np.ndarray:
-        # grow prefixes site by site, keeping those that can still total
-        # exactly ``quanta``; np.nonzero keeps them in lexicographic order
-        room = [int(table.max()) for table in self._tables]
-        later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
-        prefixes = np.zeros((1, 0), dtype=np.int64)
-        used = np.zeros(1, dtype=np.int64)
-        for table, rest in zip(self._tables, later):
-            total = used[:, None] + table
-            keep = (total <= self.quanta) & (total + rest >= self.quanta)
-            prefix, level = np.nonzero(keep)
-            prefixes = np.column_stack([prefixes[prefix], level])
-            used = total[prefix, level]
-        return prefixes
+        # a block of rows sharing a prefix, ``left`` quanta short, splits at site
+        # k into one block per local state s, of suffixes[k + 1] rows at what s
+        # leaves: none exceeds dim, so the table is kept clipped to dim in int64
+        occupations = np.empty((self.dim, len(self.shape)), dtype=np.int64)
+        left = np.array([self.quanta])
+        for k, table in enumerate(self._tables):
+            after = left[:, None] - table
+            sizes = np.where(after < 0, 0, self._suffixes[k + 1][after.clip(0)])
+            block, state = np.nonzero(sizes)
+            occupations[:, k] = np.repeat(state, sizes[block, state])
+            left = after[block, state]
+        return occupations
 
     def rows(self, occupations: np.ndarray) -> np.ndarray:
-        """Basis index of each row of an occupation array."""
+        """Basis index of each row of an occupation array.
+
+        Raises BasisMismatch, naming the first row the basis does not hold:
+        one outside the sector, or with an entry outside its site's local
+        states (whose 16-bit code could alias a row in range).
+        """
+        occupations = np.asarray(occupations)
         table = self.derived("codes", lambda: _row_codes(self.occupations))
         codes = _row_codes(occupations)
         found = np.searchsorted(table, codes)
-        inside = found < self.dim
+        inside = ((occupations >= 0) & (occupations < self.shape)).all(axis=1)
+        inside &= found < self.dim
         inside[inside] = table[found[inside]] == codes[inside]
         if not inside.all():
-            outside = tuple(int(x) for x in np.asarray(occupations)[~inside][0])
+            outside = tuple(int(x) for x in occupations[~inside][0])
             raise BasisMismatch(
                 f"occupation {outside} lies outside the {self.quanta}-quanta sector"
             )
@@ -591,7 +597,7 @@ def atom_phases(basis: CompositeBasis, wave_vector) -> np.ndarray:
     return phases
 
 
-def _dicke_pattern(basis: CompositeBasis, excitations, phases):
+def _dicke_pattern(basis: CompositeBasis, excitations, phases, choices=None):
     """Occupation rows and amplitudes of a product of one-node Dicke states.
 
     ``excitations`` lists (node_index, level, count) on distinct nodes. The
@@ -600,7 +606,8 @@ def _dicke_pattern(basis: CompositeBasis, excitations, phases):
     ``phases`` times the state with those atoms at ``level``. Every site
     not chosen stays at 0, so an empty list gives the all-ground state. On
     the symmetric layout that factor is one local state of the node's site,
-    so the pattern is one row of amplitude 1 (its phases are all 1).
+    so the pattern is one row of amplitude 1 (its phases are all 1). With
+    ``choices``, only that many choices per node, the first in order.
     """
     if len({m for m, _, _ in excitations}) != len(excitations):
         raise BasisMismatch("product excitations need distinct nodes")
@@ -622,7 +629,9 @@ def _dicke_pattern(basis: CompositeBasis, excitations, phases):
         norm = np.sqrt(math.comb(node.atom_count, count))
         terms = [
             (chosen, math.prod(phases[site] for site in chosen) / norm)
-            for chosen in itertools.combinations(basis.node_sites(node_index), count)
+            for chosen in itertools.islice(
+                itertools.combinations(basis.node_sites(node_index), count), choices
+            )
         ]
         grown_occs, grown_amps = [], []
         for occ, amp in zip(occs, amps):
@@ -705,11 +714,11 @@ def _pair_rows(basis: CompositeBasis, wave_vector) -> np.ndarray:
     for r, counts in enumerate(PAIR_OCCUPATIONS):
         if any(n > node.atom_count for n, node in zip(counts, basis.nodes)):
             continue
-        occs, amps = _dicke_pattern(
-            basis, [(m, 1, n) for m, n in enumerate(counts)], phases
-        )
-        if basis.holds(occs[0]):
-            states[r] = _vector(basis, occs, amps)
+        excitations = [(m, 1, n) for m, n in enumerate(counts)]
+        # a pattern the basis cannot hold is not expanded: its first row tells
+        [first], _ = _dicke_pattern(basis, excitations, phases, choices=1)
+        if basis.holds(first):
+            states[r] = _vector(basis, *_dicke_pattern(basis, excitations, phases))
     return collective.occupation_rotation() @ states
 
 

@@ -1,6 +1,7 @@
 """Basis construction, collective states, symmetrization."""
 
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from cavityqc import (
     transistor_hamiltonian,
 )
 from cavityqc import hamiltonian
-from cavityqc.basis import _level_counts, atom_phases
+from cavityqc.basis import _dicke_pattern, _level_counts, atom_phases, site_groups
 from cavityqc.dynamics import evolve_on_grid
 from cavityqc.errors import BasisMismatch, DimensionCap
 from cavityqc.hamiltonian import microscopic_parts
@@ -308,11 +309,18 @@ def test_bad_occupations_are_held_by_no_basis(quanta):
     else:
         basis = CompositeBasis(nodes, fock, weights=(1,) * 4, quanta=quanta)
     assert basis.holds(basis.occupation(basis.dim - 1))
+    # rows once coded each entry as a 16-bit digit, so 65536 read as 0 and
+    # -65535 as 1, and found a row the basis does not hold
     for occupation in ((7, 7), (0,), (0, 0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0),
-                       (0, -1, 0, 0), (7, 7, 7, 7)):
+                       (0, -1, 0, 0), (7, 7, 7, 7), (65536, 0, 0, 1),
+                       (0, 0, -65535, 0)):
         assert not basis.holds(occupation)
         with pytest.raises(BasisMismatch):
             basis.index(occupation)
+        if len(occupation) == len(basis.shape):
+            refusal = re.escape(f"occupation {occupation} lies outside")
+            with pytest.raises(BasisMismatch, match=refusal):
+                basis.rows(np.array([basis.occupation(0), occupation]))
 
 
 def test_index_order_is_lexicographic_and_stable():
@@ -504,3 +512,90 @@ def test_level_counts_equal_the_recursive_listing(atoms, levels, data):
                 _level_counts(atoms, levels, cap)
         else:
             assert _level_counts(atoms, levels, cap) == expected
+
+
+# --- the suffix-count listing against the prefix-growing listing it replaces --
+
+
+def _prefix_growing_listing(basis):
+    """Occupation rows as growing prefixes site by site listed them."""
+    tables = [w * basis.site_levels(k) for k, w in enumerate(basis.weights)]
+    room = [int(table.max()) for table in tables]
+    later = np.cumsum(room[::-1])[::-1].tolist()[1:] + [0]
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for table, rest in zip(tables, later):
+        total = used[:, None] + table
+        keep = (total <= basis.quanta) & (total + rest >= basis.quanta)
+        prefix, level = np.nonzero(keep)
+        prefixes = np.column_stack([prefixes[prefix], level])
+        used = total[prefix, level]
+    return prefixes
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_listing_equals_the_prefix_growing_listing(data):
+    levels = data.draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    nodes = tuple(
+        NodeSpec(data.draw(st.integers(1, 4)), n, (0.0, 1.0, 2.0)[:n]) for n in levels
+    )
+    symmetric = data.draw(st.booleans(), label="symmetric")
+    n_max = data.draw(st.lists(st.integers(1, 3), max_size=2), label="n_max")
+    fock = FockFactor((Mode(1.0),) * len(n_max), n_max) if n_max else None
+    sites = len(site_groups(nodes, symmetric)) + len(n_max)
+    weights, quanta = None, 0
+    if data.draw(st.booleans(), label="sector"):
+        weights = data.draw(st.lists(st.integers(0, 2), min_size=sites, max_size=sites))
+        quanta = data.draw(st.integers(0, 5), label="quanta")
+    try:
+        basis = CompositeBasis(nodes, fock, symmetric, weights, quanta)
+    except DimensionCap:
+        return  # too big to list
+    except BasisMismatch:
+        # an empty sector: no state of the full space carries its quanta
+        try:
+            full = CompositeBasis(nodes, fock, symmetric)
+        except DimensionCap:
+            return
+        levels = [full.site_levels(k)[n] for k, n in enumerate(full.occupations.T)]
+        carried = sum(w * n for w, n in zip(weights, levels))
+        assert not (carried == quanta).any()
+        return
+    listed, expected = basis.occupations, _prefix_growing_listing(basis)
+    assert listed.dtype == expected.dtype and listed.shape == expected.shape
+    assert listed.tobytes() == expected.tobytes()
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    order = np.random.default_rng(seed).permutation(basis.dim)
+    assert np.array_equal(basis.rows(listed[order]), order)
+
+
+def test_a_per_atom_sector_lists_a_thousand_atoms_per_node():
+    # one quantum on two nodes of 1000 two-level atoms and one mode: row i
+    # holds it on site 2000 - i, the photon first (the last site varies fastest)
+    n = 1000
+    nodes, fock = (NodeSpec(n), NodeSpec(n)), FockFactor((Mode(1.0),), (1,))
+    basis = CompositeBasis(nodes, fock, weights=(1,) * (2 * n + 1), quanta=1)
+    assert basis.dim == 2 * n + 1
+    expected = np.eye(basis.dim, dtype=np.int64)[::-1]
+    assert np.array_equal(basis.occupations, expected)
+    assert np.array_equal(basis.rows(expected[::-1]), np.arange(basis.dim)[::-1])
+
+
+def test_pair_rows_expand_only_the_states_a_sector_holds():
+    # on the one-quantum sector only |10> and |01> are expanded, N rows
+    # each; the other four states cost one probe row, not N^2 or C(N, 2)
+    n = 40
+    sector = CompositeBasis((NodeSpec(n), NodeSpec(n)), weights=(1,) * 2 * n, quanta=1)
+    expanded = []
+
+    def counted(*args, **kwargs):
+        occs, amps = _dicke_pattern(*args, **kwargs)
+        expanded.append(len(occs))
+        return occs, amps
+
+    with mock.patch("cavityqc.basis._dicke_pattern", counted):
+        rows = pair_isometry(sector)
+    assert sum(expanded) < 3 * n
+    assert np.abs(rows[[0, 3, 4, 5]]).max() == 0
+    assert np.allclose(np.linalg.norm(rows[1:3], axis=1), 1.0)

@@ -41,12 +41,21 @@ class Mutant(NamedTuple):
     test: str  # pytest node id, relative to the checkout
 
 
-CLI, HAMILTONIAN = "src/cavityqc/cli.py", "src/cavityqc/hamiltonian.py"
-TEST_CLI, TEST_HAMILTONIAN = "tests/test_cli.py", "tests/test_hamiltonian.py"
+BASIS, CIRCUITS, CLI, DYNAMICS, GATES, HAMILTONIAN = (
+    f"src/cavityqc/{name}.py"
+    for name in ("basis", "circuits", "cli", "dynamics", "gates", "hamiltonian")
+)
+TEST_BASIS, TEST_CIRCUITS, TEST_CLI, TEST_DYNAMICS, TEST_GATES, TEST_HAMILTONIAN = (
+    f"tests/test_{name}.py"
+    for name in ("basis", "circuits", "cli", "dynamics", "gates", "hamiltonian")
+)
 GATE_ROW = TEST_CLI + "::test_verify_gates_row_fails_past_its_bound[{}-2.0-4]"
 CIRCUIT_CASE = TEST_CLI + "::test_verify_circuits_case_fails_past_its_bound[{}-2.0-4]"
 AGREEMENT = TEST_CLI + "::test_closed_form_agreement_fails_past_its_tolerance[{}-2.0-4]"
 WINDOW_FLOOR = TEST_CLI + "::test_window_floor_sits_at_a_quarter_period"
+ANCILLA_WEIGHT = (
+    TEST_CIRCUITS + "::test_ancilla_weight_is_refused_past_one_part_in_ten_billion"
+)
 
 CATALOGUE = (
     # the bound of each check, past which its run-level boundary test fails
@@ -179,6 +188,129 @@ CATALOGUE = (
         "0 < len(value) <= MAX_TABLE_ROWS:",
         "0 < len(value) <= MAX_TABLE_ROWS + 1:",
         TEST_CLI + "::test_sweep_detuning_cap_falls_between_max_and_one_more",
+    ),
+    # the run-level bounds of the blockade, transistor and sweep checks
+    Mutant(
+        "norm-closure-bound",
+        CLI,
+        '("norm-closure", closure <= 1e-9,',
+        '("norm-closure", closure <= 1e-5,',
+        TEST_CLI + "::test_blockade_norm_closure_fails_past_1e_9",
+    ),
+    Mutant(
+        "transfer-time-bound",
+        CLI,
+        '("transfer-time", t_err <= 1e-6,',
+        '("transfer-time", t_err <= 1e-3,',
+        TEST_CLI + "::test_transistor_transfer_time_fails_past_1e_6",
+    ),
+    Mutant(
+        "envelope-monotone-bound",
+        CLI,
+        "ok = all(b <= 1.1 * a for",
+        "ok = all(b <= 2.5 * a for",
+        TEST_CLI + "::test_sweep_envelope_fails_past_ten_percent_growth",
+    ),
+    # a verify-circuits case passes only with the gate count it documents
+    Mutant(
+        "circuit-passed-without-count",
+        CLI,
+        "bool(res.equal and count_ok),",
+        "bool(res.equal),",
+        TEST_CLI + "::test_verify_circuits_fails_a_case_whose_count_is_wrong",
+    ),
+    # the library's tolerances, each pinned at its documented value
+    Mutant(
+        "equivalence-100x-tol",
+        CIRCUITS,
+        "equal=deviation <= tol,",
+        "equal=deviation <= 100 * tol,",
+        TEST_CIRCUITS + "::test_equivalence_holds_deviations_to_tol",
+    ),
+    Mutant(
+        "ancilla-tol-1e-4",
+        CIRCUITS,
+        "ANCILLA_TOL = 1e-10",
+        "ANCILLA_TOL = 1e-4",
+        ANCILLA_WEIGHT,
+    ),
+    Mutant(
+        "ancilla-tol-1e-11",
+        CIRCUITS,
+        "ANCILLA_TOL = 1e-10",
+        "ANCILLA_TOL = 1e-11",
+        ANCILLA_WEIGHT,
+    ),
+    Mutant(
+        "circuits-drop-1e-6",
+        CIRCUITS,
+        "_DROP = 1e-14",
+        "_DROP = 1e-6",
+        TEST_CIRCUITS + "::test_a_small_transfer_keeps_its_off_diagonal",
+    ),
+    Mutant(
+        "unitarity-tol-1e-5",
+        GATES,
+        "UNITARITY_TOL = 1e-8",
+        "UNITARITY_TOL = 1e-5",
+        TEST_CIRCUITS + "::test_non_unitary_controlled_u_payload_is_refused",
+    ),
+    Mutant(
+        "wrap-angle-snap-1e-3",
+        GATES,
+        "abs(wrapped) < 1e-12",
+        "abs(wrapped) < 1e-3",
+        TEST_GATES + "::test_synthesize_small_phase_keeps_its_angle",
+    ),
+    Mutant(
+        "norm-tol-1e-6",
+        DYNAMICS,
+        "NORM_TOL = 1e-9",
+        "NORM_TOL = 1e-6",
+        TEST_DYNAMICS + "::test_transistor_amplitudes_hold_the_norm_to_norm_tol",
+    ),
+    Mutant(
+        "peak-polish-steps-3",
+        DYNAMICS,
+        "PEAK_POLISH_STEPS = 100",
+        "PEAK_POLISH_STEPS = 3",
+        TEST_DYNAMICS + "::test_peak_locator_agrees_with_bisection_to_the_last_ulp",
+    ),
+    Mutant(
+        "resonance-floor-1e-3",
+        HAMILTONIAN,
+        "RESONANCE_FLOOR = 1e-9",
+        "RESONANCE_FLOOR = 1e-3",
+        TEST_HAMILTONIAN + "::test_resonance_floor_sits_at_one_part_in_a_billion",
+    ),
+    Mutant(
+        "resonance-floor-1e-10",
+        HAMILTONIAN,
+        "RESONANCE_FLOOR = 1e-9",
+        "RESONANCE_FLOOR = 1e-10",
+        TEST_HAMILTONIAN + "::test_resonance_floor_sits_at_one_part_in_a_billion",
+    ),
+    Mutant(
+        "real-rate-imaginary-1e-3",
+        HAMILTONIAN,
+        "abs(rate.imag) <= 1e-12 * max(1.0, abs(rate))",
+        "abs(rate.imag) <= 1e-3 * max(1.0, abs(rate))",
+        TEST_HAMILTONIAN + "::test_swap_rate_must_be_real_to_round_off",
+    ),
+    # the basis: its state count, and the range check of its row lookup
+    Mutant(
+        "suffix-count-strict",
+        BASIS,
+        "for s in table if s <= q)",
+        "for s in table if s < q)",
+        TEST_BASIS + "::test_listing_equals_the_prefix_growing_listing",
+    ),
+    Mutant(
+        "rows-without-range-check",
+        BASIS,
+        "(occupations >= 0) & (occupations < self.shape)",
+        "np.ones_like(occupations, dtype=bool)",
+        TEST_BASIS + "::test_bad_occupations_are_held_by_no_basis",
     ),
     # the static energies and the exchange generator
     Mutant(
